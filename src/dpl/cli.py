@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -93,30 +94,83 @@ def _digest_args(payload: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _load_map(path: str) -> PLCircleMap:
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(x, what: str) -> Fraction:
+    """An exact rational from an int or a ``"p"``/``"p/q"`` string, nothing else.
+
+    Floats, booleans and exponent strings are refused: the first two would
+    round or coerce silently, and ``"1e999999999"`` would build a huge integer.
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        _, _, den = x.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"{what} {x!r} has a zero denominator")
+        return Fraction(x)
+    raise ValueError(f"{what} must be an integer or a 'p/q' string, not {x!r}")
+
+
+def _load_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
+        return json.load(fh)
+
+
+def _load_map(path: str) -> PLCircleMap:
+    data = _load_json(path)
     if not isinstance(data, dict) or "breakpoints" not in data or "degree" not in data:
         raise ValueError("a map file needs 'breakpoints' and 'degree'")
+    bps, degree = data["breakpoints"], data["degree"]
+    if not isinstance(bps, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in bps
+    ):
+        raise ValueError("'breakpoints' must be a list of [angle, value] pairs")
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise ValueError(f"'degree' must be an integer, not {degree!r}")
     return make_map(
-        [(x, l) for x, l in data["breakpoints"]], int(data["degree"])
+        [(_rational(x, "angle"), _rational(l, "value")) for x, l in bps], degree
     )
 
 
 def _load_movie(path: str) -> SweepMovie:
-    with open(path) as fh:
-        data = json.load(fh)
-    events = tuple(
-        make_event(ev["time"], ev["kind"], *ev["labels"])
-        for ev in data.get("events", ())
-    )
-    return SweepMovie(initial=tuple(data.get("initial", ())), events=events)
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError("a movie file holds an object with 'initial' and 'events'")
+    initial, events = data.get("initial", []), data.get("events", [])
+    if not _is_str_list(initial):
+        raise ValueError("'initial' must be a list of label strings")
+    if not isinstance(events, list):
+        raise ValueError("'events' must be a list")
+    decoded = []
+    for ev in events:
+        if not (
+            isinstance(ev, dict)
+            and isinstance(ev.get("kind"), str)
+            and _is_str_list(ev.get("labels"))
+        ):
+            raise ValueError(f"an event needs a 'kind' and string 'labels': {ev!r}")
+        time = _rational(ev.get("time"), "event time")
+        decoded.append(make_event(time, ev["kind"], *ev["labels"]))
+    return SweepMovie(initial=tuple(initial), events=tuple(decoded))
+
+
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def _at_least(name: str, value: int, low: int) -> None:
+    """Refuse a count that would make the run empty or meaningless."""
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def _arc_from(args) -> TransverseArc | None:
     if args.arc is None:
         return None
-    return TransverseArc(args.arc[0], args.arc[1])
+    start, end = (_rational(x, "--arc") for x in args.arc)
+    return TransverseArc(start, end)
 
 
 def _arc_payload(arc: TransverseArc) -> dict:
@@ -238,7 +292,8 @@ def _step_payload(step) -> dict:
 def _cmd_unfold(args):
     f = _load_map(args.map)
     arc = _arc_from(args)
-    final, trace = eliminate_negative_arcs(f, arc, args.mode, args.value)
+    value = None if args.value is None else _rational(args.value, "--value")
+    final, trace = eliminate_negative_arcs(f, arc, args.mode, value)
     base = f.reflect() if trace.reflected else f
     cls = classify_preimage(base, final)
     pairs = pair_count_check(base, final)
@@ -308,7 +363,11 @@ def _cmd_group(args):
 
 def _cmd_dcover_check(args):
     payload = {"command": "dcover-check", "degree": args.degree, "upto": args.upto}
-    degrees = [args.degree] if args.degree else list(range(2, args.upto + 1))
+    if args.degree is None:
+        _at_least("--upto", args.upto, 2)
+        degrees = list(range(2, args.upto + 1))
+    else:
+        degrees = [args.degree]  # dcover_consistency refuses degrees below 1
     reports = [dcover_consistency(d) for d in degrees]
     result = {
         "reports": [
@@ -352,6 +411,7 @@ def _cmd_sweep(args):
         return _digest_args({"command": "sweep", "census": True}), result, summary, (
             0 if report.ok else 1
         )
+    _at_least("--samples", args.samples, 1)
     if args.movie:
         movie = _load_movie(args.movie)
         digest = _digest_file(args.movie)
@@ -583,6 +643,7 @@ _SUITES = (
 
 
 def _cmd_selftest(args):
+    _at_least("--runs", args.runs, 1)
     if args.seed is not None:
         seed = args.seed
     else:
@@ -745,6 +806,10 @@ def main(argv: list[str] | None = None) -> int:
             stream.write("\n")
         else:
             _render_text(envelope, stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader left early (``dpl ... | head``); drop the rest quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         if args.out:
             stream.close()

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Hashable, Iterable, Sequence, Union
 
 from .circle_maps import (
     PLCircleMap,
@@ -141,6 +141,51 @@ def _clip_equal_value_segment(
     return at(vhi), at(vlo)
 
 
+def _chains(nodes: Iterable[Hashable], succ: dict) -> list[list]:
+    """Split the partial injection ``succ`` on ``nodes`` into maximal runs.
+
+    ``succ[a] = b`` glues the end of piece a to the start of piece b.  Open
+    runs start at every node without a predecessor; closed runs (a run is
+    closed when its last node is in ``succ``) start at their first node in
+    the order of ``nodes``.  Two pieces continuing into the same one raise
+    AssertionError.
+    """
+    targets = set(succ.values())
+    if len(targets) != len(succ):
+        raise AssertionError("two pieces continue into the same one")
+    nodes = list(nodes)
+    seen: set = set()
+    runs = []
+    for start in [n for n in nodes if n not in targets] + nodes:
+        if start in seen:
+            continue
+        run, node = [], start
+        while node not in seen:
+            seen.add(node)
+            run.append(node)
+            node = succ.get(node, start)
+        runs.append(run)
+    return runs
+
+
+def _groups(nodes: Iterable[Hashable], links: Iterable[tuple]) -> list[list]:
+    """Union-find classes of ``nodes`` under ``links``, each sorted, by least member."""
+    parent = {n: n for n in nodes}
+
+    def find(n):
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    groups: dict = {}
+    for n in parent:
+        groups.setdefault(find(n), []).append(n)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
 def _raw_segments(f: PLCircleMap) -> list[CurveSegment]:
     segs: list[CurveSegment] = []
     m = f.lap_count
@@ -201,18 +246,13 @@ class DoublePointCurve:
 
     @cached_property
     def quotient_components(self) -> tuple[QuotientComponent, ...]:
-        seen: set[int] = set()
         out: list[QuotientComponent] = []
-        for comp in self.components:
-            if comp.index in seen:
-                continue
-            partner = self.swap_pairing[comp.index]
-            members = tuple(sorted({comp.index, partner}))
-            seen.update(members)
+        swapped = enumerate(self.swap_pairing)
+        for members in _groups(range(len(self.components)), swapped):
             compact = all(self.components[i].kind == "circle" for i in members)
             out.append(
                 QuotientComponent(
-                    members=members,
+                    members=tuple(members),
                     compact=compact,
                     cover_trivial=len(members) == 2,
                     lifts_through_arc=not _image_covers_circle(
@@ -262,117 +302,55 @@ def _image_covers_circle(f: PLCircleMap, comp: CurveComponent) -> bool:
 def double_point_curve(f: PLCircleMap) -> DoublePointCurve:
     """Compute the full double-point curve of a generic map."""
     segs = _raw_segments(f)
-    ends: dict[tuple[Fraction, Fraction], list[tuple[int, int]]] = {}
-    diagonal: dict[int, dict[int, Fraction]] = {}  # seg index -> end index -> fold c
+    starts: dict[tuple[Fraction, Fraction], int] = {}
     for si, seg in enumerate(segs):
-        for ei, p in enumerate((seg.start, seg.end)):
-            key = _torus_key(f, p)
-            if key[0] == key[1]:
-                diagonal.setdefault(si, {})[ei] = key[0]
-            else:
-                ends.setdefault(key, []).append((si, ei))
-    for key, lst in ends.items():
-        if len(lst) != 2:
-            raise AssertionError(f"non-manifold gluing at {key}: {lst}")
+        key = _torus_key(f, seg.start)
+        if key[0] != key[1]:
+            if key in starts:
+                raise AssertionError(f"non-manifold gluing at {key}")
+            starts[key] = si
+    # Canonical orientations agree along components, so off the diagonal
+    # every segment end is the start of the next segment.
+    ends = [_torus_key(f, seg.end) for seg in segs]
+    succ = {si: starts[key] for si, key in enumerate(ends) if key in starts}
 
-    def other_end(si: int, ei: int) -> tuple[int, int] | None:
-        p = segs[si].start if ei == 0 else segs[si].end
-        key = _torus_key(f, p)
-        if key[0] == key[1]:
-            return None
-        a, b = ends[key]
-        return b if a == (si, ei) else a
-
-    visited: set[int] = set()
+    # Components are numbered by the key of their first segment (an arc's
+    # diagonal start, a circle's least segment); segments are sorted by key,
+    # so sorting the runs gives that order.
     components: list[CurveComponent] = []
-
-    def walk(first: int) -> tuple[list[CurveSegment], Fraction | None, Fraction | None]:
-        """Follow the canonical orientation from segment ``first``."""
-        chain = [segs[first]]
-        visited.add(first)
-        start_diag = diagonal.get(first, {}).get(0)
-        si = first
-        while True:
-            nxt = other_end(si, 1)
-            if nxt is None:
-                return chain, start_diag, diagonal[si][1]
-            tsi, tei = nxt
-            if tsi == first and tei == 0:
-                return chain, None, None
-            if tei != 0:
-                raise AssertionError("orientation incoherence during traversal")
-            visited.add(tsi)
-            chain.append(segs[tsi])
-            si = tsi
-
-    # Open arcs first: start from each outgoing diagonal end (the canonical
-    # start of its segment), so traversal runs diagonal-to-diagonal.
-    for si in range(len(segs)):
-        if si in visited or si not in diagonal or 0 not in diagonal[si]:
-            continue
-        chain, c_from, c_to = walk(si)
-        components.append(
-            CurveComponent(
-                index=-1,
-                kind="arc",
-                segments=tuple(chain),
-                p1_degree=0,
-                p2_degree=0,
-                diagonal_ends=(c_from, c_to),
+    for index, run in enumerate(sorted(_chains(range(len(segs)), succ))):
+        chain = tuple(segs[si] for si in run)
+        if run[-1] in succ:
+            p1 = sum(s.end[0] - s.start[0] for s in chain)
+            p2 = sum(s.end[1] - s.start[1] for s in chain)
+            if p1.denominator != 1 or p2.denominator != 1:
+                raise AssertionError("non-integer winding on a closed component")
+            components.append(
+                CurveComponent(index, "circle", chain, int(p1), int(p2), None)
             )
-        )
-    for si in range(len(segs)):
-        if si in visited:
             continue
-        chain, c_from, c_to = walk(si)
-        if c_from is not None or c_to is not None:
-            raise AssertionError("arc discovered during circle sweep")
-        p1 = sum(s.end[0] - s.start[0] for s in chain)
-        p2 = sum(s.end[1] - s.start[1] for s in chain)
-        if p1.denominator != 1 or p2.denominator != 1:
-            raise AssertionError("non-integer winding on a closed component")
-        components.append(
-            CurveComponent(
-                index=-1,
-                kind="circle",
-                segments=tuple(chain),
-                p1_degree=int(p1),
-                p2_degree=int(p2),
-                diagonal_ends=None,
-            )
-        )
-
-    components.sort(key=lambda c: c.segments[0].key)
-    components = [
-        CurveComponent(i, c.kind, c.segments, c.p1_degree, c.p2_degree, c.diagonal_ends)
-        for i, c in enumerate(components)
-    ]
+        c_from, c_to = _torus_key(f, chain[0].start), ends[run[-1]]
+        if c_from[0] != c_from[1] or c_to[0] != c_to[1]:
+            raise AssertionError(f"open piece {c_from} -> {c_to} off the diagonal")
+        ends_at = (c_from[0], c_to[0])
+        components.append(CurveComponent(index, "arc", chain, 0, 0, ends_at))
 
     by_key = {seg.key: comp.index for comp in components for seg in comp.segments}
-    pairing = []
-    for comp in components:
-        i, j, k = comp.segments[0].key
-        pairing.append(by_key[(j, i, -k)])
-    swap_pairing = tuple(pairing)
-
-    closure = _closure_components(f, components, segs, diagonal)
+    swap_pairing = tuple(
+        by_key[(j, i, -k)] for i, j, k in (c.segments[0].key for c in components)
+    )
     return DoublePointCurve(
         map=f,
-        components=components,
+        components=tuple(components),
         swap_pairing=swap_pairing,
-        closure_components=closure,
+        closure_components=_closure_components(components),
     )
 
 
 def _closure_components(
-    f: PLCircleMap,
     components: Sequence[CurveComponent],
-    segs: Sequence[CurveSegment],
-    diagonal: dict[int, dict[int, Fraction]],
 ) -> tuple[ClosureComponent, ...]:
     arcs = [c for c in components if c.kind == "arc"]
-    if not arcs:
-        return ()
     # Each diagonal point receives exactly two arc-ends; record their types.
     point_ends: dict[Fraction, list[tuple[int, str]]] = {}
     for comp in arcs:
@@ -383,36 +361,16 @@ def _closure_components(
         if len(lst) != 2:
             raise AssertionError(f"diagonal point {c} has {len(lst)} arc-ends")
 
-    parent: dict[int, int] = {c.index: c.index for c in arcs}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for lst in point_ends.values():
-        a, b = lst[0][0], lst[1][0]
-        parent[find(a)] = find(b)
-
-    groups: dict[int, list[int]] = {}
-    for c in arcs:
-        groups.setdefault(find(c.index), []).append(c.index)
+    glued = [(a, b) for (a, _), (b, _) in point_ends.values()]
     out = []
-    for members in sorted(groups.values(), key=min):
-        pts = sorted(
-            c for c, lst in point_ends.items() if find(lst[0][0]) == find(members[0])
-        )
+    for members in _groups((c.index for c in arcs), glued):
+        pts = sorted(c for c, lst in point_ends.items() if lst[0][0] in members)
         # A passage flips orientation when both ends point the same way
         # (both outgoing at a value maximum, both incoming at a minimum).
-        flips = sum(
-            1
-            for c in pts
-            if point_ends[c][0][1] == point_ends[c][1][1]
-        )
+        flips = sum(1 for c in pts if point_ends[c][0][1] == point_ends[c][1][1])
         out.append(
             ClosureComponent(
-                arcs=tuple(sorted(members)),
+                arcs=tuple(members),
                 diagonal_points=tuple(pts),
                 flips=flips,
                 orientable=flips % 2 == 0,

@@ -18,6 +18,7 @@ UnfoldingBlocked, and the bundled generator rejects such draws.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -44,7 +45,9 @@ from .circle_maps import (
 )
 from .double_points import (
     DoublePointCurve,
+    _chains,
     _clip_equal_value_segment,
+    _groups,
     double_point_curve,
 )
 
@@ -749,72 +752,35 @@ def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
             if clipped is not None:
                 segs.append(clipped)
 
-    ends: dict[tuple[Fraction, Fraction], list[tuple[int, int]]] = {}
-    for si, (p, q) in enumerate(segs):
-        ends.setdefault(p, []).append((si, 0))
-        ends.setdefault(q, []).append((si, 1))
-
-    def on_boundary(p: tuple[Fraction, Fraction]) -> bool:
-        return p[0] in (lo, hi) or p[1] in (lo, hi)
-
-    for p, lst in ends.items():
-        if len(lst) > 2 or (len(lst) == 1 and not on_boundary(p)):
+    # Canonically oriented segments glue end to start; loose ends of the
+    # open runs must lie on the square's boundary.
+    starts: dict[tuple[Fraction, Fraction], int] = {}
+    for si, (p, _) in enumerate(segs):
+        if p in starts:
             raise AssertionError(f"non-manifold solution set at {p}")
+        starts[p] = si
+    succ = {si: starts[q] for si, (_, q) in enumerate(segs) if q in starts}
+    runs = _chains(range(len(segs)), succ)
+    loose: dict[tuple[Fraction, Fraction], list[tuple[Fraction, Fraction]]] = {}
+    for run in runs:
+        if run[-1] in succ:
+            continue
+        pts = [segs[run[0]][0]] + [segs[si][1] for si in run]
+        for p in (pts[0], pts[-1]):
+            if not (p[0] in (lo, hi) or p[1] in (lo, hi)):
+                raise AssertionError(f"non-manifold solution set at {p}")
+        loose[pts[0]] = pts
+        loose[pts[-1]] = pts[::-1]
 
     corner0, corner1 = (lo, lo), (hi, hi)
-    if corner0 not in ends or corner1 not in ends:
+    if corner0 not in loose or corner1 not in loose:
         raise AssertionError("corner solutions missing")
-
-    visited: set[int] = set()
-
-    def chase(start_si: int, start_ei: int) -> list[tuple[Fraction, Fraction]]:
-        pts = [segs[start_si][start_ei]]
-        si, ei = start_si, start_ei
-        while True:
-            visited.add(si)
-            exit_point = segs[si][1 - ei]
-            pts.append(exit_point)
-            nxt = [pe for pe in ends[exit_point] if pe != (si, 1 - ei)]
-            if not nxt:
-                return pts
-            si, ei = nxt[0]
-            if si in visited:
-                return pts
-
-    (c0_si, c0_ei), = ends[corner0]
-    witness = chase(c0_si, c0_ei)
-    connected = witness[-1] == corner1
-
-    component_count = 0
-    seen: set[int] = set()
-    for p, lst in ends.items():
-        if len(lst) == 1 and lst[0][0] not in seen:
-            chain_start = lst[0]
-            comp_before = len(seen)
-            si, ei = chain_start
-            while True:
-                seen.add(si)
-                exit_point = segs[si][1 - ei]
-                nxt = [pe for pe in ends[exit_point] if pe != (si, 1 - ei)]
-                if not nxt or nxt[0][0] in seen:
-                    break
-                si, ei = nxt[0]
-            if len(seen) > comp_before:
-                component_count += 1
-    for si in range(len(segs)):
-        if si not in seen:  # a closed loop
-            component_count += 1
-            ei = 0
-            while si not in seen:
-                seen.add(si)
-                exit_point = segs[si][1 - ei]
-                nxt = [pe for pe in ends[exit_point] if pe != (si, 1 - ei)]
-                si, ei = nxt[0]
+    witness = loose[corner0]
     return CornerReport(
-        connected=connected,
+        connected=witness[-1] == corner1,
         witness=tuple(witness),
         collar_extended=collar,
-        component_count=component_count,
+        component_count=len(runs),
     )
 
 
@@ -839,30 +805,34 @@ class EulerGraph:
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        parent = {v: v for v in self.vertices}
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a, b in self.edges:
-            parent[find(a)] = find(b)
-        groups: dict[int, list[int]] = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+        return tuple(map(tuple, _groups(self.vertices, self.edges)))
 
     @property
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
 
+    @cached_property
+    def _edges_by_component(self) -> tuple[tuple[int, ...], ...]:
+        where = {v: c for c, verts in enumerate(self.components) for v in verts}
+        out: list[list[int]] = [[] for _ in self.components]
+        for i, (a, _) in enumerate(self.edges):
+            out[where[a]].append(i)
+        return tuple(map(tuple, out))
+
     def component_edges(self, component: int) -> tuple[int, ...]:
         if component >= len(self.components):
             return ()
-        verts = set(self.components[component])
-        return tuple(i for i, e in enumerate(self.edges) if e[0] in verts)
+        return self._edges_by_component[component]
+
+    @cached_property
+    def _in_out(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """Each vertex's incoming and outgoing edge indices, in index order."""
+        ins: dict[int, list[int]] = {v: [] for v in self.vertices}
+        outs: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for i, (a, b) in enumerate(self.edges):
+            outs[a].append(i)
+            ins[b].append(i)
+        return ins, outs
 
 
 def build_euler_graph(
@@ -894,19 +864,6 @@ class EulerResolution:
     circuit: tuple[int, ...]
 
 
-def _in_out_edges(
-    g: EulerGraph, verts: set[int]
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    ins: dict[int, list[int]] = {v: [] for v in verts}
-    outs: dict[int, list[int]] = {v: [] for v in verts}
-    for i, (a, b) in enumerate(g.edges):
-        if a in verts:
-            outs[a].append(i)
-        if b in verts:
-            ins[b].append(i)
-    return ins, outs
-
-
 def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
     """An in/out pairing turning the chosen component into a single circuit.
 
@@ -917,12 +874,11 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
         raise InfeasibleParameters(f"no component {component}")
     if component >= len(g.components):
         return EulerResolution(component=component, pairing=(), circuit=())
-    verts = set(g.components[component])
-    _, outs = _in_out_edges(g, verts)
-    start = min(verts)
-    stack: list[tuple[int, int | None]] = [(start, None)]
+    verts = g.components[component]
+    ins, outs = g._in_out
+    stack: list[tuple[int, int | None]] = [(verts[0], None)]
     circuit: list[int] = []
-    pool = {v: list(es) for v, es in outs.items()}
+    pool = {v: list(outs[v]) for v in verts}
     while stack:
         v, via = stack[-1]
         if pool[v]:
@@ -935,11 +891,8 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
     circuit.reverse()
     if len(circuit) != len(g.component_edges(component)):
         raise AssertionError("component is not connected")
-    pairs: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for t, e in enumerate(circuit):
-        nxt = circuit[(t + 1) % len(circuit)]
-        pairs[g.edges[e][1]].append((e, nxt))
-    pairing = tuple(sorted((v, tuple(sorted(ps))) for v, ps in pairs.items()))
+    after = dict(zip(circuit, circuit[1:] + circuit[:1]))
+    pairing = tuple((v, tuple((e, after[e]) for e in ins[v])) for v in verts)
     return EulerResolution(component=component, pairing=pairing, circuit=tuple(circuit))
 
 
@@ -948,20 +901,15 @@ def resolution_choices(g: EulerGraph, component: int = 0):
     if component >= len(g.components):
         yield ()
         return
-    verts = set(g.components[component])
-    ins, outs = _in_out_edges(g, verts)
-    order = sorted(verts)
-    n = len(order)
-    for mask in range(1 << n):
-        pairing = []
-        for bit, v in enumerate(order):
-            (i1, i2), (o1, o2) = ins[v], outs[v]
-            if mask >> bit & 1:
-                ps = ((i1, o2), (i2, o1))
-            else:
-                ps = ((i1, o1), (i2, o2))
-            pairing.append((v, tuple(sorted(ps))))
-        yield tuple(sorted(pairing))
+    ins, outs = g._in_out
+    alternatives = []
+    for v in g.components[component]:
+        (i1, i2), (o1, o2) = ins[v], outs[v]
+        alternatives.append(((v, ((i1, o1), (i2, o2))), (v, ((i1, o2), (i2, o1)))))
+    # Pairings come in the order of a binary counter whose bit b picks
+    # vertex b's alternative, so the first vertex varies fastest.
+    for choice in itertools.product(*reversed(alternatives)):
+        yield choice[::-1]
 
 
 def trace_circuits(
@@ -970,21 +918,8 @@ def trace_circuits(
     """Circuits induced by a pairing on the chosen component's edges."""
     if component >= len(g.components):
         return ((),) if g.free_loops else ()
-    nxt: dict[int, int] = {}
-    for _, ps in pairing:
-        for e_in, e_out in ps:
-            nxt[e_in] = e_out
-    todo = set(g.component_edges(component))
-    circuits = []
-    while todo:
-        e = min(todo)
-        cyc = []
-        while e in todo:
-            todo.discard(e)
-            cyc.append(e)
-            e = nxt[e]
-        circuits.append(tuple(cyc))
-    return tuple(circuits)
+    nxt = {e_in: e_out for _, ps in pairing for e_in, e_out in ps}
+    return tuple(map(tuple, _chains(g.component_edges(component), nxt)))
 
 
 def random_admissible_graph(seed: int, n_vertices: int) -> EulerGraph:

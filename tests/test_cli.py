@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -229,3 +233,90 @@ def test_selftest_default_seed(capsys, monkeypatch):
     code, doc = run_json(capsys, "selftest", "--runs", "1")
     assert code == 0
     assert doc["result"]["seed"] == 2026
+
+
+# ---------------------------------------------------------------- refusals
+
+_MAP = {"breakpoints": [["0", "0"], ["1/2", "3/4"]], "degree": 0}
+_MOVIE = {
+    "initial": ["a"],
+    "events": [{"time": "1/3", "kind": "split", "labels": ["a", "b", "c"]}],
+}
+
+
+def _map_with(**fields):
+    return json.dumps({**_MAP, **fields})
+
+
+def _movie_with(event=None, **fields):
+    doc = {**_MOVIE, **fields}
+    if event is not None:
+        doc["events"] = [{**_MOVIE["events"][0], **event}]
+    return json.dumps(doc)
+
+
+# (case, argv with FILE standing for the input file, file text or None)
+REFUSED = [
+    ("dcover degree 0", ["dcover-check", "0"], None),
+    ("dcover upto 1", ["dcover-check", "--upto", "1"], None),
+    ("dcover upto 0", ["dcover-check", "--upto", "0"], None),
+    ("sweep samples 0", ["sweep", "--random", "5", "--samples", "0"], None),
+    ("sweep samples -3", ["sweep", "--samples", "-3"], None),
+    ("selftest runs 0", ["selftest", "--runs", "0"], None),
+    ("degree float", ["analyze", "FILE"], _map_with(degree=1.5)),
+    ("degree bool", ["analyze", "FILE"], _map_with(degree=True)),
+    ("degree string", ["hopf", "FILE"], _map_with(degree="0")),
+    ("float angle", ["analyze", "FILE"], _map_with(breakpoints=[[0, 0], [0.5, "3/4"]])),
+    ("zero denominator", ["analyze", "FILE"], _map_with(breakpoints=[["0", "0"], ["1/0", "1"]])),
+    ("exponent string", ["unfold", "FILE"], _map_with(breakpoints=[["0", "0"], ["5e-1", "3/4"]])),
+    ("bool value", ["analyze", "FILE"], _map_with(breakpoints=[["0", False], ["1/2", "3/4"]])),
+    ("breakpoints scalar", ["analyze", "FILE"], _map_with(breakpoints=5)),
+    ("breakpoint triple", ["analyze", "FILE"], _map_with(breakpoints=[["0", "0", "0"]])),
+    ("map not an object", ["analyze", "FILE"], "[1, 2]"),
+    ("arc exponent", ["unfold", "FILE", "--arc", "25e-2", "3/8"], TENT),
+    ("initial string", ["sweep", "FILE"], _movie_with(initial="ab", events=[])),
+    ("initial numbers", ["sweep", "FILE"], _movie_with(initial=[1], events=[])),
+    ("event time float", ["sweep", "FILE"], _movie_with(event={"time": 0.5})),
+    ("event time exponent", ["sweep", "FILE"], _movie_with(event={"time": "5e-1"})),
+    ("event time missing", ["sweep", "FILE"], _movie_with(event={"time": None})),
+    ("event labels string", ["sweep", "FILE"], _movie_with(event={"labels": "abc"})),
+    ("events scalar", ["sweep", "FILE"], _movie_with(events=5)),
+]
+
+
+@pytest.mark.parametrize("argv, text", [c[1:] for c in REFUSED], ids=[c[0] for c in REFUSED])
+def test_refused_input_exits_two_with_a_valid_envelope(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, doc = run_json(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    jsonschema.validate(doc, report_schema())
+    assert doc["summary"].startswith("input error")
+    assert "error" in doc["result"]
+
+
+def test_integer_coordinates_and_fraction_strings_load(capsys, tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"breakpoints": [[0, 0], ["1/2", "3/4"]], "degree": 0}))
+    code, doc = run_json(capsys, "analyze", path)
+    assert code == 0
+    assert doc["result"]["map"]["breakpoints"] == [["0", "0"], ["1/2", "3/4"]]
+
+
+def test_text_output_into_a_closed_pipe_exits_quietly(tent_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = {**os.environ, "PYTHONPATH": str(Path(dpl.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpl.cli", "analyze", str(tent_file), "--format", "text"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

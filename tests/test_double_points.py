@@ -35,6 +35,13 @@ def four_fold_deg2():
 # ---------------------------------------------------------------- curve shape
 
 
+def test_curve_is_hashable_and_stores_components_as_a_tuple():
+    curve = double_point_curve(four_fold_deg2())
+    assert isinstance(curve.components, tuple)
+    assert hash(curve) == hash(double_point_curve(four_fold_deg2()))
+    assert curve == double_point_curve(four_fold_deg2())
+
+
 def test_tent_curve_is_two_swapped_arcs():
     curve = double_point_curve(tent())
     assert len(curve.components) == 2
