@@ -31,7 +31,6 @@ from .circle_maps import (
     TransverseArc,
     classify_preimage,
     make_map,
-    random_map,
 )
 from .double_points import (
     DoublePointCurve,
@@ -41,6 +40,7 @@ from .double_points import (
     hopf_invariant,
     realizability_report,
 )
+from .properties import PROPERTIES
 from .space_forms import (
     build_group,
     cover_double_point_model,
@@ -62,10 +62,7 @@ from .sweeps import (
 from .unfolding import (
     UnfoldingBlocked,
     eliminate_negative_arcs,
-    eulerian_resolution,
     pair_count_check,
-    random_admissible_graph,
-    trace_circuits,
 )
 
 _DEFAULT_SEED = 2026
@@ -388,6 +385,8 @@ def _cmd_dcover_check(args):
 
 
 def _cmd_sweep(args):
+    if args.census + (args.movie is not None) + (args.random is not None) > 1:
+        raise ValueError("sweep takes only one of --census, a movie file or --random")
     if args.census:
         report = surgery_census()
         result = {
@@ -450,198 +449,6 @@ def _cmd_sweep(args):
 # selftest
 
 
-def _regular_value(f: PLCircleMap, rng: random.Random) -> Angle:
-    y = Angle(Fraction(rng.randrange(97), 97))
-    while not f.is_regular_value(y):
-        y = y.plus(Fraction(1, 193))
-    return y
-
-
-def _regular_arc(f: PLCircleMap, rng: random.Random) -> TransverseArc:
-    a = _regular_value(f, rng)
-    b = a.plus(Fraction(rng.randrange(1, 9), 9))
-    while not f.is_regular_value(b) or b == a:
-        b = b.plus(Fraction(1, 193))
-    return TransverseArc(a, b)
-
-
-def _suite_fiber_degree(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 8, 3)
-        if f.signed_fiber_count(_regular_value(f, rng)) != f.degree:
-            fails += 1
-    return fails
-
-
-def _suite_arc_balance(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 8, 3)
-        cls = classify_preimage(f, _regular_arc(f, rng))
-        if cls.positive_count - cls.negative_count != f.degree:
-            fails += 1
-    return fails
-
-
-def _suite_curve_windings(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 6, 3)
-        curve = double_point_curve(f)
-        arcs = [c for c in curve.components if c.kind == "arc"]
-        if len(arcs) != len(f.folds):
-            fails += 1
-            continue
-        for c in curve.components:
-            if c.kind == "arc" and (c.p1_degree or c.p2_degree):
-                fails += 1
-                break
-            if c.kind == "circle" and f.degree != 0 and c.p1_degree != c.p2_degree:
-                fails += 1
-                break
-    return fails
-
-
-def _suite_swap_pairing(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 6, 3)
-        curve = double_point_curve(f)
-        for c in curve.components:
-            mate = curve.components[curve.swap_pairing[c.index]]
-            if curve.swap_pairing[mate.index] != c.index:
-                fails += 1
-                break
-            if (mate.p1_degree, mate.p2_degree) != (c.p2_degree, c.p1_degree):
-                fails += 1
-                break
-    return fails
-
-
-def _suite_closure_orientability(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 6, 3)
-        curve = double_point_curve(f)
-        if len(curve.closure_components) * 2 != len(f.folds):
-            fails += 1
-            continue
-        if not all(cc.orientable for cc in curve.closure_components):
-            fails += 1
-    return fails
-
-
-def _suite_unfold_termination(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 6, 2)
-        base = f if f.degree >= 0 else f.reflect()
-        try:
-            final, trace = eliminate_negative_arcs(f, _regular_arc(base, rng))
-        except UnfoldingBlocked:
-            fails += 1
-            continue
-        cls = classify_preimage(base, final)
-        if cls.negative_count != 0 or cls.positive_count != base.degree:
-            fails += 1
-    return fails
-
-
-def _suite_pair_counts(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 6, 2)
-        base = f if f.degree >= 0 else f.reflect()
-        try:
-            final, _ = eliminate_negative_arcs(base, _regular_arc(base, rng))
-        except UnfoldingBlocked:
-            fails += 1
-            continue
-        if not pair_count_check(base, final).ok:
-            fails += 1
-    return fails
-
-
-def _suite_arc_lifting(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        f = random_map(rng.randrange(1 << 30), 6, 3)
-        if arc_lift_check(f).violation:
-            fails += 1
-    return fails
-
-
-def _suite_euler_circuits(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        g = random_admissible_graph(rng.randrange(1 << 30), rng.randint(1, 6))
-        res = eulerian_resolution(g, 0)
-        circuits = trace_circuits(g, res.pairing, 0)
-        if len(circuits) != 1 or sorted(circuits[0]) != sorted(res.circuit):
-            fails += 1
-    return fails
-
-
-def _suite_group_tables(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        pick = rng.randrange(5)
-        if pick == 0:
-            n = rng.randint(1, 9)
-            g = build_group("cyclic", n)
-            expected = 1 if n % 2 == 0 else 0
-        elif pick == 1:
-            g = build_group("binary_dihedral", rng.randint(1, 5))
-            expected = 1
-        else:
-            g = build_group(
-                ("binary_tetrahedral", "binary_octahedral", "binary_icosahedral")[
-                    pick - 2
-                ]
-            )
-            expected = 1
-        if involution_count(g) != expected:
-            fails += 1
-        if cover_realizable(g) != (g.order % 2 == 1):
-            fails += 1
-    return fails
-
-
-def _suite_cover_consistency(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        if not dcover_consistency(rng.randint(1, 9)).ok:
-            fails += 1
-    return fails
-
-
-def _suite_movie_certificates(rng: random.Random, runs: int) -> int:
-    fails = 0
-    for _ in range(runs):
-        movie = random_movie(rng.randrange(1 << 30), max_events=10)
-        checked = validate_movie(movie)
-        if not embedding_certificate(checked, samples=4).ok:
-            fails += 1
-    return fails
-
-
-_SUITES = (
-    ("fiber_degree", _suite_fiber_degree),
-    ("arc_balance", _suite_arc_balance),
-    ("curve_windings", _suite_curve_windings),
-    ("swap_pairing", _suite_swap_pairing),
-    ("closure_orientability", _suite_closure_orientability),
-    ("unfold_termination", _suite_unfold_termination),
-    ("pair_counts", _suite_pair_counts),
-    ("arc_lifting", _suite_arc_lifting),
-    ("euler_circuits", _suite_euler_circuits),
-    ("group_tables", _suite_group_tables),
-    ("cover_consistency", _suite_cover_consistency),
-    ("movie_certificates", _suite_movie_certificates),
-)
-
-
 def _cmd_selftest(args):
     _at_least("--runs", args.runs, 1)
     if args.seed is not None:
@@ -650,15 +457,25 @@ def _cmd_selftest(args):
         seed = int(os.environ.get("DPL_SEED", _DEFAULT_SEED))
     suites = {}
     total = 0
-    for i, (name, fn) in enumerate(_SUITES):
+    first = ""
+    for i, (name, check) in enumerate(PROPERTIES.items()):
+        # A check builds its inputs from its seed alone, so a listed seed
+        # reproduces the failure as ``PROPERTIES[name](seed)``.
         rng = random.Random(seed * 1_000_003 + i)
-        failures = fn(rng, args.runs)
-        suites[name] = {"runs": args.runs, "failures": failures}
-        total += failures
+        runs = [rng.randrange(1 << 30) for _ in range(args.runs)]
+        failing = [s for s in runs if check(s)]
+        suites[name] = {
+            "runs": args.runs,
+            "failures": len(failing),
+            "failing_seeds": failing[:5],
+        }
+        total += len(failing)
+        if failing and not first:
+            first = f"; first: {name} seed {failing[0]}"
     result = {"seed": seed, "suites": suites, "total_failures": total}
     summary = (
-        f"{len(_SUITES)} property suites x {args.runs} runs, "
-        f"{total} failure(s)"
+        f"{len(PROPERTIES)} property suites x {args.runs} runs, "
+        f"{total} failure(s){first}"
     )
     digest = _digest_args({"command": "selftest", "seed": seed, "runs": args.runs})
     return digest, result, summary, 0 if total == 0 else 1

@@ -97,13 +97,17 @@ class CheckedMovie:
         return len(self.names)
 
 
-def make_event(time: RationalLike, kind: str, *labels: str) -> Event:
+def _check_event(kind: str, labels: tuple[str, ...]) -> None:
     if kind not in _ARITY:
         raise EventOrderViolation(f"unknown event kind {kind!r}")
     if len(labels) != _ARITY[kind]:
         raise EventOrderViolation(
             f"{kind} takes {_ARITY[kind]} label(s), got {len(labels)}"
         )
+
+
+def make_event(time: RationalLike, kind: str, *labels: str) -> Event:
+    _check_event(kind, labels)
     return Event(time=frac(time), kind=kind, labels=tuple(labels))
 
 
@@ -118,12 +122,7 @@ def validate_movie(movie: SweepMovie) -> CheckedMovie:
         if t <= last:
             raise EventOrderViolation(f"event times not strictly increasing at {t}")
         last = t
-        if ev.kind not in _ARITY:
-            raise EventOrderViolation(f"unknown event kind {ev.kind!r}")
-        if len(ev.labels) != _ARITY[ev.kind]:
-            raise EventOrderViolation(
-                f"{ev.kind} takes {_ARITY[ev.kind]} label(s), got {len(ev.labels)}"
-            )
+        _check_event(ev.kind, ev.labels)
 
     names: list[str] = []
     ids: dict[str, int] = {}

@@ -180,20 +180,6 @@ def test_component_membership_lookup():
     assert cls.component_containing(F(1, 2)) is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_signed_component_count_matches_degree(seed):
-    """positive minus negative components is the mapping degree."""
-    f = random_map(seed, 8, 3)
-    probe = f if f.degree >= 0 else f.reflect()
-    for lo, width in value_gaps(probe):
-        a = Angle(lo + width / 3)
-        b = Angle(lo + width * 2 / 3)
-        cls = classify_preimage(probe, TransverseArc(a, b))
-        assert cls.positive_count - cls.negative_count == probe.degree
-        break
-
-
 # ---------------------------------------------------------------- level diagnostics
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import dpl
 from dpl.cli import main, report_schema
+from dpl.properties import PROPERTIES
 
 TENT = '{"breakpoints": [["0", "0"], ["1/2", "3/4"]], "degree": 0}\n'
 DEEP = '{"breakpoints": [["0", "0"], ["1/2", "8/5"]], "degree": 0}\n'
@@ -219,6 +220,26 @@ def test_selftest_runs_all_suites(capsys):
     assert r["total_failures"] == 0
     assert len(r["suites"]) == 12
     assert all(v["runs"] == 2 for v in r["suites"].values())
+    assert all(v["failing_seeds"] == [] for v in r["suites"].values())
+
+
+def test_selftest_lists_reproducible_failing_seeds(capsys, monkeypatch):
+    seen = []
+
+    def fails_on_odd_seeds(seed):
+        seen.append(seed)
+        return ["odd seed"] if seed % 2 else []
+
+    monkeypatch.setitem(PROPERTIES, "arc_balance", fails_on_odd_seeds)
+    code, doc = run_json(capsys, "selftest", "--runs", "20", "--seed", "3")
+    odd = [s for s in seen if s % 2]
+    suite = doc["result"]["suites"]["arc_balance"]
+    assert code == 1
+    assert len(odd) > 5
+    assert suite["failures"] == doc["result"]["total_failures"] == len(odd)
+    assert suite["failing_seeds"] == odd[:5]
+    assert f"first: arc_balance seed {odd[0]}" in doc["summary"]
+    assert all(PROPERTIES["arc_balance"](s) for s in suite["failing_seeds"])
 
 
 def test_selftest_seed_from_environment(capsys, monkeypatch):
@@ -262,6 +283,9 @@ REFUSED = [
     ("dcover upto 0", ["dcover-check", "--upto", "0"], None),
     ("sweep samples 0", ["sweep", "--random", "5", "--samples", "0"], None),
     ("sweep samples -3", ["sweep", "--samples", "-3"], None),
+    ("sweep census and movie", ["sweep", "--census", "FILE"], _movie_with()),
+    ("sweep census and random", ["sweep", "--census", "--random", "5"], None),
+    ("sweep movie and random", ["sweep", "FILE", "--random", "5"], _movie_with()),
     ("selftest runs 0", ["selftest", "--runs", "0"], None),
     ("degree float", ["analyze", "FILE"], _map_with(degree=1.5)),
     ("degree bool", ["analyze", "FILE"], _map_with(degree=True)),

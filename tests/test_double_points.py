@@ -1,7 +1,6 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dpl import (
     Angle,
@@ -99,17 +98,6 @@ def test_projection_degrees_are_symmetric_under_swap():
     for c in curve.components:
         j = curve.swap_pairing[c.index]
         assert projection_degree(curve, c.index, 1) == projection_degree(curve, j, 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_fold_count_determines_arc_components(seed):
-    """Each fold of the map contributes one open end of the curve."""
-    f = random_map(seed, 8, 3)
-    curve = double_point_curve(f)
-    arcs = [c for c in curve.components if c.kind == "arc"]
-    assert len(arcs) == len(f.folds)
-    assert 2 * len(curve.closure_components) == len(f.folds)
 
 
 # ---------------------------------------------------------------- hopf parity
