@@ -387,6 +387,7 @@ def _cmd_dcover_check(args):
 def _cmd_sweep(args):
     if args.census + (args.movie is not None) + (args.random is not None) > 1:
         raise ValueError("sweep takes only one of --census, a movie file or --random")
+    _at_least("--samples", args.samples, 1)
     if args.census:
         report = surgery_census()
         result = {
@@ -410,7 +411,6 @@ def _cmd_sweep(args):
         return _digest_args({"command": "sweep", "census": True}), result, summary, (
             0 if report.ok else 1
         )
-    _at_least("--samples", args.samples, 1)
     if args.movie:
         movie = _load_movie(args.movie)
         digest = _digest_file(args.movie)
@@ -463,7 +463,15 @@ def _cmd_selftest(args):
         # reproduces the failure as ``PROPERTIES[name](seed)``.
         rng = random.Random(seed * 1_000_003 + i)
         runs = [rng.randrange(1 << 30) for _ in range(args.runs)]
-        failing = [s for s in runs if check(s)]
+        # A check that raises fails on that seed; the other suites still run.
+        failing, raised = [], {}
+        for s in runs:
+            try:
+                if check(s):
+                    failing.append(s)
+            except Exception as exc:
+                failing.append(s)
+                raised[s] = f"{type(exc).__name__}: {exc}"
         suites[name] = {
             "runs": args.runs,
             "failures": len(failing),
@@ -472,6 +480,8 @@ def _cmd_selftest(args):
         total += len(failing)
         if failing and not first:
             first = f"; first: {name} seed {failing[0]}"
+            if failing[0] in raised:
+                first += f" (raised {raised[failing[0]]})"
     result = {"seed": seed, "suites": suites, "total_failures": total}
     summary = (
         f"{len(PROPERTIES)} property suites x {args.runs} runs, "

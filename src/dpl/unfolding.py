@@ -44,11 +44,11 @@ from .circle_maps import (
     value_gaps,
 )
 from .double_points import (
-    DoublePointCurve,
+    _as_curve,
     _chains,
-    _clip_equal_value_segment,
+    _equal_value_pieces,
     _groups,
-    double_point_curve,
+    _lap_rows,
 )
 
 __all__ = [
@@ -588,11 +588,7 @@ class PairCountReport:
     ok: bool
 
 
-def pair_count_check(
-    f: PLCircleMap,
-    arc: TransverseArc,
-    curve: DoublePointCurve | None = None,
-) -> PairCountReport:
+def pair_count_check(f: PLCircleMap, arc: TransverseArc) -> PairCountReport:
     """First-projection winding equals the count of marked pairs, per component.
 
     The arc must be unfolded: exactly deg(f) positive components and no
@@ -610,8 +606,7 @@ def pair_count_check(
             f"need exactly deg(f)={f.degree} positive components and no negative "
             f"ones; got p={cls.positive_count}, m={cls.negative_count}"
         )
-    if curve is None:
-        curve = double_point_curve(f)
+    curve = _as_curve(f)
     entries = sorted(c.start for c in cls.components if c.kind == "positive")
     counts = {c.index: 0 for c in curve.components}
     if entries:
@@ -741,16 +736,9 @@ def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
     lo = fa.breakpoints[0][0]
     hi = fa.breakpoints[-1][0]
 
-    segs: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = []
-    for i in range(len(fa.breakpoints) - 1):
-        xlo, xhi, la, _ = fa.lap(i)
-        for j in range(len(fb.breakpoints) - 1):
-            ylo, yhi, lb, _ = fb.lap(j)
-            clipped = _clip_equal_value_segment(
-                xlo, xhi, la, fa.slopes[i], ylo, yhi, lb, fb.slopes[j], 0
-            )
-            if clipped is not None:
-                segs.append(clipped)
+    rows_a = _lap_rows(fa, len(fa.breakpoints) - 1)
+    rows_b = _lap_rows(fb, len(fb.breakpoints) - 1)
+    segs = [piece[3:] for piece in _equal_value_pieces(rows_a, rows_b, False)]
 
     # Canonically oriented segments glue end to start; loose ends of the
     # open runs must lie on the square's boundary.

@@ -242,6 +242,31 @@ def test_selftest_lists_reproducible_failing_seeds(capsys, monkeypatch):
     assert all(PROPERTIES["arc_balance"](s) for s in suite["failing_seeds"])
 
 
+def test_selftest_counts_a_raising_check_as_failing_seeds(capsys, monkeypatch):
+    seen = []
+
+    def raises_on_odd_seeds(seed):
+        seen.append(seed)
+        if seed % 2:
+            raise dpl.EndpointNotRegular(f"seed {seed}")
+        return []
+
+    monkeypatch.setitem(PROPERTIES, "cover_consistency", raises_on_odd_seeds)
+    code, doc = run_json(capsys, "selftest", "--runs", "20", "--seed", "3")
+    jsonschema.validate(doc, report_schema())
+    odd = [s for s in seen if s % 2]
+    suites = doc["result"]["suites"]
+    assert code == 1
+    assert len(odd) > 5
+    assert len(suites) == len(PROPERTIES)
+    assert all(v["runs"] == 20 for v in suites.values())
+    assert suites["cover_consistency"]["failures"] == len(odd)
+    assert suites["cover_consistency"]["failing_seeds"] == odd[:5]
+    assert doc["result"]["total_failures"] == len(odd)
+    raised = f"(raised EndpointNotRegular: seed {odd[0]})"
+    assert f"first: cover_consistency seed {odd[0]} {raised}" in doc["summary"]
+
+
 def test_selftest_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("DPL_SEED", "77")
     code, doc = run_json(capsys, "selftest", "--runs", "1")
@@ -283,6 +308,7 @@ REFUSED = [
     ("dcover upto 0", ["dcover-check", "--upto", "0"], None),
     ("sweep samples 0", ["sweep", "--random", "5", "--samples", "0"], None),
     ("sweep samples -3", ["sweep", "--samples", "-3"], None),
+    ("sweep census samples 0", ["sweep", "--census", "--samples", "0"], None),
     ("sweep census and movie", ["sweep", "--census", "FILE"], _movie_with()),
     ("sweep census and random", ["sweep", "--census", "--random", "5"], None),
     ("sweep movie and random", ["sweep", "FILE", "--random", "5"], _movie_with()),

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import dpl.double_points
 from dpl import (
     Angle,
     DegeneratePosition,
@@ -131,12 +132,6 @@ def test_tent_quotient_is_one_crosscut():
     assert q.lifts_through_arc
 
 
-def test_arc_lift_check_is_clean_on_samples():
-    for seed in range(25):
-        rep = arc_lift_check(random_map(seed, 8, 3))
-        assert not rep.violation
-
-
 # ---------------------------------------------------------------- realizability
 
 
@@ -226,3 +221,49 @@ def test_unfolded_arc_counts_match_circle_windings():
     circles = [c for c in curve.components if c.kind == "circle"]
     assert cls.positive_count - cls.negative_count == f.degree
     assert sum(c.p1_degree for c in circles) >= f.degree - 1
+
+
+# ---------------------------------------------------------------- the cached curve
+
+
+def test_curve_is_built_once_per_map():
+    f = random_map(7, 12, 4)
+    assert double_point_curve(f) is double_point_curve(f)
+
+
+def test_verdicts_reuse_the_cached_curve(monkeypatch):
+    f = random_map(11, 12, 4)
+    curve = double_point_curve(f)
+    builds = []
+    raw = dpl.double_points._raw_segments
+
+    def counted(g):
+        builds.append(g)
+        return raw(g)
+
+    monkeypatch.setattr(dpl.double_points, "_raw_segments", counted)
+    hopf_invariant(f)
+    realizability_report(f)
+    arc_lift_check(f)
+    assert double_point_curve(f) is curve
+    assert builds == []
+    double_point_curve(f.reflect())
+    assert len(builds) == 1
+
+
+def test_equal_maps_get_their_own_equal_curves():
+    f = random_map(5, 12, 4)
+    g = random_map(5, 12, 4)
+    assert f == g and f is not g
+    assert double_point_curve(f) is not double_point_curve(g)
+    assert double_point_curve(f) == double_point_curve(g)
+    assert double_point_curve(f.reflect()) is not double_point_curve(f)
+    assert double_point_curve(f.reflect()).map == f.reflect()
+
+
+def test_caching_the_curve_leaves_the_map_unchanged():
+    f, g = random_map(9, 12, 4), random_map(9, 12, 4)
+    before = (f == g, hash(f), repr(f))
+    double_point_curve(f)
+    assert (f == g, hash(f), repr(f)) == before
+    assert hash(f) == hash(g) and repr(f) == repr(g)
