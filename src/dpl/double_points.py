@@ -192,21 +192,24 @@ def _chains(nodes: Iterable[Hashable], succ: dict) -> list[list]:
 
 
 def _groups(nodes: Iterable[Hashable], links: Iterable[tuple]) -> list[list]:
-    """Union-find classes of ``nodes`` under ``links``, each sorted, by least member."""
-    parent = {n: n for n in nodes}
+    """Disjoint-set classes of ``nodes`` under ``links``, each sorted, by least member.
 
-    def find(n):
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
+    Each node points at its class's member list; a link appends the smaller
+    list to the larger one.
+    """
+    owner = {n: [n] for n in nodes}
     for a, b in links:
-        parent[find(a)] = find(b)
-    groups: dict = {}
-    for n in parent:
-        groups.setdefault(find(n), []).append(n)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+        big, small = owner[a], owner[b]
+        if big is small:
+            continue
+        if len(big) < len(small):
+            big, small = small, big
+        big.extend(small)
+        for n in small:
+            owner[n] = big
+    # a live list still starts with the node it was made for; classes are
+    # disjoint, so sorting them orders them by least member
+    return sorted([sorted(m) for n, m in owner.items() if m[0] == n])
 
 
 def _raw_segments(f: PLCircleMap) -> list[CurveSegment]:

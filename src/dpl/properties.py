@@ -17,6 +17,8 @@ from .circle_maps import (
     PLCircleMap,
     TransverseArc,
     classify_preimage,
+    downward_pair_count,
+    mod1,
     random_map,
     value_gaps,
 )
@@ -117,11 +119,31 @@ def closure_orientability(seed: int) -> list[str]:
     )
 
 
+def _sweep_free_reach(f: PLCircleMap, arc: TransverseArc) -> bool:
+    """Whether growing ``arc`` can bring its end onto a level with no full
+    downward sweep: the end moves counterclockwise, short of the start."""
+    b, slack = arc.ccw_end.value, 1 - arc.width
+    return any(
+        mod1(lo - b) < slack or mod1(lo - b) + gw > 1
+        for lo, gw in value_gaps(f)
+        if downward_pair_count(f, lo + gw / 2) == 0
+    )
+
+
 def unfold_termination(seed: int) -> list[str]:
     f = random_map(seed, 6, 2)
     base = f if f.degree >= 0 else f.reflect()
+    arc = _regular_arc(base, _rng(seed))
+    if not _sweep_free_reach(base, arc):
+        # every grown arc keeps a negative component; the default arc does not
+        try:
+            eliminate_negative_arcs(f, arc)
+        except UnfoldingBlocked:
+            arc = None
+        else:
+            return [f"{arc} unfolds, though no reachable end is sweep-free"]
     try:
-        final, trace = eliminate_negative_arcs(f, _regular_arc(base, _rng(seed)))
+        final, trace = eliminate_negative_arcs(f, arc)
     except UnfoldingBlocked as exc:
         return [f"unfolding is not blocked: {exc}"]
     cls, last = classify_preimage(base, final), trace.steps[-1]
@@ -138,8 +160,11 @@ def unfold_termination(seed: int) -> list[str]:
 def pair_counts(seed: int) -> list[str]:
     f = random_map(seed, 6, 2)
     base = f if f.degree >= 0 else f.reflect()
+    arc = _regular_arc(base, _rng(seed))
+    if not _sweep_free_reach(base, arc):
+        arc = None  # no grown arc unfolds (checked by unfold_termination)
     try:
-        final, _ = eliminate_negative_arcs(base, _regular_arc(base, _rng(seed)))
+        final, _ = eliminate_negative_arcs(base, arc)
     except UnfoldingBlocked as exc:
         return [f"unfolding is not blocked: {exc}"]
     ok = pair_count_check(base, final).ok

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
@@ -781,65 +781,83 @@ class EulerGraph:
     """A directed multigraph with in- and out-degree two everywhere.
 
     ``free_loops`` counts circles carrying no vertex at all; each is its own
-    component with the empty resolution.
+    component with the empty resolution.  Vertices and each vertex's in/out
+    edges are tabulated at construction, components on first use.
     """
 
     edges: tuple[tuple[int, int], ...]
     free_loops: int = 0
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # each vertex's incoming and outgoing edge indices, in index order
+    _in_out: tuple[dict[int, list[int]], dict[int, list[int]]] = field(
+        init=False, repr=False, compare=False
+    )
+    components: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    # each component's edge indices, in index order
+    _edges_by_component: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for e in self.edges for v in e}))
+    def __post_init__(self) -> None:
+        vertices = tuple(sorted(set(itertools.chain.from_iterable(self.edges))))
+        ins: dict[int, list[int]] = {v: [] for v in vertices}
+        outs: dict[int, list[int]] = {v: [] for v in vertices}
+        for i, (a, b) in enumerate(self.edges):
+            outs[a].append(i)
+            ins[b].append(i)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_in_out", (ins, outs))
 
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _groups(self.vertices, self.edges)))
+    def __getattr__(self, name: str):
+        """Derive ``components`` and ``_edges_by_component`` on first use.
+
+        Only attributes missing from the instance reach here, so once set
+        both are read like any other field.  (``functools.cached_property``
+        would do the same, but takes a lock on every first read before
+        Python 3.12, which shows in loops over many small graphs.)
+        """
+        if name not in ("components", "_edges_by_component"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        components = tuple(map(tuple, _groups(self.vertices, self.edges)))
+        if len(components) == 1:
+            by_component = (tuple(range(len(self.edges))),)
+        else:
+            where = {v: c for c, verts in enumerate(components) for v in verts}
+            lists: list[list[int]] = [[] for _ in components]
+            for i, (a, _) in enumerate(self.edges):
+                lists[where[a]].append(i)
+            by_component = tuple(map(tuple, lists))
+        self.__dict__.update(components=components, _edges_by_component=by_component)
+        return self.__dict__[name]
 
     @property
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
-
-    @cached_property
-    def _edges_by_component(self) -> tuple[tuple[int, ...], ...]:
-        where = {v: c for c, verts in enumerate(self.components) for v in verts}
-        out: list[list[int]] = [[] for _ in self.components]
-        for i, (a, _) in enumerate(self.edges):
-            out[where[a]].append(i)
-        return tuple(map(tuple, out))
 
     def component_edges(self, component: int) -> tuple[int, ...]:
         if component >= len(self.components):
             return ()
         return self._edges_by_component[component]
 
-    @cached_property
-    def _in_out(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """Each vertex's incoming and outgoing edge indices, in index order."""
-        ins: dict[int, list[int]] = {v: [] for v in self.vertices}
-        outs: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for i, (a, b) in enumerate(self.edges):
-            outs[a].append(i)
-            ins[b].append(i)
-        return ins, outs
-
 
 def build_euler_graph(
     edges: Iterable[tuple[int, int]], free_loops: int = 0
 ) -> EulerGraph:
-    edges = tuple((int(a), int(b)) for a, b in edges)
+    edges = tuple([(int(a), int(b)) for a, b in edges])
     if free_loops < 0:
         raise InfeasibleParameters("free_loops must be nonnegative")
-    indeg: dict[int, int] = {}
-    outdeg: dict[int, int] = {}
-    for a, b in edges:
-        outdeg[a] = outdeg.get(a, 0) + 1
-        indeg[b] = indeg.get(b, 0) + 1
-    for v in set(indeg) | set(outdeg):
-        if indeg.get(v, 0) != 2 or outdeg.get(v, 0) != 2:
+    g = EulerGraph(edges=edges, free_loops=free_loops)
+    ins, outs = g._in_out
+    for v in g.vertices:
+        if len(ins[v]) != 2 or len(outs[v]) != 2:
             raise InfeasibleParameters(
-                f"vertex {v} has in/out degree {indeg.get(v, 0)}/{outdeg.get(v, 0)}"
+                f"vertex {v} has in/out degree {len(ins[v])}/{len(outs[v])}"
             )
-    return EulerGraph(edges=edges, free_loops=free_loops)
+    return g
 
 
 Pairing = tuple[tuple[int, tuple[tuple[int, int], tuple[int, int]]], ...]
@@ -864,23 +882,33 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
         return EulerResolution(component=component, pairing=(), circuit=())
     verts = g.components[component]
     ins, outs = g._in_out
-    stack: list[tuple[int, int | None]] = [(verts[0], None)]
+    # Hierholzer's walk from the first vertex: ``v`` is the walk's head,
+    # ``vstack`` the vertices behind it and ``estack`` the edges between
+    edges = g.edges
+    pool = {v: outs[v][:] for v in verts}
+    vstack: list[int] = []
+    estack: list[int] = []
     circuit: list[int] = []
-    pool = {v: list(outs[v]) for v in verts}
-    while stack:
-        v, via = stack[-1]
-        if pool[v]:
-            e = pool[v].pop()
-            stack.append((g.edges[e][1], e))
+    v = verts[0]
+    out = pool[v]
+    while True:
+        if out:
+            e = out.pop()
+            estack.append(e)
+            vstack.append(v)
+            v = edges[e][1]
+            out = pool[v]
+        elif estack:
+            circuit.append(estack.pop())
+            v = vstack.pop()
+            out = pool[v]
         else:
-            stack.pop()
-            if via is not None:
-                circuit.append(via)
+            break
     circuit.reverse()
     if len(circuit) != len(g.component_edges(component)):
         raise AssertionError("component is not connected")
     after = dict(zip(circuit, circuit[1:] + circuit[:1]))
-    pairing = tuple((v, tuple((e, after[e]) for e in ins[v])) for v in verts)
+    pairing = tuple([(v, tuple([(e, after[e]) for e in ins[v]])) for v in verts])
     return EulerResolution(component=component, pairing=pairing, circuit=tuple(circuit))
 
 
@@ -907,7 +935,41 @@ def trace_circuits(
     if component >= len(g.components):
         return ((),) if g.free_loops else ()
     nxt = {e_in: e_out for _, ps in pairing for e_in, e_out in ps}
-    return tuple(map(tuple, _chains(g.component_edges(component), nxt)))
+    edges = g.component_edges(component)
+    cycles = _permutation_cycles(edges, nxt)
+    if cycles is not None:
+        return cycles
+    return tuple(map(tuple, _chains(edges, nxt)))
+
+
+def _permutation_cycles(
+    nodes: tuple[int, ...], succ: dict[int, int]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The cycles of ``succ``, each from its first node in ``nodes`` order,
+    when ``succ`` permutes its keys, every node is a key and every cycle
+    meets ``nodes``; otherwise None.
+
+    These are the runs ``_chains`` finds for such a map, walked without its
+    bookkeeping for open runs: each step pops the successor it follows, so
+    a node reached twice or without a successor shows up as a missing key,
+    and a cycle that misses ``nodes`` stays behind in ``rest``.
+    """
+    rest = succ.copy()
+    cycles = []
+    try:
+        for start in nodes:
+            if start in rest:
+                cycle = [start]
+                node = rest.pop(start)
+                while node != start:
+                    cycle.append(node)
+                    node = rest.pop(node)
+                cycles.append(tuple(cycle))
+            elif start not in succ:
+                return None
+    except KeyError:
+        return None
+    return None if rest else tuple(cycles)
 
 
 def random_admissible_graph(seed: int, n_vertices: int) -> EulerGraph:

@@ -249,6 +249,19 @@ def test_resolution_choices_enumerate_all_pairings():
     assert counts[0] == 1 and counts[-1] >= 2
 
 
+def test_trace_circuits_follows_pairings_that_do_not_permute_the_edges():
+    g = build_euler_graph([(0, 1), (0, 1), (1, 0), (1, 0)])
+    full = next(iter(resolution_choices(g)))
+    assert trace_circuits(g, full) == ((0, 2), (1, 3))
+    # vertex 1 unpaired: open runs from the edges nothing leads into
+    assert trace_circuits(g, full[:1]) == ((2, 0), (3, 1))
+    # a run may leave the component's edges
+    stray = ((0, ((2, 0), (3, 1))), (1, ((0, 2), (1, 7))))
+    assert trace_circuits(g, stray) == ((3, 1, 7), (0, 2))
+    with pytest.raises(AssertionError):
+        trace_circuits(g, ((0, ((2, 0), (3, 0))),))
+
+
 def test_free_loops_are_their_own_components():
     g = build_euler_graph([(0, 0), (0, 0)], free_loops=2)
     assert g.component_count == 3
