@@ -414,16 +414,7 @@ def projection_degree(curve: DoublePointCurve, component: int, factor: int) -> i
 
 
 def _as_curve(f: Union[PLCircleMap, DoublePointCurve]) -> DoublePointCurve:
-    """The curve given, or the map's curve.
-
-    A curve the map already keeps is read here, so ``double_point_curve`` is
-    entered only to build one, and a call count of that function (as the
-    benchmark's tracer keeps) counts curves built.
-    """
-    if isinstance(f, DoublePointCurve):
-        return f
-    curve = f.__dict__.get(_CURVE)
-    return curve if curve is not None else double_point_curve(f)
+    return f if isinstance(f, DoublePointCurve) else double_point_curve(f)
 
 
 def closure_orientability(

@@ -121,7 +121,11 @@ def closure_orientability(seed: int) -> list[str]:
 
 def _sweep_free_reach(f: PLCircleMap, arc: TransverseArc) -> bool:
     """Whether growing ``arc`` can bring its end onto a level with no full
-    downward sweep: the end moves counterclockwise, short of the start."""
+    downward sweep: the end moves counterclockwise, short of the start.
+
+    Written apart from ``unfolding._sweep_free_end`` on purpose: the checks
+    below test the verdict that function gives, so they must not call it.
+    """
     b, slack = arc.ccw_end.value, 1 - arc.width
     return any(
         mod1(lo - b) < slack or mod1(lo - b) + gw > 1

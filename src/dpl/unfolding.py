@@ -44,11 +44,11 @@ from .circle_maps import (
     value_gaps,
 )
 from .double_points import (
-    _as_curve,
     _chains,
     _equal_value_pieces,
     _groups,
     _lap_rows,
+    double_point_curve,
 )
 
 __all__ = [
@@ -606,7 +606,7 @@ def pair_count_check(f: PLCircleMap, arc: TransverseArc) -> PairCountReport:
             f"need exactly deg(f)={f.degree} positive components and no negative "
             f"ones; got p={cls.positive_count}, m={cls.negative_count}"
         )
-    curve = _as_curve(f)
+    curve = double_point_curve(f)
     entries = sorted(c.start for c in cls.components if c.kind == "positive")
     counts = {c.index: 0 for c in curve.components}
     if entries:
@@ -792,13 +792,6 @@ class EulerGraph:
     _in_out: tuple[dict[int, list[int]], dict[int, list[int]]] = field(
         init=False, repr=False, compare=False
     )
-    components: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # each component's edge indices, in index order
-    _edges_by_component: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         vertices = tuple(sorted(set(itertools.chain.from_iterable(self.edges))))
@@ -810,33 +803,21 @@ class EulerGraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_in_out", (ins, outs))
 
-    def __getattr__(self, name: str):
-        """Derive ``components`` and ``_edges_by_component`` on first use.
-
-        Only attributes missing from the instance reach here, so once set
-        both are read like any other field.  (``functools.cached_property``
-        would do the same, but takes a lock on every first read before
-        Python 3.12, which shows in loops over many small graphs.)
-        """
-        if name not in ("components", "_edges_by_component"):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        components = tuple(map(tuple, _groups(self.vertices, self.edges)))
-        if len(components) == 1:
-            by_component = (tuple(range(len(self.edges))),)
-        else:
-            where = {v: c for c, verts in enumerate(components) for v in verts}
-            lists: list[list[int]] = [[] for _ in components]
-            for i, (a, _) in enumerate(self.edges):
-                lists[where[a]].append(i)
-            by_component = tuple(map(tuple, lists))
-        self.__dict__.update(components=components, _edges_by_component=by_component)
-        return self.__dict__[name]
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _groups(self.vertices, self.edges)))
 
     @property
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
+
+    @cached_property
+    def _edges_by_component(self) -> tuple[tuple[int, ...], ...]:
+        where = {v: c for c, verts in enumerate(self.components) for v in verts}
+        out: list[list[int]] = [[] for _ in self.components]
+        for i, (a, _) in enumerate(self.edges):
+            out[where[a]].append(i)
+        return tuple(map(tuple, out))
 
     def component_edges(self, component: int) -> tuple[int, ...]:
         if component >= len(self.components):
@@ -935,41 +916,7 @@ def trace_circuits(
     if component >= len(g.components):
         return ((),) if g.free_loops else ()
     nxt = {e_in: e_out for _, ps in pairing for e_in, e_out in ps}
-    edges = g.component_edges(component)
-    cycles = _permutation_cycles(edges, nxt)
-    if cycles is not None:
-        return cycles
-    return tuple(map(tuple, _chains(edges, nxt)))
-
-
-def _permutation_cycles(
-    nodes: tuple[int, ...], succ: dict[int, int]
-) -> tuple[tuple[int, ...], ...] | None:
-    """The cycles of ``succ``, each from its first node in ``nodes`` order,
-    when ``succ`` permutes its keys, every node is a key and every cycle
-    meets ``nodes``; otherwise None.
-
-    These are the runs ``_chains`` finds for such a map, walked without its
-    bookkeeping for open runs: each step pops the successor it follows, so
-    a node reached twice or without a successor shows up as a missing key,
-    and a cycle that misses ``nodes`` stays behind in ``rest``.
-    """
-    rest = succ.copy()
-    cycles = []
-    try:
-        for start in nodes:
-            if start in rest:
-                cycle = [start]
-                node = rest.pop(start)
-                while node != start:
-                    cycle.append(node)
-                    node = rest.pop(node)
-                cycles.append(tuple(cycle))
-            elif start not in succ:
-                return None
-    except KeyError:
-        return None
-    return None if rest else tuple(cycles)
+    return tuple(map(tuple, _chains(g.component_edges(component), nxt)))
 
 
 def random_admissible_graph(seed: int, n_vertices: int) -> EulerGraph:
