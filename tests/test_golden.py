@@ -6,8 +6,8 @@ reference every refactor must reproduce:
 - ``maps/*.json``: the map inputs of the CLI goldens;
 - ``cli/<command>-<input>.json``: the exact stdout of ``dpl <command>``;
 - ``digests.json``: one sha256 per seeded input for the double-point curve's
-  component structure, ``corner_connectivity`` reports and
-  ``trace_circuits`` over every resolution pairing.
+  component structure, its quotient components, ``corner_connectivity``
+  reports and ``trace_circuits`` over every resolution pairing.
 
 Regenerate them (only when a behaviour change is intended) with
 
@@ -105,6 +105,10 @@ def curve_structure(seed: int):
     return comps, tuple(curve.swap_pairing), closures
 
 
+def quotient_structure(seed: int):
+    return double_point_curve(random_map(seed, 12, 4)).quotient_components
+
+
 def _random_interval_breakpoints(rng: random.Random, denom: int):
     n = rng.randint(0, 5)
     xs = sorted(rng.sample(range(1, denom), n))
@@ -143,6 +147,7 @@ def circuit_structure(seed: int):
 
 FAMILIES = {
     "curve": (CURVE_SEEDS, curve_structure),
+    "quotient": (CURVE_SEEDS, quotient_structure),
     "corner": (CORNER_SEEDS, corner_report),
     "circuits": (GRAPH_SEEDS, circuit_structure),
 }
