@@ -5,194 +5,23 @@ fold structure, the double-point curve in the torus, parity invariants of
 that curve, arc unfolding, Euler-graph resolutions, the catalog of finite
 rotation groups acting freely on the 3-sphere, and certified disk movies
 for families of disjoint circles.
+
+The package exports every public name of its modules: each module's
+``__all__`` is the one list of its public names.
 """
 
-from .circle_maps import (
-    Angle,
-    DuplicateVertexValue,
-    EndpointNotRegular,
-    InfeasibleParameters,
-    NonIncreasingDomain,
-    PLCircleMap,
-    PreimageClassification,
-    PreimageComponent,
-    TransverseArc,
-    ZeroSlopeSegment,
-    classify_preimage,
-    crossing_word,
-    downward_pair_count,
-    frac,
-    make_map,
-    mod1,
-    random_map,
-    value_gaps,
-)
-from .double_points import (
-    ArcLiftReport,
-    ClosureComponent,
-    CurveComponent,
-    CurveSegment,
-    DegeneratePosition,
-    DoublePointCurve,
-    QuotientComponent,
-    RealizabilityReport,
-    arc_lift_check,
-    closure_orientability,
-    controlled_hopf,
-    double_point_curve,
-    hopf_invariant,
-    planar_curve_hopf,
-    planar_self_crossings,
-    projection_degree,
-    realizability_report,
-)
-from .space_forms import (
-    BadParameter,
-    CATALOG,
-    CoverComponent,
-    CoverDoublePointModel,
-    DcoverReport,
-    FiniteSubgroupS3,
-    build_group,
-    cover_double_point_model,
-    cover_realizable,
-    dcover_consistency,
-    hopf_of_cover,
-    involution_count,
-    nonrealizable_map_exists,
-)
-from .sweeps import (
-    CensusReport,
-    CertificateReport,
-    CheckedMovie,
-    DanglingLabel,
-    DiskPlacement,
-    DoubleBirth,
-    Event,
-    EventOrderViolation,
-    SweepMovie,
-    assign_disks,
-    embedding_certificate,
-    make_event,
-    random_movie,
-    surgery_census,
-    validate_movie,
-)
-from .unfolding import (
-    BalancedPath,
-    CornerReport,
-    EulerGraph,
-    EulerResolution,
-    Infeasible,
-    IntervalMapPair,
-    IntervalPLMap,
-    NoOppositeArc,
-    PairCountReport,
-    PreconditionUnmet,
-    UnfoldStep,
-    UnfoldTrace,
-    UnfoldingBlocked,
-    build_euler_graph,
-    corner_connectivity,
-    eliminate_negative_arcs,
-    eulerian_resolution,
-    find_balanced_path,
-    make_interval_map,
-    pair_count_check,
-    random_admissible_graph,
-    resolution_choices,
-    surgery_parity,
-    trace_circuits,
-)
+from .circle_maps import *
+from .double_points import *
+from .space_forms import *
+from .sweeps import *
+from .unfolding import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle",
-    "ArcLiftReport",
-    "BadParameter",
-    "BalancedPath",
-    "CATALOG",
-    "CensusReport",
-    "CertificateReport",
-    "CheckedMovie",
-    "ClosureComponent",
-    "CornerReport",
-    "CoverComponent",
-    "CoverDoublePointModel",
-    "CurveComponent",
-    "CurveSegment",
-    "DanglingLabel",
-    "DcoverReport",
-    "DegeneratePosition",
-    "DiskPlacement",
-    "DoubleBirth",
-    "DoublePointCurve",
-    "DuplicateVertexValue",
-    "EndpointNotRegular",
-    "EulerGraph",
-    "EulerResolution",
-    "Event",
-    "EventOrderViolation",
-    "FiniteSubgroupS3",
-    "Infeasible",
-    "InfeasibleParameters",
-    "IntervalMapPair",
-    "IntervalPLMap",
-    "NoOppositeArc",
-    "NonIncreasingDomain",
-    "PLCircleMap",
-    "PairCountReport",
-    "PreconditionUnmet",
-    "PreimageClassification",
-    "PreimageComponent",
-    "QuotientComponent",
-    "RealizabilityReport",
-    "SweepMovie",
-    "TransverseArc",
-    "UnfoldStep",
-    "UnfoldTrace",
-    "UnfoldingBlocked",
-    "ZeroSlopeSegment",
-    "arc_lift_check",
-    "assign_disks",
-    "build_euler_graph",
-    "build_group",
-    "classify_preimage",
-    "closure_orientability",
-    "controlled_hopf",
-    "corner_connectivity",
-    "cover_double_point_model",
-    "cover_realizable",
-    "crossing_word",
-    "dcover_consistency",
-    "double_point_curve",
-    "downward_pair_count",
-    "eliminate_negative_arcs",
-    "embedding_certificate",
-    "eulerian_resolution",
-    "find_balanced_path",
-    "frac",
-    "hopf_invariant",
-    "hopf_of_cover",
-    "involution_count",
-    "make_event",
-    "make_interval_map",
-    "make_map",
-    "mod1",
-    "nonrealizable_map_exists",
-    "pair_count_check",
-    "planar_curve_hopf",
-    "planar_self_crossings",
-    "projection_degree",
-    "random_admissible_graph",
-    "random_map",
-    "random_movie",
-    "realizability_report",
-    "resolution_choices",
-    "surgery_census",
-    "surgery_parity",
-    "trace_circuits",
-    "validate_movie",
-    "value_gaps",
+    *circle_maps.__all__,
+    *double_points.__all__,
+    *space_forms.__all__,
+    *sweeps.__all__,
+    *unfolding.__all__,
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,9 @@ __all__ = [
     "mod1",
     "make_map",
     "classify_preimage",
+    "crossing_word",
+    "downward_pair_count",
+    "value_gaps",
     "random_map",
 ]
 
@@ -66,13 +70,26 @@ class InfeasibleParameters(ValueError):
     """No valid object exists with the requested parameters."""
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def frac(x: RationalLike) -> Fraction:
-    """Coerce an int, a fraction string like ``"3/4"``, or a Fraction."""
+    """An exact rational from a Fraction, an int or a ``"p"``/``"p/q"`` string.
+
+    Anything else raises ValueError.  Floats and booleans would round or
+    coerce silently, and an exponent string such as ``"1e999999999"`` would
+    build a huge integer.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        _, _, den = x.partition("/")
+        if den and int(den) == 0:
+            raise ValueError(f"{x!r} has a zero denominator")
+        return Fraction(x)
+    raise ValueError(f"not an integer or a 'p/q' string: {x!r}")
 
 
 def mod1(x: Fraction) -> Fraction:

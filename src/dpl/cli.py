@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import random
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -30,6 +29,7 @@ from .circle_maps import (
     PLCircleMap,
     TransverseArc,
     classify_preimage,
+    frac,
     make_map,
 )
 from .double_points import (
@@ -91,25 +91,6 @@ def _digest_args(payload: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _rational(x, what: str) -> Fraction:
-    """An exact rational from an int or a ``"p"``/``"p/q"`` string, nothing else.
-
-    Floats, booleans and exponent strings are refused: the first two would
-    round or coerce silently, and ``"1e999999999"`` would build a huge integer.
-    """
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str) and _RATIONAL.fullmatch(x):
-        _, _, den = x.partition("/")
-        if den and int(den) == 0:
-            raise ValueError(f"{what} {x!r} has a zero denominator")
-        return Fraction(x)
-    raise ValueError(f"{what} must be an integer or a 'p/q' string, not {x!r}")
-
-
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
@@ -126,9 +107,7 @@ def _load_map(path: str) -> PLCircleMap:
         raise ValueError("'breakpoints' must be a list of [angle, value] pairs")
     if not isinstance(degree, int) or isinstance(degree, bool):
         raise ValueError(f"'degree' must be an integer, not {degree!r}")
-    return make_map(
-        [(_rational(x, "angle"), _rational(l, "value")) for x, l in bps], degree
-    )
+    return make_map(bps, degree)
 
 
 def _load_movie(path: str) -> SweepMovie:
@@ -148,8 +127,7 @@ def _load_movie(path: str) -> SweepMovie:
             and _is_str_list(ev.get("labels"))
         ):
             raise ValueError(f"an event needs a 'kind' and string 'labels': {ev!r}")
-        time = _rational(ev.get("time"), "event time")
-        decoded.append(make_event(time, ev["kind"], *ev["labels"]))
+        decoded.append(make_event(ev.get("time"), ev["kind"], *ev["labels"]))
     return SweepMovie(initial=tuple(initial), events=tuple(decoded))
 
 
@@ -164,10 +142,7 @@ def _at_least(name: str, value: int, low: int) -> None:
 
 
 def _arc_from(args) -> TransverseArc | None:
-    if args.arc is None:
-        return None
-    start, end = (_rational(x, "--arc") for x in args.arc)
-    return TransverseArc(start, end)
+    return None if args.arc is None else TransverseArc(*args.arc)
 
 
 def _arc_payload(arc: TransverseArc) -> dict:
@@ -289,7 +264,7 @@ def _step_payload(step) -> dict:
 def _cmd_unfold(args):
     f = _load_map(args.map)
     arc = _arc_from(args)
-    value = None if args.value is None else _rational(args.value, "--value")
+    value = None if args.value is None else frac(args.value)
     final, trace = eliminate_negative_arcs(f, arc, args.mode, value)
     base = f.reflect() if trace.reflected else f
     cls = classify_preimage(base, final)

@@ -23,12 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
-from .circle_maps import (
-    PLCircleMap,
-    RationalLike,
-    frac,
-    mod1,
-)
+from .circle_maps import PLCircleMap, RationalLike, frac
 
 __all__ = [
     "CurveSegment",
@@ -272,40 +267,22 @@ class DoublePointCurve:
         return tuple(out)
 
 
-def _image_intervals(
-    f: PLCircleMap, comp: CurveComponent
-) -> list[tuple[Fraction, Fraction]] | None:
-    """Value intervals (start mod 1, length) swept by the component's image.
-
-    Returns None when a single segment already sweeps the whole circle.
-    """
-    intervals: list[tuple[Fraction, Fraction]] = []
-    for seg in comp.segments:
-        xlo, _, la, _ = f.lap(seg.lap_x)
-        s = f.slopes[seg.lap_x]
-        v1 = la + (seg.start[0] - xlo) * s
-        v2 = la + (seg.end[0] - xlo) * s
-        lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
-        if hi - lo >= 1:
-            return None
-        intervals.append((mod1(lo), hi - lo))
-    return intervals
-
-
 def _image_covers_circle(f: PLCircleMap, comp: CurveComponent) -> bool:
-    intervals = _image_intervals(f, comp)
-    if intervals is None:
-        return True
+    """Whether the values f(x) along the component cover the whole circle.
 
-    def covered(p: Fraction) -> bool:
-        return any(mod1(p - s) <= length for s, length in intervals)
-
-    cuts = sorted({s for s, _ in intervals} | {mod1(s + l) for s, l in intervals})
-    probes = list(cuts)
-    for i, c in enumerate(cuts):
-        nxt = cuts[(i + 1) % len(cuts)] + (1 if i + 1 == len(cuts) else 0)
-        probes.append(mod1((c + nxt) / 2))
-    return all(covered(p) for p in probes)
+    The chain is continuous, so summing each segment's value change traces a
+    lift of its image to the line; that lift sweeps one interval, and the
+    image covers the circle exactly when the interval is at least 1 long.
+    """
+    slopes = f.slopes
+    value = low = high = 0
+    for seg in comp.segments:
+        value += (seg.end[0] - seg.start[0]) * slopes[seg.lap_x]
+        if value < low:
+            low = value
+        elif value > high:
+            high = value
+    return high - low >= 1
 
 
 # The key under which a map keeps its curve in its ``__dict__``, beside its

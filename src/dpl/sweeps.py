@@ -32,6 +32,7 @@ __all__ = [
     "DoubleBirth",
     "EventOrderViolation",
     "Event",
+    "make_event",
     "SweepMovie",
     "CheckedMovie",
     "validate_movie",

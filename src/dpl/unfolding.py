@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Union
@@ -122,10 +122,6 @@ class BalancedPath:
     skipped: tuple[int, ...]
 
 
-def _reduce_to_fundamental(f: PLCircleMap, x: Fraction) -> Fraction:
-    return x - math.floor(x - f.breakpoints[0][0])
-
-
 def _lift_extrema(
     f: PLCircleMap, lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
@@ -148,13 +144,13 @@ def _try_direction(
 ) -> BalancedPath | None:
     comp = cls.components[start_index]
     opposite = "negative" if comp.kind == "positive" else "positive"
-    s = _reduce_to_fundamental(f, comp.end if direction == 1 else comp.start)
+    s = f.to_fundamental(comp.end if direction == 1 else comp.start)
     level = f.lift_evaluate(s)
     candidates: list[tuple[Fraction, int]] = []
     for idx, other in enumerate(cls.components):
         if idx == start_index or other.kind != opposite:
             continue
-        e = _reduce_to_fundamental(f, other.start if direction == 1 else other.end)
+        e = f.to_fundamental(other.start if direction == 1 else other.end)
         if direction == 1:
             pos = e if e > s else e + 1
         else:
@@ -171,7 +167,7 @@ def _try_direction(
             if jdx in (start_index, idx) or other.kind not in ("positive", "negative"):
                 continue
             for endpoint in (other.start, other.end):
-                e = _reduce_to_fundamental(f, endpoint)
+                e = f.to_fundamental(endpoint)
                 w = (e if e > s else e + 1) if direction == 1 else (e if e < s else e - 1)
                 if lo < w < hi:
                     skipped.append(jdx)
@@ -555,17 +551,11 @@ def _reflect_path(path: BalancedPath | None) -> BalancedPath | None:
     """Translate a path witness back through the domain reflection x -> -x."""
     if path is None:
         return None
-    return BalancedPath(
-        start_component=path.start_component,
-        end_component=path.end_component,
+    return replace(
+        path,
         direction=-path.direction,
         start_point=-path.start_point,
         end_point=-path.end_point,
-        level=path.level,
-        path_min=path.path_min,
-        path_max=path.path_max,
-        one_sided=path.one_sided,
-        skipped=path.skipped,
     )
 
 
@@ -817,11 +807,16 @@ class EulerGraph:
         out: list[list[int]] = [[] for _ in self.components]
         for i, (a, _) in enumerate(self.edges):
             out[where[a]].append(i)
-        return tuple(map(tuple, out))
+        return tuple(map(tuple, out)) + ((),) * self.free_loops
 
     def component_edges(self, component: int) -> tuple[int, ...]:
-        if component >= len(self.components):
-            return ()
+        """The component's edge indices; empty exactly for a free loop.
+
+        The one range check of a component index: every call that takes one
+        asks this first, and an index outside the components raises.
+        """
+        if not 0 <= component < self.component_count:
+            raise InfeasibleParameters(f"no component {component}")
         return self._edges_by_component[component]
 
 
@@ -857,9 +852,8 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
     Built from an Euler circuit: pair each incoming edge with the outgoing
     edge the circuit takes next.  Free-loop components get the empty pairing.
     """
-    if component >= g.component_count or component < 0:
-        raise InfeasibleParameters(f"no component {component}")
-    if component >= len(g.components):
+    component_edges = g.component_edges(component)
+    if not component_edges:
         return EulerResolution(component=component, pairing=(), circuit=())
     verts = g.components[component]
     ins, outs = g._in_out
@@ -886,7 +880,7 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
         else:
             break
     circuit.reverse()
-    if len(circuit) != len(g.component_edges(component)):
+    if len(circuit) != len(component_edges):
         raise AssertionError("component is not connected")
     after = dict(zip(circuit, circuit[1:] + circuit[:1]))
     pairing = tuple([(v, tuple([(e, after[e]) for e in ins[v]])) for v in verts])
@@ -894,10 +888,12 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
 
 
 def resolution_choices(g: EulerGraph, component: int = 0):
-    """All 2^V in/out pairings of the component, for exhaustive checking."""
-    if component >= len(g.components):
-        yield ()
-        return
+    """All 2^V in/out pairings of the component, for exhaustive checking.
+
+    The index is checked at the call; a free loop has the one empty pairing.
+    """
+    if not g.component_edges(component):
+        return iter([()])
     ins, outs = g._in_out
     alternatives = []
     for v in g.components[component]:
@@ -905,18 +901,21 @@ def resolution_choices(g: EulerGraph, component: int = 0):
         alternatives.append(((v, ((i1, o1), (i2, o2))), (v, ((i1, o2), (i2, o1)))))
     # Pairings come in the order of a binary counter whose bit b picks
     # vertex b's alternative, so the first vertex varies fastest.
-    for choice in itertools.product(*reversed(alternatives)):
-        yield choice[::-1]
+    return (choice[::-1] for choice in itertools.product(*reversed(alternatives)))
 
 
 def trace_circuits(
     g: EulerGraph, pairing: Pairing, component: int = 0
 ) -> tuple[tuple[int, ...], ...]:
-    """Circuits induced by a pairing on the chosen component's edges."""
-    if component >= len(g.components):
-        return ((),) if g.free_loops else ()
+    """Circuits induced by a pairing on the chosen component's edges.
+
+    A free loop is one circuit with no edges.
+    """
+    component_edges = g.component_edges(component)
+    if not component_edges:
+        return ((),)
     nxt = {e_in: e_out for _, ps in pairing for e_in, e_out in ps}
-    return tuple(map(tuple, _chains(g.component_edges(component), nxt)))
+    return tuple(map(tuple, _chains(component_edges, nxt)))
 
 
 def random_admissible_graph(seed: int, n_vertices: int) -> EulerGraph:

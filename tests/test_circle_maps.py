@@ -31,8 +31,12 @@ def tent():
 
 def test_frac_accepts_strings_and_ints():
     assert frac("3/4") == F(3, 4)
+    assert frac("-7") == F(-7)
     assert frac(2) == F(2)
     assert frac(F(1, 3)) == F(1, 3)
+    for refused in (" 1/2 ", "1.5", "1e3", "+1", "1/-2", "1/0", "", True, 0.5, None):
+        with pytest.raises(ValueError):
+            frac(refused)
 
 
 def test_mod1_wraps_into_unit_interval():

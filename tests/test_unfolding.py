@@ -268,6 +268,8 @@ def test_free_loops_are_their_own_components():
     res = eulerian_resolution(g, component=2)
     assert res.pairing == () and res.circuit == ()
     assert trace_circuits(g, (), component=2) == ((),)
+    assert list(resolution_choices(g, 2)) == [()]
+    assert g.component_edges(2) == ()
 
 
 def test_disconnected_graph_resolves_per_component():
@@ -280,8 +282,17 @@ def test_disconnected_graph_resolves_per_component():
 
 def test_component_out_of_range():
     g = build_euler_graph([(0, 0), (0, 0)])
-    with pytest.raises(InfeasibleParameters):
-        eulerian_resolution(g, component=5)
+    pairing = eulerian_resolution(g).pairing
+    calls = (
+        lambda c: eulerian_resolution(g, c),
+        lambda c: resolution_choices(g, c),
+        lambda c: trace_circuits(g, pairing, c),
+        g.component_edges,
+    )
+    for call in calls:
+        for component in (5, -1):
+            with pytest.raises(InfeasibleParameters):
+                call(component)
 
 
 # ---------------------------------------------------------------- surgery parity
