@@ -812,8 +812,8 @@ class EulerGraph:
     def component_edges(self, component: int) -> tuple[int, ...]:
         """The component's edge indices; empty exactly for a free loop.
 
-        The one range check of a component index: every call that takes one
-        asks this first, and an index outside the components raises.
+        Every call that takes a component index checks it here: one outside
+        ``0 <= component < component_count`` raises InfeasibleParameters.
         """
         if not 0 <= component < self.component_count:
             raise InfeasibleParameters(f"no component {component}")
