@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` were written by this module and are the
 reference every refactor must reproduce:
 
-- ``maps/*.json``: the map inputs of the CLI goldens;
+- ``maps/*.json`` and ``movies/*.json``: the file inputs of the CLI goldens,
+  including those of the demos;
 - ``cli/<command>-<input>.json``: the exact stdout of ``dpl <command>``;
 - ``digests.json``: one sha256 per seeded input for the double-point curve's
   component structure, its quotient components, ``corner_connectivity``
@@ -43,10 +44,61 @@ GOLDEN = Path(__file__).parent / "golden"
 TENT = '{"breakpoints": [["0", "0"], ["1/2", "3/4"]], "degree": 0}\n'
 DEEP = '{"breakpoints": [["0", "0"], ["1/2", "8/5"]], "degree": 0}\n'
 MAP_SEEDS = (5, 9, 14, 24)  # random_map(seed, 12, 4): degrees 0, 3, -3, 2
+GALLERY_SEEDS = range(12)  # random_map(seed, 10, 3), as in demos/unfolding_gallery.py
 MAP_COMMANDS = ("analyze", "hopf", "unfold")
+MOVIE_FILE = GOLDEN / "movies" / "choreography.json"
+# the movie of demos/movie_choreography.py
+MOVIE = {
+    "initial": ["a", "b"],
+    "events": [
+        {"time": "1/4", "kind": "birth", "labels": ["c"]},
+        {"time": "1/2", "kind": "merge", "labels": ["a", "c", "d"]},
+        {"time": "5/8", "kind": "isolated", "labels": ["e"]},
+        {"time": "3/4", "kind": "split", "labels": ["d", "f", "g"]},
+        {"time": "7/8", "kind": "death", "labels": ["g"]},
+    ],
+}
+
+
+def _map_file(name: str) -> str:
+    return str(GOLDEN / "maps" / f"{name}.json")
+
+
 OTHER_RUNS = {
+    "analyze-tent-arc": ["analyze", _map_file("tent"), "--arc", "1/4", "3/8"],
+    "unfold-tent-arc": ["unfold", _map_file("tent"), "--arc", "1/4", "3/8"],
+    "unfold-tent-regular-value": [
+        "unfold", _map_file("tent"), "--mode", "regular-value", "--value", "1/8"
+    ],
+    "unfold-random-9-arc": ["unfold", _map_file("random-9"), "--arc", "1/16", "5/16"],
+    "unfold-deep-blocked": ["unfold", _map_file("deep"), "--arc", "11/20", "1/20"],
+    **{
+        f"unfold-gallery-{seed}": ["unfold", _map_file(f"gallery-{seed}")]
+        for seed in GALLERY_SEEDS
+    },
+    "sweep-choreography": ["sweep", str(MOVIE_FILE)],
     "sweep-random-5": ["sweep", "--random", "5"],
+    "sweep-random-7": ["sweep", "--random", "7"],
+    "sweep-census": ["sweep", "--census"],
     "dcover-check-3": ["dcover-check", "3"],
+    "dcover-check-upto-6": ["dcover-check", "--upto", "6"],
+    "dcover-check-upto-9": ["dcover-check", "--upto", "9"],
+    "group-infinite": ["group", "infinite"],
+    "selftest-2026": ["selftest", "--seed", "2026"],
+    **{
+        "-".join(["group", *argv]): ["group", *argv]
+        for argv in (
+            ["cyclic", "3"],
+            ["cyclic", "4"],
+            ["cyclic", "5"],
+            ["cyclic", "6"],
+            ["binary_dihedral", "2"],
+            ["binary_dihedral", "5"],
+            ["binary_tetrahedral"],
+            ["binary_octahedral"],
+            ["binary_icosahedral"],
+        )
+    },
 }
 
 CURVE_SEEDS = range(200)
@@ -54,19 +106,23 @@ CORNER_SEEDS = range(400)
 GRAPH_SEEDS = range(120)
 
 
+def _map_text(f) -> str:
+    bps = [[str(x), str(v)] for x, v in f.breakpoints]
+    return json.dumps({"breakpoints": bps, "degree": f.degree}) + "\n"
+
+
 def _map_texts() -> dict[str, str]:
     texts = {"tent": TENT, "deep": DEEP}
     for seed in MAP_SEEDS:
-        f = random_map(seed, 12, 4)
-        bps = [[str(x), str(v)] for x, v in f.breakpoints]
-        doc = {"breakpoints": bps, "degree": f.degree}
-        texts[f"random-{seed}"] = json.dumps(doc) + "\n"
+        texts[f"random-{seed}"] = _map_text(random_map(seed, 12, 4))
+    for seed in GALLERY_SEEDS:
+        texts[f"gallery-{seed}"] = _map_text(random_map(seed, 10, 3))
     return texts
 
 
 def _cli_runs() -> dict[str, list[str]]:
     runs = {
-        f"{cmd}-{name}": [cmd, str(GOLDEN / "maps" / f"{name}.json")]
+        f"{cmd}-{name}": [cmd, _map_file(name)]
         for name in ["tent", "deep"] + [f"random-{s}" for s in MAP_SEEDS]
         for cmd in MAP_COMMANDS
     }
@@ -165,6 +221,8 @@ def write_goldens() -> None:
     (GOLDEN / "cli").mkdir(exist_ok=True)
     for name, text in _map_texts().items():
         (GOLDEN / "maps" / f"{name}.json").write_text(text)
+    MOVIE_FILE.parent.mkdir(exist_ok=True)
+    MOVIE_FILE.write_text(json.dumps(MOVIE) + "\n")
     for name, argv in _cli_runs().items():
         (GOLDEN / "cli" / f"{name}.json").write_text(_cli_stdout(argv))
     digests = json.dumps(_digests(), indent=1, sort_keys=True)
