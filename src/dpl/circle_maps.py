@@ -245,8 +245,6 @@ class PLCircleMap:
         k = math.floor(x - self._xs[0])
         base = x - k
         j = bisect_right(self._xs, base) - 1
-        if j == self.lap_count:  # base == x_0 + 1 cannot happen, but stay safe
-            j -= 1
         xs, ls = self._xs, self._ls
         val = ls[j] + (base - xs[j]) * (ls[j + 1] - ls[j]) / (xs[j + 1] - xs[j])
         return val + k * self.degree
@@ -276,13 +274,7 @@ class PLCircleMap:
 
     def signed_fiber_count(self, y: Union[RationalLike, Angle]) -> int:
         """Sum of lap-slope signs over the fiber of a regular value; equals degree."""
-        if not self.is_regular_value(y):
-            raise EndpointNotRegular(f"{_as_angle(y)} is a critical value")
-        total = 0
-        for x in self.fiber(y):
-            s = self.slopes[self.lap_of(x)]
-            total += 1 if s > 0 else -1
-        return total
+        return sum(crossing_word(self, y))
 
     def reflect(self) -> "PLCircleMap":
         """The map x -> f(-x): degree negates, folds mirror through 0."""
@@ -458,12 +450,12 @@ def value_gaps(f: PLCircleMap) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(out)
 
 
-def _unfold_ready(f: PLCircleMap) -> bool:
-    probe = f if f.degree >= 0 else f.reflect()
-    return any(
-        downward_pair_count(probe, lo + gw / 2) == 0
-        for lo, gw in value_gaps(probe)
-    )
+def _sweep_free_gap(f: PLCircleMap) -> tuple[Fraction, Fraction] | None:
+    """The first value gap without a full downward sweep, or None."""
+    for lo, gw in value_gaps(f):
+        if downward_pair_count(f, lo + gw / 2) == 0:
+            return lo, gw
+    return None
 
 
 def random_map(seed: int, max_folds: int, max_degree: int) -> PLCircleMap:
@@ -516,6 +508,7 @@ def random_map(seed: int, max_folds: int, max_degree: int) -> PLCircleMap:
             candidate = make_map(list(zip(xs, lifts)), d)
         except DuplicateVertexValue:
             continue
-        if _unfold_ready(candidate):
+        probe = candidate if d >= 0 else candidate.reflect()
+        if _sweep_free_gap(probe) is not None:
             return candidate
     raise InfeasibleParameters("could not generate a generic map with these bounds")

@@ -9,12 +9,14 @@ The digest is the sha256 of the input file when there is one, otherwise of
 the canonical argument object.  ``--format text`` renders the same envelope
 as indented lines; there is no separate text pipeline.  Exit codes: 0 on
 success, 1 when a checked property fails (a blocked unfolding, a failed
-certificate, selftest failures, ...), 2 on bad input.
+certificate, selftest failures, ...), 2 on bad input, including arguments
+a subcommand's parser refuses.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,6 +29,7 @@ from . import __version__
 from .circle_maps import (
     Angle,
     PLCircleMap,
+    PreimageClassification,
     TransverseArc,
     classify_preimage,
     frac,
@@ -183,10 +186,23 @@ def _curve_payload(curve: DoublePointCurve) -> dict:
             for cc in curve.closure_components
         ],
         "hopf": hopf_invariant(curve),
-        "controlled_hopf": [
-            {"members": list(members), "bit": bit}
-            for members, bit in controlled_hopf(curve)
-        ],
+        "controlled_hopf": _controlled_hopf_payload(curve),
+    }
+
+
+def _controlled_hopf_payload(curve: DoublePointCurve) -> list:
+    return [
+        {"members": list(members), "bit": bit}
+        for members, bit in controlled_hopf(curve)
+    ]
+
+
+def _counts_payload(cls: PreimageClassification) -> dict:
+    return {
+        "positive": cls.positive_count,
+        "negative": cls.negative_count,
+        "neutral": cls.neutral_count,
+        "circle": cls.circle_count,
     }
 
 
@@ -194,10 +210,7 @@ def _classification_payload(f: PLCircleMap, arc: TransverseArc) -> dict:
     cls = classify_preimage(f, arc)
     return {
         "arc": _arc_payload(arc),
-        "positive": cls.positive_count,
-        "negative": cls.negative_count,
-        "neutral": cls.neutral_count,
-        "circle": cls.circle_count,
+        **_counts_payload(cls),
         "components": [
             {"kind": c.kind, "start": c.start, "end": c.end}
             for c in cls.components
@@ -217,13 +230,7 @@ def _cmd_analyze(args):
     result = {
         "map": _map_payload(f),
         "curve": _curve_payload(curve),
-        "realizability": {
-            "criterion_pass": report.criterion_pass,
-            "criterion_witness": report.criterion_witness,
-            "classical_pass": report.classical_pass,
-            "agreement": report.agreement,
-            "note": report.note,
-        },
+        "realizability": dataclasses.asdict(report),
         "arc_lift_violation": lift.violation,
     }
     if args.arc:
@@ -274,12 +281,7 @@ def _cmd_unfold(args):
         "reflected": trace.reflected,
         "final_arc": _arc_payload(final),
         "steps": [_step_payload(s) for s in trace.steps],
-        "final_counts": {
-            "positive": cls.positive_count,
-            "negative": cls.negative_count,
-            "neutral": cls.neutral_count,
-            "circle": cls.circle_count,
-        },
+        "final_counts": _counts_payload(cls),
         "pair_count_ok": pairs.ok,
     }
     summary = (
@@ -293,12 +295,10 @@ def _cmd_hopf(args):
     f = _load_map(args.map)
     curve = double_point_curve(f)
     lift = arc_lift_check(curve)
-    bits = controlled_hopf(curve)
+    bits = _controlled_hopf_payload(curve)
     result = {
         "hopf": hopf_invariant(curve),
-        "controlled_hopf": [
-            {"members": list(members), "bit": bit} for members, bit in bits
-        ],
+        "controlled_hopf": bits,
         "closures_orientable": all(c.orientable for c in curve.closure_components),
         "arc_lift_violation": lift.violation,
     }
@@ -470,6 +470,13 @@ def _cmd_selftest(args):
 # plumbing
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a refusal raises ValueError instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _render_text(envelope: dict, out) -> None:
     print(f"[{envelope['command']}] {envelope['summary']}", file=out)
 
@@ -501,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", help="write the report to this file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     p = sub.add_parser(
         "analyze",
@@ -519,11 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("map")
     p.add_argument("--arc", nargs=2, metavar=("START", "END"))
-    p.add_argument(
-        "--mode",
-        choices=("plain", "open-subset", "regular-value"),
-        default="plain",
-    )
+    p.add_argument("--mode", choices=("plain", "regular-value"), default="plain")
     p.add_argument("--value", help="target point for regular-value mode")
     p.set_defaults(fn=_cmd_unfold)
 
@@ -577,20 +582,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse names the command in ``args`` before it reads the command's
+    # own arguments, so a refusal of those is still enveloped under that
+    # name, as JSON on stdout.  A missing or unknown command exits in argparse.
+    args = argparse.Namespace(format="json", out=None)
     try:
+        _, extra = build_parser().parse_known_args(argv, args)
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         digest, result, summary, code = args.fn(args)
-    except UnfoldingBlocked as exc:
+    except (UnfoldingBlocked, ValueError, OSError, KeyError) as exc:
+        blocked = isinstance(exc, UnfoldingBlocked)
         digest = _digest_args({"command": args.command, "error": True})
         result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        summary = f"blocked: {exc}"
-        code = 1
-    except (ValueError, OSError, KeyError) as exc:
-        digest = _digest_args({"command": args.command, "error": True})
-        result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        summary = f"input error: {exc}"
-        code = 2
+        summary = f"{'blocked' if blocked else 'input error'}: {exc}"
+        code = 1 if blocked else 2
     envelope = {
         "command": args.command,
         "input_digest": digest,

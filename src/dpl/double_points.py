@@ -35,7 +35,6 @@ __all__ = [
     "ArcLiftReport",
     "DegeneratePosition",
     "double_point_curve",
-    "projection_degree",
     "closure_orientability",
     "hopf_invariant",
     "controlled_hopf",
@@ -380,14 +379,6 @@ def _closure_components(
             )
         )
     return tuple(out)
-
-
-def projection_degree(curve: DoublePointCurve, component: int, factor: int) -> int:
-    """Winding of the chosen coordinate projection; 0 on open arcs."""
-    comp = curve.components[component]
-    if factor not in (1, 2):
-        raise ValueError("factor must be 1 or 2")
-    return comp.p1_degree if factor == 1 else comp.p2_degree
 
 
 def _as_curve(f: Union[PLCircleMap, DoublePointCurve]) -> DoublePointCurve:

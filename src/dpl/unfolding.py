@@ -37,6 +37,7 @@ from .circle_maps import (
     RationalLike,
     TransverseArc,
     ZeroSlopeSegment,
+    _sweep_free_gap,
     classify_preimage,
     downward_pair_count,
     frac,
@@ -246,10 +247,6 @@ class UnfoldTrace:
             if not _arc_contains_arc(cur.arc, prev.arc):
                 raise AssertionError("trace arcs are not nested")
 
-    @property
-    def negative_counts(self) -> tuple[int, ...]:
-        return tuple(s.negative_count for s in self.steps)
-
 
 def _arc_contains_arc(big: TransverseArc, small: TransverseArc) -> bool:
     off = big.ccw_start.ccw_to(small.ccw_start)
@@ -268,17 +265,15 @@ def _residue_candidates(
     """
     a, b = arc.ccw_start.value, arc.ccw_end.value
     w = arc.width
-    residues = sorted(v.value for v in f.critical_values)
-    n = len(residues)
+    gaps = value_gaps(f)
     out: dict[tuple[str, Fraction], Fraction] = {}
-    for i, r in enumerate(residues):
-        gap_below = r - (residues[i - 1] - (1 if i == 0 else 0))
+    for i, (r, gap_above) in enumerate(gaps):
+        gap_below = gaps[i - 1][1]
         width_to_r = mod1(b - r)
         delta = min(gap_below, 1 - width_to_r) / 2
         w2 = width_to_r + delta
         if w < w2 < 1:
             out.setdefault(("start", mod1(r - delta)), w2)
-        gap_above = (residues[(i + 1) % n] + (1 if i + 1 == n else 0)) - r
         width_from_r = mod1(r - a)
         delta = min(gap_above, 1 - width_from_r) / 2
         w3 = width_from_r + delta
@@ -295,50 +290,31 @@ def _candidate_arc(
     return TransverseArc(arc.ccw_start, Angle(point))
 
 
-def _sweep_free_end(f: PLCircleMap, arc: TransverseArc) -> Angle:
+def _sweep_free_end(f: PLCircleMap, arc: TransverseArc) -> Angle | None:
     """Nearest admissible end position with no full downward sweep.
 
     Candidates are the current end and, in growth order, the midpoint of
-    each overlap between a fold-value gap and the arc's complement.  Raises
-    UnfoldingBlocked when every reachable position keeps a sweep, because
-    then every grown arc keeps a negative component.
+    each overlap between a fold-value gap and the arc's complement.  None
+    when every reachable position keeps a sweep: then every grown arc keeps
+    a negative component, so greedy growth steps to such an arc only when
+    it has none left.
     """
     b = arc.ccw_end
     if downward_pair_count(f, b) == 0:
         return b
     slack = 1 - arc.width
     options: list[tuple[Fraction, Angle]] = []
+    # The crossing word is constant on a gap, so the part of b's own gap
+    # above b is swept like b; every other gap is entered at its low end.
     for lo, gw in value_gaps(f):
-        start_off = mod1(lo - b.value)
-        pieces = [(start_off, min(start_off + gw, 1))]
-        if start_off + gw > 1:
-            pieces.append((Fraction(0), start_off + gw - 1))
-        for plo, phi in pieces:
-            lo_cut, hi_cut = max(plo, Fraction(0)), min(phi, slack)
-            if lo_cut < hi_cut:
-                options.append(
-                    (lo_cut, b.plus((lo_cut + hi_cut) / 2))
-                )
+        lo_cut = mod1(lo - b.value)
+        hi_cut = min(lo_cut + gw, slack)
+        if lo_cut < hi_cut:
+            options.append((lo_cut, b.plus((lo_cut + hi_cut) / 2)))
     for _, candidate in sorted(options, key=lambda t: t[0]):
         if downward_pair_count(f, candidate) == 0:
             return candidate
-    raise UnfoldingBlocked(
-        "every reachable end position is crossed by a full downward sweep"
-    )
-
-
-def _keeps_sweep_free_end(f: PLCircleMap, arc: TransverseArc) -> bool:
-    """Whether some sweep-free end position remains reachable.
-
-    Zero negative components forces the final end into a sweep-free gap, so
-    growth that strands every such gap can never finish; greedy steps are
-    filtered through this test.
-    """
-    try:
-        _sweep_free_end(f, arc)
-    except UnfoldingBlocked:
-        return False
-    return True
+    return None
 
 
 def _finishing_arc(f: PLCircleMap, arc: TransverseArc) -> TransverseArc:
@@ -350,6 +326,10 @@ def _finishing_arc(f: PLCircleMap, arc: TransverseArc) -> TransverseArc:
     dip (but not past the current start) clears them all at once.
     """
     b = _sweep_free_end(f, arc)
+    if b is None:
+        raise UnfoldingBlocked(
+            "every reachable end position is crossed by a full downward sweep"
+        )
     reach = mod1(arc.ccw_start.value - b.value)  # >0: start stays past the end
     ceiling = reach
     xs = f.fiber(b)
@@ -394,7 +374,7 @@ def _plain_eliminate(
             cand = _candidate_arc(cur, side, point)
             new_cls = classify_preimage(f, cand)
             if new_cls.negative_count < cls.negative_count and (
-                new_cls.negative_count == 0 or _keeps_sweep_free_end(f, cand)
+                new_cls.negative_count == 0 or _sweep_free_end(f, cand) is not None
             ):
                 accepted = (cand, new_cls)
                 break
@@ -421,20 +401,20 @@ def _plain_eliminate(
 
 def _default_arc(f: PLCircleMap) -> TransverseArc:
     """A short arc placed inside the first sweep-free fold-value gap."""
-    for lo, gw in value_gaps(f):
-        if downward_pair_count(f, lo + gw / 2) == 0:
-            return TransverseArc(Angle(lo + gw * 3 / 8), Angle(lo + gw * 5 / 8))
-    raise UnfoldingBlocked(
-        "every level of the target circle is crossed by a full downward sweep"
-    )
+    gap = _sweep_free_gap(f)
+    if gap is None:
+        raise UnfoldingBlocked(
+            "every level of the target circle is crossed by a full downward sweep"
+        )
+    lo, gw = gap
+    return TransverseArc(Angle(lo + gw * 3 / 8), Angle(lo + gw * 5 / 8))
 
 
 def _arc_around(f: PLCircleMap, z: Angle) -> TransverseArc:
     if f.fold_free:
         return TransverseArc(z.plus(Fraction(-1, 4)), z.plus(Fraction(1, 4)))
-    residues = sorted(v.value for v in f.critical_values)
-    for i, r in enumerate(residues):
-        nxt = residues[i + 1] if i + 1 < len(residues) else residues[0] + 1
+    for r, gw in value_gaps(f):
+        nxt = r + gw
         zv = r + mod1(z.value - r)
         if r < zv < nxt:
             return TransverseArc(Angle((r + zv) / 2), Angle((zv + nxt) / 2))
@@ -464,32 +444,25 @@ def eliminate_negative_arcs(
     """Grow the arc until its preimage has no negative components.
 
     When no arc is given, a short one is placed inside a sweep-free fold
-    gap, where growth is guaranteed to finish.  Modes: ``plain`` and
-    ``open-subset`` behave identically (the grown arc always contains the
-    original as an open subset); ``regular-value`` builds the initial arc
-    around ``value`` and keeps growing until every component meeting that
-    value's fiber is a positive arc or a circle.
+    gap, where growth is guaranteed to finish.  The grown arc always
+    contains the original one as an open subset.  Modes:
+
+    - ``plain`` grows ``arc``, or the default arc, until no component is
+      negative;
+    - ``regular-value`` ignores ``arc``, builds the initial arc around
+      ``value`` and keeps growing until every component meeting that
+      value's fiber is a positive arc or a circle.
 
     Maps of negative degree are handled through the orientation-reversing
     change of domain coordinate x -> -x: the trace is computed for the
     reflected map (flag ``reflected``), path witnesses are reported back in
     the original coordinates, and target-side arcs need no translation.
     """
-    if mode not in ("plain", "open-subset", "regular-value"):
+    if mode not in ("plain", "regular-value"):
         raise ValueError(f"unknown mode {mode!r}")
     if f.degree < 0:
         final_arc, trace = eliminate_negative_arcs(f.reflect(), arc, mode, value)
-        steps = tuple(
-            UnfoldStep(
-                s.arc,
-                s.negative_count,
-                s.positive_count,
-                _reflect_path(s.path),
-                s.extended_start,
-                s.extended_end,
-            )
-            for s in trace.steps
-        )
+        steps = tuple(replace(s, path=_reflect_path(s.path)) for s in trace.steps)
         return final_arc, UnfoldTrace(steps, final_arc, mode, reflected=True)
 
     if mode == "regular-value":
@@ -629,10 +602,6 @@ class IntervalPLMap:
     """A PL map between intervals, stored like the circle maps minus the wrap."""
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0][0], self.breakpoints[-1][0]
 
     @cached_property
     def slopes(self) -> tuple[Fraction, ...]:

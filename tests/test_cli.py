@@ -331,6 +331,12 @@ REFUSED = [
     ("event time missing", ["sweep", "FILE"], _movie_with(event={"time": None})),
     ("event labels string", ["sweep", "FILE"], _movie_with(event={"labels": "abc"})),
     ("events scalar", ["sweep", "FILE"], _movie_with(events=5)),
+    ("mode open-subset", ["unfold", "FILE", "--mode", "open-subset"], TENT),
+    ("group n not an int", ["group", "cyclic", "x"], None),
+    ("sweep samples not an int", ["sweep", "--samples", "x"], None),
+    ("dcover upto not an int", ["dcover-check", "--upto", "x"], None),
+    ("analyze without a map", ["analyze"], None),
+    ("group extra argument", ["group", "cyclic", "4", "5"], None),
 ]
 
 
@@ -344,6 +350,20 @@ def test_refused_input_exits_two_with_a_valid_envelope(capsys, tmp_path, argv, t
     jsonschema.validate(doc, report_schema())
     assert doc["summary"].startswith("input error")
     assert "error" in doc["result"]
+
+
+def test_help_and_a_missing_or_unknown_command_are_left_to_argparse(capsys):
+    # the schema's command enum has no value for a missing or unknown command
+    for argv in ([], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dpl")
 
 
 def test_integer_coordinates_and_fraction_strings_load(capsys, tmp_path):

@@ -15,7 +15,6 @@ from dpl import (
     make_map,
     planar_curve_hopf,
     planar_self_crossings,
-    projection_degree,
     random_map,
     realizability_report,
     TransverseArc,
@@ -92,13 +91,6 @@ def test_four_fold_curve_mixes_circle_and_arcs():
         if c.kind == "arc":
             assert (c.p1_degree, c.p2_degree) == (0, 0)
             assert len(c.segments) == 3
-
-
-def test_projection_degrees_are_symmetric_under_swap():
-    curve = double_point_curve(four_fold_deg2())
-    for c in curve.components:
-        j = curve.swap_pairing[c.index]
-        assert projection_degree(curve, c.index, 1) == projection_degree(curve, j, 2)
 
 
 # ---------------------------------------------------------------- hopf parity

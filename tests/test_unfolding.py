@@ -26,6 +26,7 @@ from dpl.unfolding import (
     NoOppositeArc,
     PreconditionUnmet,
     UnfoldingBlocked,
+    _finishing_arc,
 )
 
 
@@ -106,20 +107,24 @@ def test_unfold_blocked_when_every_end_is_swept():
         eliminate_negative_arcs(f, trapped)
 
 
+def test_finishing_move_clears_every_negative_at_once():
+    # Greedy growth has not needed this move on any input tried, so it is
+    # pinned directly: the end moves up to the first sweep-free level, 4/5,
+    # and the start stops just short of the dip's lowest value, 0.
+    f = deep_tent()
+    start = TransverseArc(Angle(F(1, 10)), Angle(F(1, 5)))
+    assert classify_preimage(f, start).negative_count == 2
+    arc = _finishing_arc(f, start)
+    assert arc == TransverseArc(Angle(F(319, 320)), Angle(F(4, 5)))
+    assert classify_preimage(f, arc).negative_count == 0
+
+
 def test_unfold_negative_degree_goes_through_reflection():
     f = make_map([(0, 0), (F(1, 3), F(-5, 4)), (F(2, 3), F(-7, 4))], -2)
     arc, trace = eliminate_negative_arcs(f)
     assert trace.reflected
     assert trace.steps[-1].negative_count == 0
     assert trace.steps[-1].positive_count == 2
-
-
-def test_unfold_modes_agree_on_plain_maps():
-    f = tent()
-    start = TransverseArc(Angle(F(1, 4)), Angle(F(3, 8)))
-    plain_arc, _ = eliminate_negative_arcs(f, start, mode="plain")
-    open_arc, _ = eliminate_negative_arcs(f, start, mode="open-subset")
-    assert plain_arc == open_arc
 
 
 def test_unfold_regular_value_mode_clears_the_fiber():
@@ -133,8 +138,9 @@ def test_unfold_regular_value_mode_clears_the_fiber():
 
 
 def test_unfold_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        eliminate_negative_arcs(tent(), mode="inside-out")
+    for mode in ("inside-out", "open-subset"):
+        with pytest.raises(ValueError):
+            eliminate_negative_arcs(tent(), mode=mode)
 
 
 # ---------------------------------------------------------------- pair counts
