@@ -8,7 +8,8 @@ reference every refactor must reproduce:
 - ``cli/<command>-<input>.json``: the exact stdout of ``dpl <command>``;
 - ``digests.json``: one sha256 per seeded input for the double-point curve's
   component structure, its quotient components, ``corner_connectivity``
-  reports and ``trace_circuits`` over every resolution pairing.
+  reports, ``trace_circuits`` over every resolution pairing,
+  ``classify_preimage`` on seeded arcs and ``eliminate_negative_arcs``.
 
 Regenerate them (only when a behaviour change is intended) with
 
@@ -27,15 +28,20 @@ from pathlib import Path
 import pytest
 
 from dpl import (
+    Angle,
     IntervalMapPair,
+    TransverseArc,
+    classify_preimage,
     corner_connectivity,
     double_point_curve,
+    eliminate_negative_arcs,
     eulerian_resolution,
     make_interval_map,
     random_admissible_graph,
     random_map,
     resolution_choices,
     trace_circuits,
+    value_gaps,
 )
 from dpl.cli import main
 
@@ -104,6 +110,8 @@ OTHER_RUNS = {
 CURVE_SEEDS = range(200)
 CORNER_SEEDS = range(400)
 GRAPH_SEEDS = range(120)
+CLASSIFY_SEEDS = range(100)
+UNFOLD_SEEDS = range(200)
 
 
 def _map_text(f) -> str:
@@ -201,11 +209,77 @@ def circuit_structure(seed: int):
     return tuple(out)
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the ValueError or
+    RuntimeError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
+def _regular(f, rng: random.Random) -> Angle:
+    y = Angle(F(rng.randrange(97), 97))
+    while not f.is_regular_value(y):
+        y = y.plus(F(1, 193))
+    return y
+
+
+def _ccw_ends(f, rng: random.Random) -> list[tuple[Angle, Angle]]:
+    """Counterclockwise (start, end) pairs: two drawn arcs, a short arc
+    inside a drawn value gap, one ending on a critical value and, when the
+    map's image is a proper arc, the arc around it and its complement."""
+    ends = []
+    for _ in range(2):
+        a = _regular(f, rng)
+        b = a.plus(F(rng.randrange(1, 9), 9))
+        while not f.is_regular_value(b):
+            b = b.plus(F(1, 193))
+        ends.append((a, b))
+    lo, width = rng.choice(value_gaps(f))
+    ends.append((Angle(lo + width / 3), Angle(lo + width * 2 / 3)))
+    if f.folds:
+        ends.append((_regular(f, rng), rng.choice(sorted(f.critical_values))))
+    lifts = [l for _, l in f.breakpoints]
+    span = max(lifts) - min(lifts)
+    if f.degree == 0 and span < 1:
+        pad = (1 - span) / 4
+        around = (Angle(min(lifts) - pad), Angle(max(lifts) + pad))
+        ends += [around, around[::-1]]
+    return ends
+
+
+def classify_structure(seed: int):
+    """``classify_preimage`` over seeded arcs, traversed both ways."""
+    rng = random.Random(f"golden classify {seed}")
+    out = []
+    for f in (random_map(seed, 12, 4), random_map(seed, 40, 5)):
+        for a, b in _ccw_ends(f, rng):
+            if a == b:
+                continue
+            for arc in (TransverseArc(a, b, 1), TransverseArc(b, a, -1)):
+                out.append((arc, _outcome(classify_preimage, f, arc)))
+    return tuple(out)
+
+
+def unfold_structure(seed: int):
+    """Criterion 3's map unfolded from the default arc, and regular-value
+    mode at a drawn value on a smaller map."""
+    g = random_map(seed, 8, 3)
+    z = _regular(g, random.Random(f"golden unfold {seed}"))
+    return (
+        _outcome(eliminate_negative_arcs, random_map(seed, 40, 5)),
+        _outcome(eliminate_negative_arcs, g, None, "regular-value", z),
+    )
+
+
 FAMILIES = {
     "curve": (CURVE_SEEDS, curve_structure),
     "quotient": (CURVE_SEEDS, quotient_structure),
     "corner": (CORNER_SEEDS, corner_report),
     "circuits": (GRAPH_SEEDS, circuit_structure),
+    "classify": (CLASSIFY_SEEDS, classify_structure),
+    "unfold": (UNFOLD_SEEDS, unfold_structure),
 }
 
 
