@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 __all__ = [
     "Angle",
@@ -170,6 +170,19 @@ class TransverseArc:
         return f"({self.start} {arrow} {self.end})"
 
 
+class _LevelTable(NamedTuple):
+    """A map's critical levels, computed once per map.
+
+    Gap i of ``gaps`` runs from ``residues[i]`` to the next residue; the
+    last one wraps past 0.  ``sweeps`` holds each gap's downward-pair count,
+    which :func:`downward_pair_count` fills in on the gap's first query.
+    """
+
+    residues: tuple[Fraction, ...]
+    gaps: tuple[tuple[Fraction, Fraction], ...]
+    sweeps: dict[int, int]
+
+
 @dataclass(frozen=True)
 class PLCircleMap:
     """A generic piecewise-linear self-map of the circle.
@@ -222,6 +235,15 @@ class PLCircleMap:
     def critical_values(self) -> frozenset[Angle]:
         return frozenset(v for _, v in self.folds)
 
+    @cached_property
+    def _level_table(self) -> _LevelTable:
+        residues = tuple(sorted(v.value for v in self.critical_values))
+        if not residues:
+            return _LevelTable(residues, ((Fraction(0), Fraction(1)),), {})
+        ends = residues[1:] + (residues[0] + 1,)
+        gaps = tuple((r, nxt - r) for r, nxt in zip(residues, ends))
+        return _LevelTable(residues, gaps, {})
+
     def lap(self, j: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """(x_lo, x_hi, lift at x_lo, lift at x_hi) of lap j."""
         return self._xs[j], self._xs[j + 1], self._ls[j], self._ls[j + 1]
@@ -257,20 +279,29 @@ class PLCircleMap:
     def is_regular_value(self, y: Union[RationalLike, Angle]) -> bool:
         return _as_angle(y) not in self.critical_values
 
-    def fiber(self, y: Union[RationalLike, Angle]) -> tuple[Fraction, ...]:
-        """All preimages of the target point y, inside [x_0, x_0 + 1), sorted."""
+    def _fiber_laps(self, y: Union[RationalLike, Angle]) -> dict[Fraction, int]:
+        """Each preimage of y inside [x_0, x_0 + 1), keyed to the lap it lies on.
+
+        A preimage of a regular value lies inside one lap (on a fold-free
+        map the anchor is no fold, and both ends of its one lap are lap 0).
+        At a critical value a fold vertex is kept once, with one of its laps.
+        """
         yv = _as_angle(y).value
         xs, ls = self._xs, self._ls
-        found: set[Fraction] = set()
+        found: dict[Fraction, int] = {}
         for j in range(self.lap_count):
             lo, hi = self.value_span(j)
             k = math.ceil(lo - yv)
             while yv + k <= hi:
                 t = yv + k
                 x = xs[j] + (t - ls[j]) * (xs[j + 1] - xs[j]) / (ls[j + 1] - ls[j])
-                found.add(x - 1 if x >= xs[0] + 1 else x)
+                found[x - 1 if x >= xs[0] + 1 else x] = j
                 k += 1
-        return tuple(sorted(found))
+        return found
+
+    def fiber(self, y: Union[RationalLike, Angle]) -> tuple[Fraction, ...]:
+        """All preimages of the target point y, inside [x_0, x_0 + 1), sorted."""
+        return tuple(sorted(self._fiber_laps(y)))
 
     def signed_fiber_count(self, y: Union[RationalLike, Angle]) -> int:
         """Sum of lap-slope signs over the fiber of a regular value; equals degree."""
@@ -387,27 +418,34 @@ def classify_preimage(f: PLCircleMap, arc: TransverseArc) -> PreimageClassificat
         if not f.is_regular_value(endpoint):
             raise EndpointNotRegular(f"arc endpoint {endpoint} is a critical value")
     a, b = arc.ccw_start, arc.ccw_end
-    cuts = sorted(set(f.fiber(a)) | set(f.fiber(b)))
+    # Each cut is (x, lap, f(x) == a); the other endpoint is f(x) == b.
+    cuts = [(x, j, True) for x, j in f._fiber_laps(a).items()]
+    cuts += [(x, j, False) for x, j in f._fiber_laps(b).items()]
+    cuts.sort(key=operator.itemgetter(0))
     comps: list[PreimageComponent] = []
     if not cuts:
         x0 = f.breakpoints[0][0]
         if arc.contains(f.evaluate(x0)):
             comps.append(PreimageComponent("circle", x0, x0 + 1, None))
     else:
-        for idx, p in enumerate(cuts):
-            q = cuts[idx + 1] if idx + 1 < len(cuts) else cuts[0] + 1
-            if not arc.contains(f.evaluate((p + q) / 2)):
+        slopes = f.slopes
+        for idx, (p, lap, at_a) in enumerate(cuts):
+            # leaving a upward or b downward enters the arc
+            if at_a != (slopes[lap] > 0):
                 continue
-            v_p, v_q = f.evaluate(p), f.evaluate(q)
-            if v_p == a and v_q == b:
-                kind = "positive"
-            elif v_p == b and v_q == a:
-                kind = "negative"
+            if idx + 1 < len(cuts):
+                q, _, q_at_a = cuts[idx + 1]
+            else:
+                q, _, q_at_a = cuts[0]
+                q += 1
+            if at_a != q_at_a:
+                kind = "positive" if at_a else "negative"
             else:
                 kind = "neutral"
             if arc.orientation == -1 and kind != "neutral":
                 kind = "negative" if kind == "positive" else "positive"
-            comps.append(PreimageComponent(kind, p, q, (v_p, v_q)))
+            ends = (a if at_a else b, a if q_at_a else b)
+            comps.append(PreimageComponent(kind, p, q, ends))
     return PreimageClassification(arc=arc, components=tuple(comps))
 
 
@@ -418,7 +456,9 @@ def crossing_word(
     ya = _as_angle(y)
     if not f.is_regular_value(ya):
         raise EndpointNotRegular(f"{ya} is a critical value")
-    return tuple(1 if f.slopes[f.lap_of(x)] > 0 else -1 for x in f.fiber(ya))
+    slopes = f.slopes
+    laps = [j for _, j in sorted(f._fiber_laps(ya).items())]
+    return tuple(1 if slopes[j] > 0 else -1 for j in laps)
 
 
 def downward_pair_count(f: PLCircleMap, y: Union[RationalLike, Angle]) -> int:
@@ -428,10 +468,24 @@ def downward_pair_count(f: PLCircleMap, y: Union[RationalLike, Angle]) -> int:
     descends through every target point.  Each sweep pins one negative
     preimage component onto every arc ending at this level, whatever the
     start, so an arc can be unfolded only where this count is zero.
+
+    The count is the same at every level of a value gap, so each map keeps
+    it in its level table: the first query in a gap counts the crossing
+    word, later queries in that gap read the table.
     """
-    word = crossing_word(f, y)
-    n = len(word)
-    return sum(1 for i in range(n) if word[i] == -1 and word[(i + 1) % n] == -1)
+    ya = _as_angle(y)
+    if not f.is_regular_value(ya):
+        raise EndpointNotRegular(f"{ya} is a critical value")
+    residues, _, sweeps = f._level_table
+    # below residues[0] is the wrap-around gap, the last one
+    gap = (bisect_right(residues, ya.value) - 1) % max(len(residues), 1)
+    count = sweeps.get(gap)
+    if count is None:
+        word = crossing_word(f, ya)
+        n = len(word)
+        count = sum(1 for i in range(n) if word[i] == -1 and word[(i + 1) % n] == -1)
+        sweeps[gap] = count
+    return count
 
 
 def value_gaps(f: PLCircleMap) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -439,15 +493,9 @@ def value_gaps(f: PLCircleMap) -> tuple[tuple[Fraction, Fraction], ...]:
 
     The crossing word is constant on each gap, so one interior probe decides
     properties of the whole gap.  A fold-free map yields the full circle.
+    Each map computes its gaps once and keeps them in its level table.
     """
-    residues = sorted(v.value for v in f.critical_values)
-    if not residues:
-        return ((Fraction(0), Fraction(1)),)
-    out = []
-    for i, r in enumerate(residues):
-        nxt = residues[i + 1] if i + 1 < len(residues) else residues[0] + 1
-        out.append((r, nxt - r))
-    return tuple(out)
+    return f._level_table.gaps
 
 
 def _sweep_free_gap(f: PLCircleMap) -> tuple[Fraction, Fraction] | None:

@@ -332,12 +332,13 @@ def _finishing_arc(f: PLCircleMap, arc: TransverseArc) -> TransverseArc:
         )
     reach = mod1(arc.ccw_start.value - b.value)  # >0: start stays past the end
     ceiling = reach
-    xs = f.fiber(b)
-    for i, x in enumerate(xs):
-        if f.slopes[f.lap_of(x)] > 0:
+    cuts = sorted(f._fiber_laps(b).items())
+    for i, (x, lap) in enumerate(cuts):
+        if f.slopes[lap] > 0:
             continue
-        nxt = xs[(i + 1) % len(xs)] + (1 if i + 1 == len(xs) else 0)
-        assert f.slopes[f.lap_of(nxt)] > 0, "end position is not sweep-free"
+        nxt, nxt_lap = cuts[(i + 1) % len(cuts)]
+        nxt += 1 if i + 1 == len(cuts) else 0
+        assert f.slopes[nxt_lap] > 0, "end position is not sweep-free"
         for vx, vl in f.breakpoints:
             shifted = vx + math.floor(x - vx) + 1
             if x < shifted < nxt:
@@ -351,7 +352,8 @@ def _finishing_arc(f: PLCircleMap, arc: TransverseArc) -> TransverseArc:
 
 def _plain_eliminate(
     f: PLCircleMap, arc: TransverseArc
-) -> tuple[TransverseArc, list[UnfoldStep]]:
+) -> tuple[TransverseArc, list[UnfoldStep], PreimageClassification]:
+    """The grown arc, the steps taken and the grown arc's classification."""
     cur = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classify_preimage(f, cur)
     steps: list[UnfoldStep] = []
@@ -396,7 +398,7 @@ def _plain_eliminate(
         )
         cur, cls = cand, new_cls
     steps.append(UnfoldStep(cur, 0, cls.positive_count, None, None, None))
-    return cur, steps
+    return cur, steps, cls
 
 
 def _default_arc(f: PLCircleMap) -> TransverseArc:
@@ -422,9 +424,9 @@ def _arc_around(f: PLCircleMap, z: Angle) -> TransverseArc:
 
 
 def _blocking_neutrals(
-    f: PLCircleMap, arc: TransverseArc, z: Angle
+    f: PLCircleMap, cls: PreimageClassification, z: Angle
 ) -> list[int]:
-    cls = classify_preimage(f, arc)
+    """Indices of the neutral components of ``cls`` that meet z's fiber."""
     out = []
     for x in f.fiber(z):
         comp = cls.component_containing(x)
@@ -471,12 +473,11 @@ def eliminate_negative_arcs(
         z = Angle(value) if not isinstance(value, Angle) else value
         if not f.is_regular_value(z):
             raise EndpointNotRegular(f"{z} is a critical value")
-        cur, steps = _plain_eliminate(f, _arc_around(f, z))
+        cur, steps, cls = _plain_eliminate(f, _arc_around(f, z))
         for _ in range(4 * f.lap_count + 16):
-            blockers = _blocking_neutrals(f, cur, z)
+            blockers = _blocking_neutrals(f, cls, z)
             if not blockers:
                 break
-            cls = classify_preimage(f, cur)
             side_value = cls.components[blockers[0]].endpoint_values[0]
             grow_start = side_value == cur.ccw_start
             want = "start" if grow_start else "end"
@@ -488,10 +489,10 @@ def eliminate_negative_arcs(
             progressed = False
             for cand in candidates:
                 try:
-                    cand_final, cand_steps = _plain_eliminate(f, cand)
+                    cand_final, cand_steps, cand_cls = _plain_eliminate(f, cand)
                 except UnfoldingBlocked:
                     continue
-                if len(_blocking_neutrals(f, cand_final, z)) < len(blockers):
+                if len(_blocking_neutrals(f, cand_cls, z)) < len(blockers):
                     steps.append(
                         UnfoldStep(
                             arc=cur,
@@ -503,7 +504,7 @@ def eliminate_negative_arcs(
                         )
                     )
                     steps.extend(cand_steps)
-                    cur = cand_final
+                    cur, cls = cand_final, cand_cls
                     progressed = True
                     break
             if not progressed:
@@ -516,7 +517,7 @@ def eliminate_negative_arcs(
 
     if arc is None:
         arc = _default_arc(f)
-    cur, steps = _plain_eliminate(f, arc)
+    cur, steps, _ = _plain_eliminate(f, arc)
     return cur, UnfoldTrace(tuple(steps), cur, mode, reflected=False)
 
 

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from dpl import (
     EndpointNotRegular,
     InfeasibleParameters,
     NonIncreasingDomain,
+    PLCircleMap,
     TransverseArc,
     ZeroSlopeSegment,
     classify_preimage,
@@ -184,6 +187,87 @@ def test_component_membership_lookup():
     assert cls.component_containing(F(1, 2)) is None
 
 
+def _preimages(f, y: Angle) -> list[F]:
+    """The preimages of y in [x_0, x_0 + 1), solved lap by lap."""
+    x0 = f.breakpoints[0][0]
+    out = set()
+    for j in range(f.lap_count):
+        xa, xb, la, lb = f.lap(j)
+        t = y.value + math.ceil(min(la, lb) - y.value)
+        while t <= max(la, lb):
+            x = xa + (t - la) * (xb - xa) / (lb - la)
+            out.add(x - 1 if x >= x0 + 1 else x)
+            t += 1
+    return sorted(out)
+
+
+def _midpoint_classification(f, arc: TransverseArc) -> list[tuple]:
+    """(kind, start, end, endpoint values) of each component of f^{-1}(arc),
+    found by evaluating f at the midpoint and the ends of every stretch
+    between consecutive preimages of the arc's endpoints."""
+    a, b = arc.ccw_start, arc.ccw_end
+    cuts = sorted(set(_preimages(f, a)) | set(_preimages(f, b)))
+    if not cuts:
+        x0 = f.breakpoints[0][0]
+        inside = arc.contains(f.evaluate(Angle(x0)))
+        return [("circle", x0, x0 + 1, None)] if inside else []
+    out = []
+    for p, q in zip(cuts, cuts[1:] + [cuts[0] + 1]):
+        if not arc.contains(f.evaluate(Angle((p + q) / 2))):
+            continue
+        ends = (f.evaluate(Angle(p)), f.evaluate(Angle(q)))
+        kind = {(a, b): "positive", (b, a): "negative"}.get(ends, "neutral")
+        if arc.orientation == -1:
+            kind = {"positive": "negative", "negative": "positive"}.get(kind, kind)
+        out.append((kind, p, q, ends))
+    return out
+
+
+def _oracle_cases():
+    """Seeded maps and arcs, each arc traversed both ways, plus the arc around
+    the tent's image (no cuts), its complement, and arcs ending at the anchor
+    value of a fold-free map."""
+    rng = random.Random("classify oracle")
+    cases = []
+    for seed in range(40):
+        f = random_map(seed, 12, 4)
+        for g in (f, f.reflect()):
+            for _ in range(3):
+                a, b = Angle(F(rng.randrange(97), 97)), Angle(F(rng.randrange(97), 97))
+                if a != b and g.is_regular_value(a) and g.is_regular_value(b):
+                    cases += [(g, TransverseArc(a, b)), (g, TransverseArc(b, a, -1))]
+    for g, a, b in (
+        (tent(), F(15, 16), F(13, 16)),
+        (tent(), F(13, 16), F(15, 16)),
+        (make_map([(F(1, 8), F(1, 3))], 3), F(1, 3), F(1, 2)),
+        (make_map([(F(1, 8), F(1, 3))], -2), F(1, 5), F(1, 3)),
+    ):
+        cases += [(g, TransverseArc(a, b)), (g, TransverseArc(b, a, -1))]
+    return cases
+
+
+def test_classification_matches_the_midpoint_rule(monkeypatch):
+    cases = _oracle_cases()
+    expected = [_midpoint_classification(f, arc) for f, arc in cases]
+    kinds = {
+        (arc.orientation, c[0]) for (_, arc), want in zip(cases, expected) for c in want
+    }
+    assert {(-1, "positive"), (-1, "negative"), (1, "circle")} <= kinds
+    assert [] in expected
+
+    def refused(self, x):
+        raise AssertionError("classify_preimage evaluated the map")
+
+    for (f, arc), want in zip(cases, expected):
+        with monkeypatch.context() as m:
+            if _preimages(f, arc.start) or _preimages(f, arc.end):
+                # an arc with cuts is classified from its endpoints' fibers alone
+                m.setattr(PLCircleMap, "evaluate", refused)
+                m.setattr(PLCircleMap, "lift_evaluate", refused)
+            got = classify_preimage(f, arc).components
+        assert [(c.kind, c.start, c.end, c.endpoint_values) for c in got] == want, arc
+
+
 # ---------------------------------------------------------------- level diagnostics
 
 
@@ -217,6 +301,74 @@ def test_value_gaps_cover_the_circle():
 def test_value_gaps_of_fold_free_map():
     f = make_map([(0, 0)], 2)
     assert value_gaps(f) == ((F(0), F(1)),)
+
+
+def _recounted_sweeps(f, y) -> int:
+    word = crossing_word(f, y)
+    return sum(1 for i in range(len(word)) if word[i - 1] == word[i] == -1)
+
+
+def _gap_probes(f, lo, width) -> list[F]:
+    """The midpoint of a value gap and two other levels in it; in the gap
+    that wraps past 0, one on each side of 0; on a fold-free map, also the
+    anchor's value, where the fiber point crosses x_0."""
+    if lo + width > 1:
+        probes = [lo + width / 2, (lo + 1) / 2, (lo + width + 1) / 2]
+    else:
+        probes = [lo + width / 2, lo + width / 5, lo + width * 4 / 5]
+    if f.fold_free:
+        probes.append(f.breakpoints[0][1])
+    return probes
+
+
+def test_level_table_matches_the_crossing_words():
+    maps = [tent(), make_map([(0, 0), (F(1, 2), F(8, 5))], 0)]
+    maps += [make_map([(F(1, 8), F(1, 3))], 3), make_map([(F(1, 8), F(1, 3))], -2)]
+    maps += [random_map(seed, 12, 4) for seed in range(30)]
+    maps += [f.reflect() for f in maps]
+    wrapped = 0
+    for f in maps:
+        for lo, width in value_gaps(f):
+            wrapped += lo + width > 1
+            probes = _gap_probes(f, lo, width)
+            want = [_recounted_sweeps(f, y) for y in probes]
+            assert len(set(want)) == 1, (f, lo)
+            # each probe in turn is the first query of the gap on a fresh map
+            for first in range(len(probes)):
+                g = make_map(f.breakpoints, f.degree)
+                for y in probes[first:] + probes[:first]:
+                    assert downward_pair_count(g, Angle(y)) == want[0], (f, y)
+    assert wrapped > 30
+
+
+def test_level_table_still_refuses_critical_values():
+    f = random_map(3, 12, 4)
+    for lo, width in value_gaps(f):
+        downward_pair_count(f, lo + width / 2)
+    for v in f.critical_values:
+        with pytest.raises(EndpointNotRegular):
+            downward_pair_count(f, v)
+
+
+def test_each_map_keeps_its_own_level_table():
+    f = random_map(5, 12, 4)
+    g, h = make_map(f.breakpoints, f.degree), f.reflect().reflect()
+    assert f == g == h and f is not g and f is not h
+    assert value_gaps(f) is value_gaps(f)
+    assert value_gaps(g) is not value_gaps(f) and value_gaps(g) == value_gaps(f)
+    lo, width = value_gaps(g)[0]
+    downward_pair_count(g, lo + width / 2)
+    assert g._level_table.sweeps and not h._level_table.sweeps
+    assert f.reflect()._level_table is not f._level_table
+
+
+def test_caching_the_level_table_leaves_the_map_unchanged():
+    f, g = random_map(9, 12, 4), random_map(9, 12, 4)
+    before = (f == g, hash(f), repr(f))
+    for lo, width in value_gaps(f):
+        downward_pair_count(f, lo + width / 2)
+    assert (f == g, hash(f), repr(f)) == before
+    assert hash(f) == hash(g) and repr(f) == repr(g)
 
 
 # ---------------------------------------------------------------- random maps

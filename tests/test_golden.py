@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import dpl.unfolding
 from dpl import (
     Angle,
     IntervalMapPair,
@@ -307,6 +308,24 @@ def write_goldens() -> None:
 def test_cli_envelope_matches_golden(name):
     expected = (GOLDEN / "cli" / f"{name}.json").read_text()
     assert _cli_stdout(_cli_runs()[name]) == expected, f"envelope {name} differs"
+
+
+def test_regular_value_unfolding_classifies_each_arc_once(monkeypatch):
+    classified = []
+
+    def spy(f, arc):
+        classified.append(arc)
+        return classify_preimage(f, arc)
+
+    monkeypatch.setattr(dpl.unfolding, "classify_preimage", spy)
+    name = "unfold-tent-regular-value"
+    expected = (GOLDEN / "cli" / f"{name}.json").read_text()
+    assert _cli_stdout(_cli_runs()[name]) == expected
+    # growth classifies each of its three arcs once; pair_count_check then
+    # classifies the final arc for itself
+    arcs = [(F(1, 16), F(7, 16)), (F(7, 8), F(7, 16)), (F(7, 8), F(13, 16))]
+    arcs.append(arcs[-1])
+    assert classified == [TransverseArc(a, b) for a, b in arcs]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -27,6 +27,7 @@ from dpl.unfolding import (
     PreconditionUnmet,
     UnfoldingBlocked,
     _finishing_arc,
+    _try_direction,
 )
 
 
@@ -76,6 +77,37 @@ def test_balanced_path_absent_partner():
     cls = classify_preimage(f, arc)
     with pytest.raises(NoOppositeArc):
         find_balanced_path(f, arc, 0, cls)
+
+
+def test_balanced_path_classifies_the_arc_when_not_given_a_classification():
+    # No negative component starts counterclockwise of component 0's end at
+    # its level, so the clockwise scan finds the partner.
+    f = make_map([(F(3, 16), F(43, 48)), (F(5, 16), F(257, 96))], 1)
+    arc = TransverseArc(Angle(F(5, 32)), Angle(F(9, 32)))
+    cls = classify_preimage(f, arc)
+    assert [c.kind for c in cls.components] == ["positive", "positive", "negative"]
+    path = find_balanced_path(f, arc, 0)
+    assert (path.direction, path.end_component, path.skipped) == (-1, 2, ())
+    assert (path.start_point, path.end_point) == (F(563, 2736), F(-5, 48))
+    assert path == find_balanced_path(f, arc, 0, cls)
+    # a clockwise traversal's classification is replaced by the arc's own
+    reverse = classify_preimage(f, TransverseArc(arc.end, arc.start, -1))
+    assert find_balanced_path(f, arc, 0, reverse) == path
+
+
+def test_clockwise_scan_lists_the_arcs_it_passes():
+    bps = [(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(-3, 2)), (F(3, 4), F(3, 4))]
+    f = make_map(bps, 0)
+    cls = classify_preimage(f, TransverseArc(Angle(F(1, 16)), Angle(F(3, 16))))
+    kinds = ["positive", "negative", "negative", "positive", "positive", "negative"]
+    assert [c.kind for c in cls.components] == kinds
+    # From component 2's start, 45/112, the walk runs down past 0 to
+    # component 3's end, 83/144 - 1, over components 1, 0, 5 and 4.
+    path = _try_direction(f, cls, 2, -1)
+    assert (path.start_point, path.end_point) == (F(45, 112), F(-61, 144))
+    assert (path.end_component, path.skipped) == (3, (0, 1, 4, 5))
+    assert path.level == path.path_min == F(-13, 16) and path.path_max == F(3, 4)
+    assert path.one_sided
 
 
 # ---------------------------------------------------------------- unfolding
