@@ -9,7 +9,10 @@ reference every refactor must reproduce:
 - ``digests.json``: one sha256 per seeded input for the double-point curve's
   component structure, its quotient components, ``corner_connectivity``
   reports, ``trace_circuits`` over every resolution pairing,
-  ``classify_preimage`` on seeded arcs and ``eliminate_negative_arcs``.
+  ``classify_preimage`` on seeded arcs, ``eliminate_negative_arcs`` and the
+  multiplication tables of the catalog groups (the binary octahedral table
+  is left out: only its invariants are fixed, see
+  ``tests/test_space_forms.py``).
 
 Regenerate them (only when a behaviour change is intended) with
 
@@ -32,6 +35,7 @@ from dpl import (
     Angle,
     IntervalMapPair,
     TransverseArc,
+    build_group,
     classify_preimage,
     corner_connectivity,
     double_point_curve,
@@ -113,6 +117,12 @@ CORNER_SEEDS = range(400)
 GRAPH_SEEDS = range(120)
 CLASSIFY_SEEDS = range(100)
 UNFOLD_SEEDS = range(200)
+GROUPS = (
+    *(("cyclic", n) for n in range(1, 13)),
+    *(("binary_dihedral", n) for n in range(1, 7)),
+    ("binary_tetrahedral", None),
+    ("binary_icosahedral", None),
+)
 
 
 def _map_text(f) -> str:
@@ -274,6 +284,10 @@ def unfold_structure(seed: int):
     )
 
 
+def group_table(index: int):
+    return build_group(*GROUPS[index]).table
+
+
 FAMILIES = {
     "curve": (CURVE_SEEDS, curve_structure),
     "quotient": (CURVE_SEEDS, quotient_structure),
@@ -281,6 +295,7 @@ FAMILIES = {
     "circuits": (GRAPH_SEEDS, circuit_structure),
     "classify": (CLASSIFY_SEEDS, classify_structure),
     "unfold": (UNFOLD_SEEDS, unfold_structure),
+    "groups": (range(len(GROUPS)), group_table),
 }
 
 

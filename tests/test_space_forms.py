@@ -51,6 +51,41 @@ def test_group_tables_are_groups():
         assert all(g.mul(g.inverse(i), i) == 0 for i in range(g.order))
 
 
+def test_binary_octahedral_table_presents_the_group():
+    """s^3 = t^4 = (st)^2 with s and t generating all 48 elements.
+
+    <s, t | s^3 = t^4 = (st)^2> presents the binary octahedral group
+    (Coxeter and Moser, Generators and Relations for Discrete Groups, 6.5),
+    which has order 48, so a 48-element table with such a pair is that group.
+    """
+    g = build_group("binary_octahedral")
+
+    def power(x, k):
+        out = 0
+        for _ in range(k):
+            out = g.mul(out, x)
+        return out
+
+    def generated(gens):
+        seen, frontier = {0}, [0]
+        while frontier:
+            fresh = {g.mul(x, y) for x in frontier for y in gens} - seen
+            seen |= fresh
+            frontier = list(fresh)
+        return len(seen)
+
+    assert any(
+        power(t, 4) == power(s, 3) == power(g.mul(s, t), 2)
+        and generated((s, t)) == 48
+        for s in range(48)
+        for t in range(48)
+    )
+    orders = sorted(g.element_order(i) for i in range(48))
+    assert {k: orders.count(k) for k in set(orders)} == {
+        1: 1, 2: 1, 3: 8, 4: 18, 6: 8, 8: 12
+    }
+
+
 def test_element_orders_divide_group_order():
     g = build_group("binary_icosahedral")
     for i in range(g.order):
