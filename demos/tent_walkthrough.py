@@ -41,8 +41,8 @@ def main():
             f"closure of arcs {cl.arcs}: {cl.flips} flips at the diagonal, "
             f"orientable={cl.orientable}"
         )
-    print("hopf parity:", hopf_invariant(curve))
-    print("per-component bits:", controlled_hopf(curve))
+    print("hopf parity:", hopf_invariant(f))
+    print("per-component bits:", controlled_hopf(f))
     print()
 
     rep = realizability_report(f)

@@ -36,7 +36,6 @@ from .circle_maps import (
     make_map,
 )
 from .double_points import (
-    DoublePointCurve,
     arc_lift_check,
     controlled_hopf,
     double_point_curve,
@@ -162,7 +161,8 @@ def _map_payload(f: PLCircleMap) -> dict:
     }
 
 
-def _curve_payload(curve: DoublePointCurve) -> dict:
+def _curve_payload(f: PLCircleMap) -> dict:
+    curve = double_point_curve(f)
     return {
         "component_count": len(curve.components),
         "components": [
@@ -185,15 +185,15 @@ def _curve_payload(curve: DoublePointCurve) -> dict:
             }
             for cc in curve.closure_components
         ],
-        "hopf": hopf_invariant(curve),
-        "controlled_hopf": _controlled_hopf_payload(curve),
+        "hopf": hopf_invariant(f),
+        "controlled_hopf": _controlled_hopf_payload(f),
     }
 
 
-def _controlled_hopf_payload(curve: DoublePointCurve) -> list:
+def _controlled_hopf_payload(f: PLCircleMap) -> list:
     return [
         {"members": list(members), "bit": bit}
-        for members, bit in controlled_hopf(curve)
+        for members, bit in controlled_hopf(f)
     ]
 
 
@@ -225,11 +225,11 @@ def _classification_payload(f: PLCircleMap, arc: TransverseArc) -> dict:
 def _cmd_analyze(args):
     f = _load_map(args.map)
     curve = double_point_curve(f)
-    report = realizability_report(curve)
-    lift = arc_lift_check(curve)
+    report = realizability_report(f)
+    lift = arc_lift_check(f)
     result = {
         "map": _map_payload(f),
-        "curve": _curve_payload(curve),
+        "curve": _curve_payload(f),
         "realizability": dataclasses.asdict(report),
         "arc_lift_violation": lift.violation,
     }
@@ -294,10 +294,10 @@ def _cmd_unfold(args):
 def _cmd_hopf(args):
     f = _load_map(args.map)
     curve = double_point_curve(f)
-    lift = arc_lift_check(curve)
-    bits = _controlled_hopf_payload(curve)
+    lift = arc_lift_check(f)
+    bits = _controlled_hopf_payload(f)
     result = {
-        "hopf": hopf_invariant(curve),
+        "hopf": hopf_invariant(f),
         "controlled_hopf": bits,
         "closures_orientable": all(c.orientable for c in curve.closure_components),
         "arc_lift_violation": lift.violation,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .circle_maps import PLCircleMap, RationalLike, frac
 
@@ -381,19 +381,13 @@ def _closure_components(
     return tuple(out)
 
 
-def _as_curve(f: Union[PLCircleMap, DoublePointCurve]) -> DoublePointCurve:
-    return f if isinstance(f, DoublePointCurve) else double_point_curve(f)
+def closure_orientability(f: PLCircleMap, component: int) -> bool:
+    return double_point_curve(f).closure_components[component].orientable
 
 
-def closure_orientability(
-    f: Union[PLCircleMap, DoublePointCurve], component: int
-) -> bool:
-    return _as_curve(f).closure_components[component].orientable
-
-
-def hopf_invariant(f: Union[PLCircleMap, DoublePointCurve]) -> int:
+def hopf_invariant(f: PLCircleMap) -> int:
     """Parity of the number of compact swap-invariant components."""
-    curve = _as_curve(f)
+    curve = double_point_curve(f)
     return (
         sum(
             1
@@ -404,14 +398,11 @@ def hopf_invariant(f: Union[PLCircleMap, DoublePointCurve]) -> int:
     )
 
 
-def controlled_hopf(
-    f: Union[PLCircleMap, DoublePointCurve],
-) -> tuple[tuple[tuple[int, ...], int], ...]:
+def controlled_hopf(f: PLCircleMap) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Per compact quotient component: 1 when its double cover is connected."""
-    curve = _as_curve(f)
     return tuple(
         (q.members, 0 if q.cover_trivial else 1)
-        for q in curve.quotient_components
+        for q in double_point_curve(f).quotient_components
         if q.compact
     )
 
@@ -422,10 +413,9 @@ class ArcLiftReport:
     violation: bool
 
 
-def arc_lift_check(f: Union[PLCircleMap, DoublePointCurve]) -> ArcLiftReport:
+def arc_lift_check(f: PLCircleMap) -> ArcLiftReport:
     """A compact quotient piece mapping through an arc must lift (trivial cover)."""
-    curve = _as_curve(f)
-    rows = curve.quotient_components
+    rows = double_point_curve(f).quotient_components
     violation = any(
         q.compact and q.lifts_through_arc and not q.cover_trivial for q in rows
     )
@@ -441,9 +431,7 @@ class RealizabilityReport:
     note: str | None
 
 
-def realizability_report(
-    f: Union[PLCircleMap, DoublePointCurve],
-) -> RealizabilityReport:
+def realizability_report(f: PLCircleMap) -> RealizabilityReport:
     """Compare the double-point criterion with the classical degree test.
 
     The criterion rejects a map when some swap-invariant circle component has
@@ -451,7 +439,7 @@ def realizability_report(
     degrees outside {0, 1, -1}.  Disagreements are annotated, never hidden:
     circle maps are the known low-dimensional edge case for the criterion.
     """
-    curve = _as_curve(f)
+    curve = double_point_curve(f)
     witness = None
     for c in curve.components:
         if (
@@ -462,12 +450,12 @@ def realizability_report(
             witness = c.index
             break
     criterion_pass = witness is None
-    classical_pass = curve.map.degree not in (0, 1, -1)
+    classical_pass = f.degree not in (0, 1, -1)
     agreement = criterion_pass == classical_pass
     note = None
     if not agreement and criterion_pass:
         note = (
-            f"criterion passes but degree {curve.map.degree} lies in {{0, 1, -1}}: "
+            f"criterion passes but degree {f.degree} lies in {{0, 1, -1}}: "
             "for circle maps the double-point criterion is inconclusive in this "
             "range, so the classical verdict stands"
         )

@@ -3,10 +3,9 @@
 The catalog holds exactly the finite groups that act freely and orthogonally
 on the 3-sphere: cyclic groups, the binary dihedral series, and the three
 exceptional binary polyhedral groups.  Each is produced as an explicit
-multiplication table - the two exceptional 24- and 120-element groups as
-2x2 matrix groups over the fields with 3 and 5 elements, the 48-element one
-over the field with 9 elements (it has no faithful 2-dimensional
-representation over a prime field).
+multiplication table; the three exceptional ones are 2x2 matrix groups over
+prime fields: SL(2, 3), SL(2, 5) and the preimage of the octahedral group S4
+in SL(2, 7), of orders 24, 120 and 48.
 
 For the covering projection of the corresponding quotient, the double points
 come in one family per non-identity group element g, with the coordinate
@@ -26,7 +25,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .circle_maps import make_map, mod1
-from .double_points import DoublePointCurve, double_point_curve, hopf_invariant
+from .double_points import double_point_curve, hopf_invariant
 
 __all__ = [
     "BadParameter",
@@ -180,30 +179,6 @@ def _matmul_modp(p: int):
     return mul
 
 
-# F9 = F3[t] / (t^2 - 2); elements are pairs (a, b) meaning a + b t.
-
-
-def _f9_mul(x, y):
-    a, b = x
-    c, d = y
-    return ((a * c + 2 * b * d) % 3, (a * d + b * c) % 3)
-
-
-def _f9_add(x, y):
-    return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3)
-
-
-def _matmul_f9(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        _f9_add(_f9_mul(a, e), _f9_mul(b, g)),
-        _f9_add(_f9_mul(a, f), _f9_mul(b, h)),
-        _f9_add(_f9_mul(c, e), _f9_mul(d, g)),
-        _f9_add(_f9_mul(c, f), _f9_mul(d, h)),
-    )
-
-
 def _mulclose(generators, mul, identity, expected_order: int):
     elements = {identity}
     frontier = [identity]
@@ -225,30 +200,29 @@ def _mulclose(generators, mul, identity, expected_order: int):
     return elements
 
 
-def _table_from_elements(elements, mul, identity) -> tuple[tuple[int, ...], ...]:
-    ordered = sorted(elements, key=lambda e: (e != identity, e))
-    index = {e: i for i, e in enumerate(ordered)}
-    return tuple(
-        tuple(index[mul(x, y)] for y in ordered) for x in ordered
-    )
+def _matrix_group_table(p: int, gens, order: int) -> tuple[tuple[int, ...], ...]:
+    """The table of the subgroup of SL(2, p) generated by ``gens``.
 
-
-def _special_linear_table(p: int, expected_order: int):
+    A matrix [[a, b], [c, d]] is the tuple (a, b, c, d); the identity is
+    element 0 and the others follow in tuple order.
+    """
     mul = _matmul_modp(p)
     identity = (1, 0, 0, 1)
-    gens = [(1, 1, 0, 1), (0, p - 1, 1, 0)]
-    els = _mulclose(gens, mul, identity, expected_order)
-    return _table_from_elements(els, mul, identity)
+    ordered = sorted(
+        _mulclose(gens, mul, identity, order), key=lambda e: (e != identity, e)
+    )
+    index = {e: i for i, e in enumerate(ordered)}
+    return tuple(tuple(index[mul(x, y)] for y in ordered) for x in ordered)
 
 
-def _binary_octahedral_table():
-    identity = ((1, 0), (0, 0), (0, 0), (1, 0))
-    quat_i = ((0, 1), (0, 0), (0, 0), (0, 2))
-    quat_j = ((0, 0), (1, 0), (2, 0), (0, 0))
-    omega = ((1, 2), (2, 2), (1, 2), (1, 1))  # (-1 + i + j + k) / 2
-    half_turn = ((1, 2), (0, 0), (0, 0), (2, 2))  # (1 + i) / sqrt(2)
-    els = _mulclose([quat_i, quat_j, omega, half_turn], _matmul_f9, identity, 48)
-    return _table_from_elements(els, _matmul_f9, identity)
+# prime, generators and order of each exceptional family: SL(2, 3), SL(2, 5),
+# and in SL(2, 7) an element of order 8 with one of order 4 whose product
+# has order 6, which generate the preimage of S4
+_EXCEPTIONAL = {
+    "binary_tetrahedral": (3, [(1, 1, 0, 1), (0, 2, 1, 0)], 24),
+    "binary_octahedral": (7, [(0, 1, 6, 3), (0, 2, 3, 0)], 48),
+    "binary_icosahedral": (5, [(1, 1, 0, 1), (0, 4, 1, 0)], 120),
+}
 
 
 def build_group(family: str, n: int | None = None) -> FiniteSubgroupS3:
@@ -267,11 +241,7 @@ def build_group(family: str, n: int | None = None) -> FiniteSubgroupS3:
         return from_table(_binary_dihedral(n), name=f"binary_dihedral({n})")
     if n is not None:
         raise BadParameter(f"{family} takes no parameter")
-    if family == "binary_tetrahedral":
-        return from_table(_special_linear_table(3, 24), name=family)
-    if family == "binary_icosahedral":
-        return from_table(_special_linear_table(5, 120), name=family)
-    return from_table(_binary_octahedral_table(), name="binary_octahedral")
+    return from_table(_matrix_group_table(*_EXCEPTIONAL[family]), name=family)
 
 
 def involution_count(group: FiniteSubgroupS3) -> int:
@@ -373,7 +343,8 @@ def dcover_consistency(d: int) -> DcoverReport:
         raise BadParameter("the covering degree must be positive")
     group = build_group("cyclic", d)
     model = cover_double_point_model(group)
-    curve: DoublePointCurve = double_point_curve(make_map([(0, 0)], d))
+    f = make_map([(0, 0)], d)
+    curve = double_point_curve(f)
     ok = len(curve.components) == len(model.components)
     matched = []
     by_element: dict[int, int] = {}
@@ -398,7 +369,7 @@ def dcover_consistency(d: int) -> DcoverReport:
             ok = False
         if curve.swap_invariant(idx) != mc.swap_invariant:
             ok = False
-    curve_hopf = hopf_invariant(curve)
+    curve_hopf = hopf_invariant(f)
     model_hopf = hopf_of_cover(group)
     if curve_hopf != model_hopf:
         ok = False

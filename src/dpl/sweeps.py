@@ -232,17 +232,6 @@ class DiskPlacement:
         return frames[-1][1], frames[-1][2]
 
 
-def _window_delta(times: Sequence[Fraction], t: Fraction) -> Fraction:
-    """An eighth of the window starting at t (times include 0 and 1)."""
-    nxt = min(u for u in times if u > t)
-    return (nxt - t) / 8
-
-
-def _window_delta_before(times: Sequence[Fraction], t: Fraction) -> Fraction:
-    prev = max(u for u in times if u < t)
-    return (t - prev) / 8
-
-
 def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
     """Disjointly embedded moving disks realizing the movie.
 
@@ -255,6 +244,9 @@ def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
     the parent's boundary.
     """
     grid = sorted({Fraction(0), Fraction(1)} | {t for t, _, _ in checked.events})
+    # an eighth of the window after and before each event time
+    after = {t: (nxt - t) / 8 for t, nxt in zip(grid, grid[1:])}
+    before = {t: (t - prev) / 8 for prev, t in zip(grid, grid[1:])}
     frames: dict[int, list[Keyframe]] = {i: [] for i in range(checked.circle_count)}
 
     def home(i: int) -> tuple[Fraction, Fraction]:
@@ -264,7 +256,7 @@ def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
         i: int, t0: Fraction, pos: tuple[Fraction, Fraction], r: Fraction, lane: int
     ) -> None:
         """Born at pos/r at time t0; descend to the lane, slide home, settle."""
-        d = _window_delta(grid, t0)
+        d = after[t0]
         hx, hy = home(i)
         frames[i].append((t0, pos, r))
         frames[i].append((t0 + d, (pos[0], Fraction(lane)), _LANE_R))
@@ -277,12 +269,11 @@ def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
             frames[i].append((Fraction(0), home(i), _HOME_R))
 
     for t, kind, labels in checked.events:
-        d = _window_delta_before(grid, t)
+        d = before[t]
         if kind == "birth":
             (i,) = labels
-            d_after = _window_delta(grid, t)
             frames[i].append((t, home(i), Fraction(0)))
-            frames[i].append((t + d_after, home(i), _HOME_R))
+            frames[i].append((t + after[t], home(i), _HOME_R))
         elif kind == "death":
             (i,) = labels
             frames[i].append((t - d, home(i), _HOME_R))

@@ -147,32 +147,32 @@ def _try_direction(
     opposite = "negative" if comp.kind == "positive" else "positive"
     s = f.to_fundamental(comp.end if direction == 1 else comp.start)
     level = f.lift_evaluate(s)
-    candidates: list[tuple[Fraction, int]] = []
-    for idx, other in enumerate(cls.components):
-        if idx == start_index or other.kind != opposite:
-            continue
-        e = f.to_fundamental(other.start if direction == 1 else other.end)
+
+    def ahead(x: Fraction) -> Fraction:
+        """Where the walk from s in its direction meets x, within one turn."""
+        e = f.to_fundamental(x)
         if direction == 1:
-            pos = e if e > s else e + 1
-        else:
-            pos = e if e < s else e - 1
-        candidates.append((pos, idx))
+            return e if e > s else e + 1
+        return e if e < s else e - 1
+
+    candidates = [
+        (ahead(other.start if direction == 1 else other.end), idx)
+        for idx, other in enumerate(cls.components)
+        if idx != start_index and other.kind == opposite
+    ]
     candidates.sort(reverse=(direction == -1))
     for pos, idx in candidates:
         if f.lift_evaluate(pos) != level:
             continue
         lo, hi = (s, pos) if direction == 1 else (pos, s)
         path_min, path_max = _lift_extrema(f, lo, hi)
-        skipped = []
-        for jdx, other in enumerate(cls.components):
-            if jdx in (start_index, idx) or other.kind not in ("positive", "negative"):
-                continue
-            for endpoint in (other.start, other.end):
-                e = f.to_fundamental(endpoint)
-                w = (e if e > s else e + 1) if direction == 1 else (e if e < s else e - 1)
-                if lo < w < hi:
-                    skipped.append(jdx)
-                    break
+        skipped = [
+            jdx
+            for jdx, other in enumerate(cls.components)
+            if jdx not in (start_index, idx)
+            and other.kind in ("positive", "negative")
+            and any(lo < ahead(e) < hi for e in (other.start, other.end))
+        ]
         return BalancedPath(
             start_component=start_index,
             end_component=idx,
@@ -266,20 +266,22 @@ def _residue_candidates(
     a, b = arc.ccw_start.value, arc.ccw_end.value
     w = arc.width
     gaps = value_gaps(f)
-    out: dict[tuple[str, Fraction], Fraction] = {}
+    out = []
+    # each candidate point lies in the gap next to its own residue, so no
+    # two residues offer the same arc
     for i, (r, gap_above) in enumerate(gaps):
         gap_below = gaps[i - 1][1]
         width_to_r = mod1(b - r)
         delta = min(gap_below, 1 - width_to_r) / 2
         w2 = width_to_r + delta
         if w < w2 < 1:
-            out.setdefault(("start", mod1(r - delta)), w2)
+            out.append((w2, "start", mod1(r - delta)))
         width_from_r = mod1(r - a)
         delta = min(gap_above, 1 - width_from_r) / 2
         w3 = width_from_r + delta
         if w < w3 < 1:
-            out.setdefault(("end", mod1(r + delta)), w3)
-    return sorted((w_new, side, point) for (side, point), w_new in out.items())
+            out.append((w3, "end", mod1(r + delta)))
+    return sorted(out)
 
 
 def _candidate_arc(
@@ -471,28 +473,26 @@ def eliminate_negative_arcs(
         if value is None:
             raise InfeasibleParameters("regular-value mode needs a value")
         z = Angle(value) if not isinstance(value, Angle) else value
-        if not f.is_regular_value(z):
-            raise EndpointNotRegular(f"{z} is a critical value")
         cur, steps, cls = _plain_eliminate(f, _arc_around(f, z))
-        for _ in range(4 * f.lap_count + 16):
-            blockers = _blocking_neutrals(f, cls, z)
-            if not blockers:
-                break
+        # A neutral component enters and leaves the arc over one endpoint,
+        # so it holds a local extremum of the lift, which is a fold: there
+        # are at most lap_count blockers.  Each round strictly lowers their
+        # number, so the loop ends within lap_count + 1 rounds.
+        blockers = _blocking_neutrals(f, cls, z)
+        while blockers:
             side_value = cls.components[blockers[0]].endpoint_values[0]
             grow_start = side_value == cur.ccw_start
             want = "start" if grow_start else "end"
-            candidates = [
-                _candidate_arc(cur, side, point)
-                for _, side, point in _residue_candidates(f, cur)
-                if side == want
-            ]
-            progressed = False
-            for cand in candidates:
+            for _, side, point in _residue_candidates(f, cur):
+                if side != want:
+                    continue
+                cand = _candidate_arc(cur, side, point)
                 try:
                     cand_final, cand_steps, cand_cls = _plain_eliminate(f, cand)
                 except UnfoldingBlocked:
                     continue
-                if len(_blocking_neutrals(f, cand_cls, z)) < len(blockers):
+                cand_blockers = _blocking_neutrals(f, cand_cls, z)
+                if len(cand_blockers) < len(blockers):
                     steps.append(
                         UnfoldStep(
                             arc=cur,
@@ -504,15 +504,12 @@ def eliminate_negative_arcs(
                         )
                     )
                     steps.extend(cand_steps)
-                    cur, cls = cand_final, cand_cls
-                    progressed = True
+                    cur, cls, blockers = cand_final, cand_cls, cand_blockers
                     break
-            if not progressed:
+            else:
                 raise UnfoldingBlocked(
                     "no extension frees the regular value from neutral components"
                 )
-        else:
-            raise UnfoldingBlocked("regular-value growth failed to stabilize")
         return cur, UnfoldTrace(tuple(steps), cur, mode, reflected=False)
 
     if arc is None:

@@ -187,6 +187,32 @@ def test_component_membership_lookup():
     assert cls.component_containing(F(1, 2)) is None
 
 
+def test_neutral_components_are_at_most_the_folds():
+    """A neutral component enters and leaves the arc over one endpoint, so
+    the lift has a local extremum on it, which is a fold.  Regular-value
+    unfolding relies on this bound to end; some arcs attain it."""
+    rng = random.Random("neutral bound")
+
+    def regular(f):
+        y = Angle(F(rng.randrange(997), 997))
+        while not f.is_regular_value(y):
+            y = y.plus(F(1, 1999))
+        return y
+
+    attained = False
+    for laps, degree in ((6, 2), (8, 3), (12, 4), (40, 5)):
+        for seed in range(40):
+            f = random_map(seed, laps, degree)
+            for _ in range(5):
+                a, b = regular(f), regular(f)
+                if a == b:
+                    continue
+                neutral = classify_preimage(f, TransverseArc(a, b)).neutral_count
+                assert neutral <= len(f.folds), (seed, laps, degree, a, b)
+                attained = attained or neutral == len(f.folds) > 0
+    assert attained
+
+
 def _preimages(f, y: Angle) -> list[F]:
     """The preimages of y in [x_0, x_0 + 1), solved lap by lap."""
     x0 = f.breakpoints[0][0]

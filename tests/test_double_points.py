@@ -54,22 +54,23 @@ def test_tent_curve_is_two_swapped_arcs():
 
 
 def test_tent_closure_joins_the_arc_pair():
-    curve = double_point_curve(tent())
-    closures = curve.closure_components
+    f = tent()
+    closures = double_point_curve(f).closure_components
     assert len(closures) == 1
     assert closures[0].arcs == (0, 1)
     assert closures[0].flips == 2
     assert closures[0].orientable
-    assert closure_orientability(curve, 0)
+    assert closure_orientability(f, 0)
 
 
 def test_double_cover_curve_is_one_invariant_circle():
-    curve = double_point_curve(make_map([(0, 0)], 2))
+    f = make_map([(0, 0)], 2)
+    curve = double_point_curve(f)
     assert [(c.kind, c.p1_degree, c.p2_degree) for c in curve.components] == [
         ("circle", 1, 1)
     ]
     assert curve.swap_invariant(0)
-    assert hopf_invariant(curve) == 1
+    assert hopf_invariant(f) == 1
 
 
 def test_d_cover_curve_has_d_minus_1_circles():
@@ -108,8 +109,8 @@ def test_controlled_hopf_lists_compact_invariant_pieces():
     assert controlled_hopf(tent()) == ()
     rows = controlled_hopf(make_map([(0, 0)], 2))
     assert len(rows) == 1
-    curve = double_point_curve(make_map([(0, 0)], 4))
-    assert sum(b for _, b in controlled_hopf(curve)) % 2 == hopf_invariant(curve)
+    f = make_map([(0, 0)], 4)
+    assert sum(b for _, b in controlled_hopf(f)) % 2 == hopf_invariant(f)
 
 
 # ---------------------------------------------------------------- quotient/lift

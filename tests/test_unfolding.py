@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpl import (
     Angle,
+    EndpointNotRegular,
     InfeasibleParameters,
     TransverseArc,
     build_euler_graph,
@@ -167,6 +168,14 @@ def test_unfold_regular_value_mode_clears_the_fiber():
     for x in f.fiber(F(1, 8)):
         comp = cls.component_containing(x)
         assert comp is not None and comp.kind in ("positive", "circle")
+
+
+def test_unfold_regular_value_mode_refuses_a_critical_value():
+    for value in (0, F(3, 4)):  # the tent's two fold values
+        with pytest.raises(EndpointNotRegular, match="is a critical value"):
+            eliminate_negative_arcs(tent(), mode="regular-value", value=value)
+    with pytest.raises(InfeasibleParameters):
+        eliminate_negative_arcs(tent(), mode="regular-value")
 
 
 def test_unfold_rejects_unknown_mode():
