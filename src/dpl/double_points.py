@@ -158,30 +158,36 @@ def _equal_value_pieces(
                 yield (i, j, k, lo, hi) if up_a == up_b else (i, j, k, hi, lo)
 
 
-def _chains(nodes: Iterable[Hashable], succ: dict) -> list[list]:
-    """Split the partial injection ``succ`` on ``nodes`` into maximal runs.
+def _chains(nodes: Sequence[int], succ: list[int]) -> list[tuple[int, ...]]:
+    """Split the partial injection ``succ`` into maximal runs from ``nodes``.
 
-    ``succ[a] = b`` glues the end of piece a to the start of piece b.  Open
-    runs start at every node without a predecessor; closed runs (a run is
-    closed when its last node is in ``succ``) start at their first node in
-    the order of ``nodes``.  Two pieces continuing into the same one raise
+    Pieces are the ints ``0 .. len(succ) - 1``.  ``succ[a] = b`` glues the
+    end of piece a to the start of piece b, and ``succ[a] = -1`` leaves a's
+    end loose.  Open runs start at every node of ``nodes`` without a
+    predecessor; closed runs (a run is closed when its last node has a
+    successor) start at their first node in the order of ``nodes``.  A run
+    follows ``succ`` past ``nodes`` until it ends loose or meets a piece
+    already walked.  Two pieces continuing into the same one raise
     AssertionError.
     """
-    targets = set(succ.values())
-    if len(targets) != len(succ):
+    hit = set(succ)
+    hit.discard(-1)
+    if len(hit) != len(succ) - succ.count(-1):
         raise AssertionError("two pieces continue into the same one")
-    nodes = list(nodes)
-    seen: set = set()
+    if not hit.issuperset(nodes):
+        nodes = [n for n in nodes if n not in hit] + list(nodes)
+    # one flag per piece, then a raised one, which a loose end's -1 reads
+    seen = [False] * len(succ) + [True]
     runs = []
-    for start in [n for n in nodes if n not in targets] + nodes:
-        if start in seen:
+    for start in nodes:
+        if seen[start]:
             continue
         run, node = [], start
-        while node not in seen:
-            seen.add(node)
+        while not seen[node]:
+            seen[node] = True
             run.append(node)
-            node = succ.get(node, start)
-        runs.append(run)
+            node = succ[node]
+        runs.append(tuple(run))
     return runs
 
 
@@ -314,7 +320,7 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
     # Canonical orientations agree along components, so off the diagonal
     # every segment end is the start of the next segment.
     ends = [_torus_key(x1, seg.end) for seg in segs]
-    succ = {si: starts[key] for si, key in enumerate(ends) if key in starts}
+    succ = [starts.get(key, -1) for key in ends]
 
     # Components are numbered by the key of their first segment (an arc's
     # diagonal start, a circle's least segment); segments are sorted by key,
@@ -322,7 +328,7 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
     components: list[CurveComponent] = []
     for index, run in enumerate(sorted(_chains(range(len(segs)), succ))):
         chain = tuple(segs[si] for si in run)
-        if run[-1] in succ:
+        if succ[run[-1]] >= 0:
             p1 = sum(s.end[0] - s.start[0] for s in chain)
             p2 = sum(s.end[1] - s.start[1] for s in chain)
             if p1.denominator != 1 or p2.denominator != 1:

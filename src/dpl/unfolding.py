@@ -704,11 +704,11 @@ def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
         if p in starts:
             raise AssertionError(f"non-manifold solution set at {p}")
         starts[p] = si
-    succ = {si: starts[q] for si, (_, q) in enumerate(segs) if q in starts}
+    succ = [starts.get(q, -1) for _, q in segs]
     runs = _chains(range(len(segs)), succ)
     loose: dict[tuple[Fraction, Fraction], list[tuple[Fraction, Fraction]]] = {}
     for run in runs:
-        if run[-1] in succ:
+        if succ[run[-1]] >= 0:
             continue
         pts = [segs[run[0]][0]] + [segs[si][1] for si in run]
         for p in (pts[0], pts[-1]):
@@ -738,8 +738,8 @@ class EulerGraph:
     """A directed multigraph with in- and out-degree two everywhere.
 
     ``free_loops`` counts circles carrying no vertex at all; each is its own
-    component with the empty resolution.  Vertices and each vertex's in/out
-    edges are tabulated at construction, components on first use.
+    component with the empty resolution.  Vertices, each vertex's in/out
+    edges and the components are tabulated at construction.
     """
 
     edges: tuple[tuple[int, int], ...]
@@ -749,32 +749,39 @@ class EulerGraph:
     _in_out: tuple[dict[int, list[int]], dict[int, list[int]]] = field(
         init=False, repr=False, compare=False
     )
+    components: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    # each component's edge indices, in index order; () for each free loop
+    _edges_by_component: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        vertices = tuple(sorted(set(itertools.chain.from_iterable(self.edges))))
+        edges = self.edges
+        vertices = tuple(sorted(set(itertools.chain.from_iterable(edges))))
         ins: dict[int, list[int]] = {v: [] for v in vertices}
         outs: dict[int, list[int]] = {v: [] for v in vertices}
-        for i, (a, b) in enumerate(self.edges):
+        for i, (a, b) in enumerate(edges):
             outs[a].append(i)
             ins[b].append(i)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_in_out", (ins, outs))
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _groups(self.vertices, self.edges)))
+        components = tuple(map(tuple, _groups(vertices, edges)))
+        # an edge belongs to its tail's component
+        by_component = [
+            tuple(sorted(itertools.chain.from_iterable(map(outs.__getitem__, c))))
+            for c in components
+        ]
+        # frozen: the derived fields go straight into the instance dict
+        self.__dict__.update(
+            vertices=vertices,
+            _in_out=(ins, outs),
+            components=components,
+            _edges_by_component=tuple(by_component + [()] * self.free_loops),
+        )
 
     @property
     def component_count(self) -> int:
         return len(self.components) + self.free_loops
-
-    @cached_property
-    def _edges_by_component(self) -> tuple[tuple[int, ...], ...]:
-        where = {v: c for c, verts in enumerate(self.components) for v in verts}
-        out: list[list[int]] = [[] for _ in self.components]
-        for i, (a, _) in enumerate(self.edges):
-            out[where[a]].append(i)
-        return tuple(map(tuple, out)) + ((),) * self.free_loops
 
     def component_edges(self, component: int) -> tuple[int, ...]:
         """The component's edge indices; empty exactly for a free loop.
@@ -782,9 +789,10 @@ class EulerGraph:
         Every call that takes a component index checks it here: one outside
         ``0 <= component < component_count`` raises InfeasibleParameters.
         """
-        if not 0 <= component < self.component_count:
+        by_component = self._edges_by_component
+        if not 0 <= component < len(by_component):
             raise InfeasibleParameters(f"no component {component}")
-        return self._edges_by_component[component]
+        return by_component[component]
 
 
 def build_euler_graph(
@@ -876,13 +884,20 @@ def trace_circuits(
 ) -> tuple[tuple[int, ...], ...]:
     """Circuits induced by a pairing on the chosen component's edges.
 
-    A free loop is one circuit with no edges.
+    A free loop is one circuit with no edges.  A pair naming an index
+    outside ``0 .. len(g.edges) - 1`` raises InfeasibleParameters.
     """
     component_edges = g.component_edges(component)
     if not component_edges:
         return ((),)
-    nxt = {e_in: e_out for _, ps in pairing for e_in, e_out in ps}
-    return tuple(map(tuple, _chains(component_edges, nxt)))
+    edge_count = len(g.edges)
+    nxt = [-1] * edge_count
+    for _, ps in pairing:
+        for e_in, e_out in ps:
+            if not (0 <= e_in < edge_count and 0 <= e_out < edge_count):
+                raise InfeasibleParameters(f"the pair {e_in} -> {e_out} names no edge")
+            nxt[e_in] = e_out
+    return tuple(_chains(component_edges, nxt))
 
 
 def random_admissible_graph(seed: int, n_vertices: int) -> EulerGraph:

@@ -190,6 +190,36 @@ def test_degenerate_polygons_are_rejected():
         planar_self_crossings([(0, 0), (4, 4), (4, 0), (2, 2)])
 
 
+# ---------------------------------------------------------------- the walker
+
+
+@pytest.mark.parametrize(
+    "nodes, succ, runs",
+    [
+        # open runs first, then closed ones
+        (range(6), [1, -1, 3, 2, 5, -1], [(0, 1), (4, 5), (2, 3)]),
+        (range(7), [2, -1, 4, 0, -1, 6, 5], [(1,), (3, 0, 2, 4), (5, 6)]),
+        # closed runs start at their first node in the order of ``nodes``
+        ((2, 1, 0, 3), [1, 0, 3, 2], [(2, 3), (1, 0)]),
+        ((3, 1, 2, 0), [1, 2, 0, 3], [(3,), (1, 2, 0)]),
+        # a -1 loose end
+        ((0,), [-1], [(0,)]),
+        # runs that leave ``nodes``, open and closed
+        ((0, 1), [1, 2, -1], [(0, 1, 2)]),
+        ((0,), [1, 0], [(0, 1)]),
+        # a run stops at a piece an earlier run took
+        ((2, 1), [1, 2, -1], [(2,), (1,)]),
+    ],
+)
+def test_chains_splits_a_partial_injection_into_runs(nodes, succ, runs):
+    assert dpl.double_points._chains(nodes, succ) == runs
+
+
+def test_chains_refuses_two_pieces_continuing_into_one():
+    with pytest.raises(AssertionError):
+        dpl.double_points._chains(range(3), [2, 2, -1])
+
+
 # ---------------------------------------------------------------- consistency
 
 

@@ -22,6 +22,7 @@ from dpl import (
     trace_circuits,
 )
 from dpl.unfolding import (
+    EulerGraph,
     Infeasible,
     IntervalMapPair,
     NoOppositeArc,
@@ -30,6 +31,8 @@ from dpl.unfolding import (
     _finishing_arc,
     _try_direction,
 )
+
+from test_acceptance import _balanced_graphs
 
 
 def tent():
@@ -277,6 +280,29 @@ def test_build_euler_graph_checks_degrees():
         build_euler_graph([(0, 1), (1, 0)])
     with pytest.raises(InfeasibleParameters):
         build_euler_graph([], free_loops=-1)
+    # the message names the least offending vertex, an in-only one included
+    with pytest.raises(InfeasibleParameters, match=r"^vertex 3 has in/out degree 1/0$"):
+        build_euler_graph([(1, 1), (1, 1), (4, 3)])
+    with pytest.raises(InfeasibleParameters, match=r"^vertex 1 has in/out degree 2/1$"):
+        build_euler_graph([(0, 0), (0, 0), (2, 1), (2, 1), (1, 2)])
+
+
+def test_euler_graph_equality_hash_repr_and_components():
+    edges = [(3, 3), (3, 3), (0, 1), (0, 1), (1, 0), (1, 0)]
+    g = build_euler_graph([[str(a), b] for a, b in edges], free_loops=2)
+    assert g.edges == tuple(edges) and g.vertices == (0, 1, 3)
+    assert g == EulerGraph(edges=tuple(edges), free_loops=2)
+    assert g != EulerGraph(edges=tuple(edges), free_loops=1)
+    assert g != EulerGraph(edges=tuple(edges[::-1]), free_loops=2)
+    assert hash(g) == hash((tuple(edges), 2))
+    assert repr(g) == (
+        "EulerGraph(edges=((3, 3), (3, 3), (0, 1), (0, 1), (1, 0), (1, 0)),"
+        " free_loops=2)"
+    )
+    assert g.components == ((0, 1), (3,))
+    assert g.component_count == 4
+    assert [g.component_edges(c) for c in range(4)] == [(2, 3, 4, 5), (0, 1), (), ()]
+    assert build_euler_graph([]).component_count == 0
 
 
 def test_two_vertex_graph_resolves_to_one_circuit():
@@ -302,11 +328,19 @@ def test_trace_circuits_follows_pairings_that_do_not_permute_the_edges():
     assert trace_circuits(g, full) == ((0, 2), (1, 3))
     # vertex 1 unpaired: open runs from the edges nothing leads into
     assert trace_circuits(g, full[:1]) == ((2, 0), (3, 1))
-    # a run may leave the component's edges
-    stray = ((0, ((2, 0), (3, 1))), (1, ((0, 2), (1, 7))))
-    assert trace_circuits(g, stray) == ((3, 1, 7), (0, 2))
+    # a pair naming an index outside the graph's edges is refused
+    for bad in ((1, 7), (1, -1), (4, 1), (-1, 1)):
+        stray = ((0, ((2, 0), (3, 1))), (1, ((0, 2), bad)))
+        with pytest.raises(InfeasibleParameters):
+            trace_circuits(g, stray)
     with pytest.raises(AssertionError):
         trace_circuits(g, ((0, ((2, 0), (3, 0))),))
+    # a run may leave its component for another component's edges
+    two = build_euler_graph([(0, 0), (0, 0), (1, 1), (1, 1)])
+    stray = ((0, ((0, 1), (1, 2))), (1, ((2, 3), (3, 0))))
+    assert trace_circuits(two, stray, 0) == ((0, 1, 2, 3),)
+    assert trace_circuits(two, stray, 1) == ((2, 3, 0, 1),)
+    assert trace_circuits(two, stray[:1], 0) == ((0, 1, 2),)
 
 
 def test_free_loops_are_their_own_components():
@@ -325,6 +359,59 @@ def test_disconnected_graph_resolves_per_component():
     for c in range(2):
         res = eulerian_resolution(g, c)
         assert len(trace_circuits(g, res.pairing, c)) == 1
+
+
+def _bareiss_det(m):
+    """The determinant of a square int matrix, by fraction-free elimination."""
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                # exact: Bareiss's division by the previous pivot leaves no remainder
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def _best_count(edges, verts):
+    """Euler circuits of a connected digraph with in/out degree two (BEST).
+
+    The count is t_w * prod((outdeg - 1)!) = t_w, the arborescences towards
+    any root w: the determinant of the out-degree Laplacian without w's row
+    and column.  A loop adds one to the degree and one to the adjacency, so
+    it cancels.
+    """
+    at = {v: i for i, v in enumerate(verts)}
+    laplacian = [[0] * len(verts) for _ in verts]
+    for a, b in edges:
+        laplacian[at[a]][at[a]] += 1
+        laplacian[at[a]][at[b]] -= 1
+    return _bareiss_det([row[1:] for row in laplacian[1:]])
+
+
+def test_single_circuit_pairings_match_the_best_count():
+    """The pairings traced to one circuit are the Euler circuits, counted by
+    the BEST theorem, on every balanced graph with five or fewer vertices."""
+    graphs = 0
+    for n in range(1, 6):
+        for rows in _balanced_graphs(n):
+            edges = [(i, head) for i, row in enumerate(rows) for head in row]
+            g = build_euler_graph(edges)
+            graphs += 1
+            for c, verts in enumerate(g.components):
+                comp = [g.edges[e] for e in g.component_edges(c)]
+                singles = sum(
+                    len(trace_circuits(g, p, c)) == 1 for p in resolution_choices(g, c)
+                )
+                assert singles == _best_count(comp, verts), (edges, c)
+    assert graphs == 1 + 3 + 21 + 282 + 6210
 
 
 def test_component_out_of_range():
