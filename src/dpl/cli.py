@@ -274,8 +274,8 @@ def _cmd_unfold(args):
     value = None if args.value is None else frac(args.value)
     final, trace = eliminate_negative_arcs(f, arc, args.mode, value)
     base = f.reflect() if trace.reflected else f
-    cls = classify_preimage(base, final)
     pairs = pair_count_check(base, final)
+    cls = pairs.classification
     result = {
         "mode": trace.mode,
         "reflected": trace.reflected,
@@ -586,10 +586,14 @@ def main(argv: list[str] | None = None) -> int:
     # own arguments, so a refusal of those is still enveloped under that
     # name, as JSON on stdout.  A missing or unknown command exits in argparse.
     args = argparse.Namespace(format="json", out=None)
+    # an --out file that cannot be written is an input error on stdout
+    stream = sys.stdout
     try:
         _, extra = build_parser().parse_known_args(argv, args)
         if extra:
             raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        if args.out:
+            stream = open(args.out, "w")
         digest, result, summary, code = args.fn(args)
     except (UnfoldingBlocked, ValueError, OSError, KeyError) as exc:
         blocked = isinstance(exc, UnfoldingBlocked)
@@ -604,10 +608,6 @@ def main(argv: list[str] | None = None) -> int:
         "result": _plain(result),
         "summary": summary,
     }
-    if args.out:
-        stream = open(args.out, "w")
-    else:
-        stream = sys.stdout
     try:
         if args.format == "json":
             json.dump(envelope, stream, sort_keys=True, indent=2)
@@ -619,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader left early (``dpl ... | head``); drop the rest quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
-        if args.out:
+        if stream is not sys.stdout:
             stream.close()
     return code
 

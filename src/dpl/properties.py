@@ -123,8 +123,9 @@ def _sweep_free_reach(f: PLCircleMap, arc: TransverseArc) -> bool:
     """Whether growing ``arc`` can bring its end onto a level with no full
     downward sweep: the end moves counterclockwise, short of the start.
 
-    Written apart from ``unfolding._sweep_free_end`` on purpose: the checks
-    below test the verdict that function gives, so they must not call it.
+    Written apart from ``unfolding._sweep_free_end_reachable`` on purpose:
+    growth raises UnfoldingBlocked exactly when that function says False,
+    and the checks below (and a test) hold that verdict against this one.
     """
     b, slack = arc.ccw_end.value, 1 - arc.width
     return any(

@@ -7,13 +7,41 @@ negative arc to a level-matched positive one along which the lift of the map
 returns to its starting height.  Growth keeps the arcs nested, so the final
 arc contains the initial one as an open subset.
 
-Greedy growth alone is not complete: killing one negative component can
-convert a neutral one elsewhere.  When no single extension makes progress,
-the finishing move relocates the arc's end into a level gap free of full
-downward sweeps and drops the start below every remaining dip, which is
-exactly the set of arcs that can reach zero.  A map whose every level gap
-carries a full downward sweep admits no unfoldable arc at all; that raises
-UnfoldingBlocked, and the bundled generator rejects such draws.
+Greedy growth is complete.  A step takes the first candidate arc with fewer
+negative components that has none left or can still move its end onto a
+level with no full downward sweep (two downward crossings of the level in a
+row).  A sweep pins a negative component onto every arc ending at its level,
+so when no such level is reachable no grown arc unfolds, and the step raises
+UnfoldingBlocked; the bundled generator rejects maps swept at every level.
+While one is reachable the step never stalls, by this lemma.
+
+Lemma.  Take regular levels b, b', s, a in counterclockwise order from b and
+write N(x, y) for the number of negative components over the arc (x, y).  If
+N(s, b') = 0, then N(a, b') + N(s, b) <= N(a, b).
+
+Proof.  Lift the levels to s < a < b < b' < s + 1.  A negative component over
+(x, y) is a domain stretch on which the lift falls from y to x inside (x, y).
+A sweep at b' would give (s, b') one, so each downward crossing of b' starts
+an excursion below b' that returns upward, and none reaches s (its fall from
+b' to s would be one too).  A negative component over (a, b') starts at a
+downward crossing of b', so it lies in one excursion; after its last crossing
+of b it falls from b to a inside (a, b), a negative component over (a, b):
+charge it there.  A negative component over (s, b) stays in (s, b), which
+holds no lift of b', and it reaches s, so it lies off every excursion below
+b'; it starts with a fall from b to a inside (a, b), again a negative
+component over (a, b): charge it there.  Charges of one kind land on
+distinct components, those of the first kind lie in excursions below b' and
+those of the second do not, so no component is charged twice.
+
+Consequence.  Let b' be a sweep-free level that the end of (a, b) can reach.
+The excursions below b' bottom out above b' - 1, so a regular s just past b'
+lies below all of them and short of a, and N(s, b') = 0.  If N(a, b) > 0,
+the lemma leaves one of N(a, b'), N(s, b) below it (when one is not, the
+other is zero).  Counts change only when an endpoint crosses a critical
+value, and the candidates offer a new endpoint in each gap the arc can grow
+into, on the near side of the other endpoint, so that arc's counts are a
+candidate's.  A candidate matching (a, b') ends in the gap of b'; one
+matching (s, b) keeps that gap within reach.  Either passes the step's guard.
 """
 
 from __future__ import annotations
@@ -292,64 +320,23 @@ def _candidate_arc(
     return TransverseArc(arc.ccw_start, Angle(point))
 
 
-def _sweep_free_end(f: PLCircleMap, arc: TransverseArc) -> Angle | None:
-    """Nearest admissible end position with no full downward sweep.
+def _sweep_free_end_reachable(f: PLCircleMap, arc: TransverseArc) -> bool:
+    """Whether the arc's end can grow onto a level with no full downward sweep.
 
-    Candidates are the current end and, in growth order, the midpoint of
-    each overlap between a fold-value gap and the arc's complement.  None
-    when every reachable position keeps a sweep: then every grown arc keeps
-    a negative component, so greedy growth steps to such an arc only when
-    it has none left.
+    The end moves counterclockwise, short of the start.  False means every
+    grown arc keeps a negative component, so greedy growth steps to such an
+    arc only when it has none left.
     """
     b = arc.ccw_end
     if downward_pair_count(f, b) == 0:
-        return b
+        return True
     slack = 1 - arc.width
-    options: list[tuple[Fraction, Angle]] = []
     # The crossing word is constant on a gap, so the part of b's own gap
     # above b is swept like b; every other gap is entered at its low end.
-    for lo, gw in value_gaps(f):
-        lo_cut = mod1(lo - b.value)
-        hi_cut = min(lo_cut + gw, slack)
-        if lo_cut < hi_cut:
-            options.append((lo_cut, b.plus((lo_cut + hi_cut) / 2)))
-    for _, candidate in sorted(options, key=lambda t: t[0]):
-        if downward_pair_count(f, candidate) == 0:
-            return candidate
-    return None
-
-
-def _finishing_arc(f: PLCircleMap, arc: TransverseArc) -> TransverseArc:
-    """A grown arc with no negative components, in one move.
-
-    With the end in a sweep-free gap, a negative component can only be the
-    first piece of a domain stretch that enters through the end value and
-    dips before leaving through it again; pushing the start below every such
-    dip (but not past the current start) clears them all at once.
-    """
-    b = _sweep_free_end(f, arc)
-    if b is None:
-        raise UnfoldingBlocked(
-            "every reachable end position is crossed by a full downward sweep"
-        )
-    reach = mod1(arc.ccw_start.value - b.value)  # >0: start stays past the end
-    ceiling = reach
-    cuts = sorted(f._fiber_laps(b).items())
-    for i, (x, lap) in enumerate(cuts):
-        if f.slopes[lap] > 0:
-            continue
-        nxt, nxt_lap = cuts[(i + 1) % len(cuts)]
-        nxt += 1 if i + 1 == len(cuts) else 0
-        assert f.slopes[nxt_lap] > 0, "end position is not sweep-free"
-        for vx, vl in f.breakpoints:
-            shifted = vx + math.floor(x - vx) + 1
-            if x < shifted < nxt:
-                ceiling = min(ceiling, mod1(vl - b.value))
-    for k in range(63, 0, -1):  # prefer the least start growth
-        a = b.plus(ceiling * k / 64)
-        if f.is_regular_value(a):
-            return TransverseArc(a, b)
-    raise UnfoldingBlocked("could not place the start below the remaining dips")
+    return any(
+        mod1(lo - b.value) < slack and downward_pair_count(f, lo + gw / 2) == 0
+        for lo, gw in value_gaps(f)
+    )
 
 
 def _plain_eliminate(
@@ -373,21 +360,19 @@ def _plain_eliminate(
             need = cur.width + (path.level - path.path_min)
             primary = [c for c in ranked if c[1] == "start" and c[0] > need][:1]
             ordered = primary + [c for c in ranked if c not in primary]
-        accepted = None
         for _, side, point in ordered:
             cand = _candidate_arc(cur, side, point)
             new_cls = classify_preimage(f, cand)
             if new_cls.negative_count < cls.negative_count and (
-                new_cls.negative_count == 0 or _sweep_free_end(f, cand) is not None
+                new_cls.negative_count == 0 or _sweep_free_end_reachable(f, cand)
             ):
-                accepted = (cand, new_cls)
                 break
-        if accepted is None:
-            cand = _finishing_arc(f, cur)
-            new_cls = classify_preimage(f, cand)
-            assert new_cls.negative_count == 0, "finishing move left a negative"
-            accepted = (cand, new_cls)
-        cand, new_cls = accepted
+        else:
+            # the module's lemma: a stall means no sweep-free end is in reach
+            assert not _sweep_free_end_reachable(f, cur), "greedy growth stalled"
+            raise UnfoldingBlocked(
+                "every reachable end position is crossed by a full downward sweep"
+            )
         steps.append(
             UnfoldStep(
                 arc=cur,
@@ -547,6 +532,7 @@ class PairCountReport:
     fiber_points: tuple[Fraction, ...]
     rows: tuple[PairCountRow, ...]
     ok: bool
+    classification: PreimageClassification
 
 
 def pair_count_check(f: PLCircleMap, arc: TransverseArc) -> PairCountReport:
@@ -556,7 +542,8 @@ def pair_count_check(f: PLCircleMap, arc: TransverseArc) -> PairCountReport:
     negative ones.  Pick the preimages x_1 < x_2 < ... of the arc's start on
     the positive components; each ordered pair (x_1, x_i) is a point of the
     double-point curve, and each component must carry exactly its winding's
-    worth of them (open arcs: none).
+    worth of them (open arcs: none).  The report keeps the arc's
+    classification.
     """
     if f.degree < 0:
         raise PreconditionUnmet("reflect the map to nonnegative degree first")
@@ -588,6 +575,7 @@ def pair_count_check(f: PLCircleMap, arc: TransverseArc) -> PairCountReport:
         fiber_points=tuple(entries),
         rows=rows,
         ok=all(r.expected == r.actual for r in rows),
+        classification=cls,
     )
 
 

@@ -85,6 +85,18 @@ def test_out_flag_writes_a_file(capsys, tent_file, tmp_path):
     assert doc["result"]["hopf"] == 0
 
 
+def test_unwritable_out_is_an_input_error_on_stdout(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code = main(["group", "cyclic", "3", "--out", str(target)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        jsonschema.validate(doc, report_schema())
+        assert doc["command"] == "group"
+        assert doc["summary"].startswith("input error")
+        assert doc["result"]["error"]["type"] in ("FileNotFoundError", "IsADirectoryError")
+
+
 # ---------------------------------------------------------------- unfold
 
 
@@ -331,6 +343,7 @@ REFUSED = [
     ("event time missing", ["sweep", "FILE"], _movie_with(event={"time": None})),
     ("event labels string", ["sweep", "FILE"], _movie_with(event={"labels": "abc"})),
     ("events scalar", ["sweep", "FILE"], _movie_with(events=5)),
+    ("movie not an object", ["sweep", "FILE"], "[1, 2]"),
     ("mode open-subset", ["unfold", "FILE", "--mode", "open-subset"], TENT),
     ("group n not an int", ["group", "cyclic", "x"], None),
     ("sweep samples not an int", ["sweep", "--samples", "x"], None),

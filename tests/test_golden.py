@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+import dpl.cli
 import dpl.unfolding
 from dpl import (
     Angle,
@@ -333,11 +334,12 @@ def test_regular_value_unfolding_classifies_each_arc_once(monkeypatch):
         return classify_preimage(f, arc)
 
     monkeypatch.setattr(dpl.unfolding, "classify_preimage", spy)
+    monkeypatch.setattr(dpl.cli, "classify_preimage", spy)
     name = "unfold-tent-regular-value"
     expected = (GOLDEN / "cli" / f"{name}.json").read_text()
     assert _cli_stdout(_cli_runs()[name]) == expected
     # growth classifies each of its three arcs once; pair_count_check then
-    # classifies the final arc for itself
+    # classifies the final arc for itself, and the CLI reads its counts there
     arcs = [(F(1, 16), F(7, 16)), (F(7, 8), F(7, 16)), (F(7, 8), F(13, 16))]
     arcs.append(arcs[-1])
     assert classified == [TransverseArc(a, b) for a, b in arcs]

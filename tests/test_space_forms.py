@@ -116,8 +116,16 @@ def test_validate_table_catches_defects():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="associativity fails"):
         validate_table(bad)
+    # the same defect in an order-60 loop, bad x Z/12
+    big = [
+        [bad[a][c] * 12 + (b + d) % 12 for c in range(5) for d in range(12)]
+        for a in range(5)
+        for b in range(12)
+    ]
+    with pytest.raises(BadParameter, match="associativity fails"):
+        validate_table(big)
 
 
 def test_from_table_roundtrip():

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,10 +19,13 @@ from dpl import (
     make_interval_map,
     make_map,
     pair_count_check,
+    random_map,
     resolution_choices,
     surgery_parity,
     trace_circuits,
 )
+from dpl.circle_maps import downward_pair_count, value_gaps
+from dpl.properties import _sweep_free_reach
 from dpl.unfolding import (
     EulerGraph,
     Infeasible,
@@ -28,7 +33,6 @@ from dpl.unfolding import (
     NoOppositeArc,
     PreconditionUnmet,
     UnfoldingBlocked,
-    _finishing_arc,
     _try_direction,
 )
 
@@ -143,16 +147,59 @@ def test_unfold_blocked_when_every_end_is_swept():
         eliminate_negative_arcs(f, trapped)
 
 
-def test_finishing_move_clears_every_negative_at_once():
-    # Greedy growth has not needed this move on any input tried, so it is
-    # pinned directly: the end moves up to the first sweep-free level, 4/5,
-    # and the start stops just short of the dip's lowest value, 0.
-    f = deep_tent()
-    start = TransverseArc(Angle(F(1, 10)), Angle(F(1, 5)))
-    assert classify_preimage(f, start).negative_count == 2
-    arc = _finishing_arc(f, start)
-    assert arc == TransverseArc(Angle(F(319, 320)), Angle(F(4, 5)))
-    assert classify_preimage(f, arc).negative_count == 0
+def _gap_thirds(f):
+    """Regular levels at 1/3 and 2/3 of each value gap."""
+    return [Angle(lo + gw * k / 3) for lo, gw in value_gaps(f) for k in (1, 2)]
+
+
+def _negatives(f, x, y):
+    return classify_preimage(f, TransverseArc(x, y)).negative_count
+
+
+def test_growth_lemma_holds_on_seeded_configurations():
+    # levels b, b', s, a counterclockwise from b: when (s, b') has no
+    # negative component, N(a, b') + N(s, b) <= N(a, b)
+    checked = live = 0
+    for seed in range(48):
+        f = random_map(seed, (6, 8, 12)[seed % 3], 3)
+        base = f if f.degree >= 0 else f.reflect()
+        levels = _gap_thirds(base)
+        if len(levels) < 4:
+            continue
+        rng = random.Random(seed)
+        for _ in range(4):
+            four = sorted(rng.sample(levels, 4), key=lambda y: y.value)
+            for k in range(4):
+                b, b2, s, a = four[k:] + four[:k]
+                if _negatives(base, s, b2) == 0:
+                    n_ab = _negatives(base, a, b)
+                    grown = _negatives(base, a, b2) + _negatives(base, s, b)
+                    assert grown <= n_ab, (seed, b, b2, s, a)
+                    checked += 1
+                    live += n_ab > 0
+    assert checked > 500 and live > 200
+
+
+def test_unfolding_is_blocked_exactly_out_of_sweep_free_reach():
+    # maps with a swept gap, every arc between two gap-third levels
+    verdicts = []
+    maps = (random_map(seed, 6, 2) for seed in range(300))
+    bases = (f if f.degree >= 0 else f.reflect() for f in maps)
+    swept = (
+        f for f in bases
+        if any(downward_pair_count(f, lo + gw / 2) for lo, gw in value_gaps(f))
+    )
+    for f in itertools.islice(swept, 6):
+        for a, b in itertools.permutations(_gap_thirds(f), 2):
+            arc = TransverseArc(a, b)
+            try:
+                eliminate_negative_arcs(f, arc)
+                blocked = False
+            except UnfoldingBlocked:
+                blocked = True
+            assert blocked == (not _sweep_free_reach(f, arc)), (f, arc)
+            verdicts.append(blocked)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_unfold_negative_degree_goes_through_reflection():
