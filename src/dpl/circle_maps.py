@@ -183,6 +183,25 @@ class _LevelTable(NamedTuple):
     sweeps: dict[int, int]
 
 
+def _lap_rows(m, count: int) -> list[tuple]:
+    """Each lap of a circle or interval map, read once for inversion and clipping.
+
+    A row is (rising, lowest value, x where it is taken, highest value, x
+    where it is taken, inverse slope, x-intercept of the inverse), so that
+    the lap takes value v at ``v * inverse + intercept``.
+    """
+    rows = []
+    for j in range(count):
+        xlo, xhi, l0, l1 = m.lap(j)
+        inv = (xhi - xlo) / (l1 - l0)
+        c = xlo - l0 * inv
+        if l0 < l1:
+            rows.append((True, l0, xlo, l1, xhi, inv, c))
+        else:
+            rows.append((False, l1, xhi, l0, xlo, inv, c))
+    return rows
+
+
 @dataclass(frozen=True)
 class PLCircleMap:
     """A generic piecewise-linear self-map of the circle.
@@ -248,9 +267,10 @@ class PLCircleMap:
         """(x_lo, x_hi, lift at x_lo, lift at x_hi) of lap j."""
         return self._xs[j], self._xs[j + 1], self._ls[j], self._ls[j + 1]
 
-    def value_span(self, j: int) -> tuple[Fraction, Fraction]:
-        lo, hi = self._ls[j], self._ls[j + 1]
-        return (lo, hi) if lo <= hi else (hi, lo)
+    @cached_property
+    def _lap_table(self) -> tuple[tuple, ...]:
+        """One :func:`_lap_rows` row per lap, built once per map."""
+        return tuple(_lap_rows(self, self.lap_count))
 
     def to_fundamental(self, x: RationalLike) -> Fraction:
         """Translate x by an integer into [x_0, x_0 + 1)."""
@@ -284,19 +304,19 @@ class PLCircleMap:
 
         A preimage of a regular value lies inside one lap (on a fold-free
         map the anchor is no fold, and both ends of its one lap are lap 0).
-        At a critical value a fold vertex is kept once, with one of its laps.
+        At a critical value a fold vertex is kept once, with the later of its
+        laps in lap order.  Keys come in lap order, rising in value within
+        each lap.
         """
         yv = _as_angle(y).value
-        xs, ls = self._xs, self._ls
+        x1 = self._xs[-1]
         found: dict[Fraction, int] = {}
-        for j in range(self.lap_count):
-            lo, hi = self.value_span(j)
-            k = math.ceil(lo - yv)
-            while yv + k <= hi:
-                t = yv + k
-                x = xs[j] + (t - ls[j]) * (xs[j + 1] - xs[j]) / (ls[j + 1] - ls[j])
-                found[x - 1 if x >= xs[0] + 1 else x] = j
-                k += 1
+        for j, (_, lo, _, hi, _, inv, c) in enumerate(self._lap_table):
+            t = yv + math.ceil(lo - yv)
+            while t <= hi:
+                x = t * inv + c
+                found[x - 1 if x >= x1 else x] = j
+                t += 1
         return found
 
     def fiber(self, y: Union[RationalLike, Angle]) -> tuple[Fraction, ...]:

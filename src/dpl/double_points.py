@@ -104,25 +104,6 @@ class QuotientComponent:
     lifts_through_arc: bool  # the image misses some target point
 
 
-def _lap_rows(m, count: int) -> list[tuple]:
-    """Each lap of a circle or interval map, read once for clipping.
-
-    A row is (rising, lowest value, x where it is taken, highest value, x
-    where it is taken, inverse slope, x-intercept of the inverse), so that
-    the lap takes value v at ``v * inverse + intercept``.
-    """
-    rows = []
-    for j in range(count):
-        xlo, xhi, l0, l1 = m.lap(j)
-        inv = (xhi - xlo) / (l1 - l0)
-        c = xlo - l0 * inv
-        if l0 < l1:
-            rows.append((True, l0, xlo, l1, xhi, inv, c))
-        else:
-            rows.append((False, l1, xhi, l0, xlo, inv, c))
-    return rows
-
-
 def _equal_value_pieces(
     rows_x: Sequence[tuple], rows_y: Sequence[tuple], shifted: bool
 ) -> Iterator[tuple[int, int, int, Point, Point]]:
@@ -214,7 +195,7 @@ def _groups(nodes: Iterable[Hashable], links: Iterable[tuple]) -> list[list]:
 
 def _raw_segments(f: PLCircleMap) -> list[CurveSegment]:
     """Every straight piece of the curve, sorted by key."""
-    rows = _lap_rows(f, f.lap_count)
+    rows = f._lap_table
     return [CurveSegment(*piece) for piece in _equal_value_pieces(rows, rows, True)]
 
 
@@ -308,6 +289,15 @@ def double_point_curve(f: PLCircleMap) -> DoublePointCurve:
 
 
 def _build_curve(f: PLCircleMap) -> DoublePointCurve:
+    """Glue the raw segments into components and read off their structure.
+
+    A closed chain's windings are counted, not summed.  Glued ends agree
+    on the torus, so in each coordinate they are equal or one is x_0 + 1
+    and the other x_0.  The first projection's winding is then the number
+    of the chain's segment ends with x = x_0 + 1 minus the number of its
+    starts there, and the second's the same on y: an integer by
+    construction, with no fractional winding left to check.
+    """
     segs = _raw_segments(f)
     x1 = f.breakpoints[0][0] + 1
     starts: dict[tuple[Fraction, Fraction], int] = {}
@@ -329,13 +319,9 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
     for index, run in enumerate(sorted(_chains(range(len(segs)), succ))):
         chain = tuple(segs[si] for si in run)
         if succ[run[-1]] >= 0:
-            p1 = sum(s.end[0] - s.start[0] for s in chain)
-            p2 = sum(s.end[1] - s.start[1] for s in chain)
-            if p1.denominator != 1 or p2.denominator != 1:
-                raise AssertionError("non-integer winding on a closed component")
-            components.append(
-                CurveComponent(index, "circle", chain, int(p1), int(p2), None)
-            )
+            p1 = sum((s.end[0] == x1) - (s.start[0] == x1) for s in chain)
+            p2 = sum((s.end[1] == x1) - (s.start[1] == x1) for s in chain)
+            components.append(CurveComponent(index, "circle", chain, p1, p2, None))
             continue
         c_from, c_to = _torus_key(x1, chain[0].start), ends[run[-1]]
         if c_from[0] != c_from[1] or c_to[0] != c_to[1]:

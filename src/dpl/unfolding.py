@@ -46,13 +46,16 @@ matching (s, b) keeps that gap within reach.  Either passes the step's guard.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Union
 
 from .circle_maps import (
     Angle,
@@ -65,6 +68,7 @@ from .circle_maps import (
     RationalLike,
     TransverseArc,
     ZeroSlopeSegment,
+    _lap_rows,
     _sweep_free_gap,
     classify_preimage,
     downward_pair_count,
@@ -72,13 +76,7 @@ from .circle_maps import (
     mod1,
     value_gaps,
 )
-from .double_points import (
-    _chains,
-    _equal_value_pieces,
-    _groups,
-    _lap_rows,
-    double_point_curve,
-)
+from .double_points import _chains, _equal_value_pieces, _groups, double_point_curve
 
 __all__ = [
     "NoOppositeArc",
@@ -156,11 +154,11 @@ def _lift_extrema(
 ) -> tuple[Fraction, Fraction]:
     """Exact min and max of the lift over [lo, hi]."""
     values = [f.lift_evaluate(lo), f.lift_evaluate(hi)]
-    for x, _ in f.breakpoints:
+    for x, l in f.breakpoints:
         k = math.ceil(lo - x)
         while x + k < hi:
             if x + k > lo:
-                values.append(f.lift_evaluate(x + k))
+                values.append(l + k * f.degree)
             k += 1
     return min(values), max(values)
 
@@ -281,35 +279,82 @@ def _arc_contains_arc(big: TransverseArc, small: TransverseArc) -> bool:
     return off + small.width <= big.width
 
 
-def _residue_candidates(
-    f: PLCircleMap, arc: TransverseArc
-) -> list[tuple[Fraction, str, Fraction]]:
-    """Wider arcs, one per (fold residue, endpoint side), sorted by width.
+Candidate = tuple[Fraction, str, Fraction]  # (width, side, new endpoint)
 
-    The start-side candidate for residue r places the new start just below r
+
+def _growth_candidates(
+    f: PLCircleMap, arc: TransverseArc, side: str
+) -> Iterator[Candidate]:
+    """Wider arcs moving one endpoint past a fold residue, narrowest first.
+
+    A ``start`` candidate for residue r places the new start just below r
     (halfway into the gap underneath, capped so the width stays below one);
     any negative component whose exit slide bottoms out at r turns neutral
-    once the start clears r.  End-side candidates mirror this above r.
+    once the start clears r.  ``end`` candidates mirror this above r.  Each
+    candidate point lies in the gap next to its own residue, so no two
+    residues offer the same arc.
+
+    Candidates are made on demand, in width order.  The start side walks
+    the residues clockwise from the one below the start, through the part
+    of the circle outside the arc, and stops at the first residue inside
+    the arc.  Each step of the walk adds a whole gap to the distance from
+    r to the end, while the new start sits at most half of the gap below
+    r, so widths rise strictly along the walk.  Inside the arc only the
+    first residue above the start can offer a wider arc, when its half gap
+    clears the start; that one candidate is merged in.  The end side
+    mirrors this, walking counterclockwise from the residue above the end.
     """
     a, b = arc.ccw_start.value, arc.ccw_end.value
     w = arc.width
     gaps = value_gaps(f)
-    out = []
-    # each candidate point lies in the gap next to its own residue, so no
-    # two residues offer the same arc
-    for i, (r, gap_above) in enumerate(gaps):
-        gap_below = gaps[i - 1][1]
-        width_to_r = mod1(b - r)
-        delta = min(gap_below, 1 - width_to_r) / 2
-        w2 = width_to_r + delta
-        if w < w2 < 1:
-            out.append((w2, "start", mod1(r - delta)))
-        width_from_r = mod1(r - a)
-        delta = min(gap_above, 1 - width_from_r) / 2
-        w3 = width_from_r + delta
-        if w < w3 < 1:
-            out.append((w3, "end", mod1(r + delta)))
-    return sorted(out)
+    n = len(gaps)
+    grow_end = side == "end"
+    # the residue just below the endpoint that moves
+    below = bisect_right(gaps, b if grow_end else a, key=itemgetter(0)) - 1
+
+    def offer(k: int) -> tuple[Fraction, Candidate]:
+        """Residue k's distance from the fixed endpoint, and its candidate."""
+        k %= n
+        r = gaps[k][0]
+        if grow_end:
+            reach = mod1(r - a)
+            delta = min(gaps[k][1], 1 - reach) / 2
+            return reach, (reach + delta, side, mod1(r + delta))
+        reach = mod1(b - r)
+        delta = min(gaps[k - 1][1], 1 - reach) / 2
+        return reach, (reach + delta, side, mod1(r - delta))
+
+    def walk() -> Iterator[Candidate]:
+        for step in range(n):
+            reach, cand = offer(below + 1 + step if grow_end else below - step)
+            if reach < w:  # the residue lies inside the arc
+                return
+            yield cand
+
+    reach, cand = offer(below if grow_end else below + 1)
+    near = [cand] if reach < w < cand[0] else []
+    return heapq.merge(near, walk())
+
+
+def _candidate_order(
+    f: PLCircleMap, arc: TransverseArc, need: Fraction | None
+) -> Iterator[Candidate]:
+    """Every growth candidate of the arc, narrowest first.
+
+    With ``need`` given, the first start candidate wider than ``need``
+    comes first.  Only the start candidates up to it are made before it;
+    the rest of both sides follow on demand.
+    """
+    starts = _growth_candidates(f, arc, "start")
+    ends = _growth_candidates(f, arc, "end")
+    passed = []
+    if need is not None:
+        for cand in starts:
+            if cand[0] > need:
+                yield cand
+                break
+            passed.append(cand)
+    yield from heapq.merge(passed, starts, ends)
 
 
 def _candidate_arc(
@@ -324,8 +369,8 @@ def _sweep_free_end_reachable(f: PLCircleMap, arc: TransverseArc) -> bool:
     """Whether the arc's end can grow onto a level with no full downward sweep.
 
     The end moves counterclockwise, short of the start.  False means every
-    grown arc keeps a negative component, so greedy growth steps to such an
-    arc only when it has none left.
+    grown arc keeps a negative component, so a growth step accepts such a
+    candidate only when it has none left.
     """
     b = arc.ccw_end
     if downward_pair_count(f, b) == 0:
@@ -342,7 +387,16 @@ def _sweep_free_end_reachable(f: PLCircleMap, arc: TransverseArc) -> bool:
 def _plain_eliminate(
     f: PLCircleMap, arc: TransverseArc
 ) -> tuple[TransverseArc, list[UnfoldStep], PreimageClassification]:
-    """The grown arc, the steps taken and the grown arc's classification."""
+    """The grown arc, the steps taken and the grown arc's classification.
+
+    Each step classifies the growth candidates one at a time, in the order
+    of :func:`_candidate_order`, and takes the first with fewer negative
+    components that has none left or keeps a sweep-free end in reach.  When
+    a balanced path witnesses the first negative component, the first start
+    candidate that takes the start below the path's lowest value goes
+    first.  Candidates are made on demand, so a step that accepts its first
+    one makes few others.
+    """
     cur = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classify_preimage(f, cur)
     steps: list[UnfoldStep] = []
@@ -354,13 +408,10 @@ def _plain_eliminate(
             path = find_balanced_path(f, cur, start_index, cls)
         except NoOppositeArc:
             path = None
-        ranked = _residue_candidates(f, cur)
-        ordered = ranked
+        need = None
         if path is not None:
             need = cur.width + (path.level - path.path_min)
-            primary = [c for c in ranked if c[1] == "start" and c[0] > need][:1]
-            ordered = primary + [c for c in ranked if c not in primary]
-        for _, side, point in ordered:
+        for _, side, point in _candidate_order(f, cur, need):
             cand = _candidate_arc(cur, side, point)
             new_cls = classify_preimage(f, cand)
             if new_cls.negative_count < cls.negative_count and (
@@ -468,9 +519,7 @@ def eliminate_negative_arcs(
             side_value = cls.components[blockers[0]].endpoint_values[0]
             grow_start = side_value == cur.ccw_start
             want = "start" if grow_start else "end"
-            for _, side, point in _residue_candidates(f, cur):
-                if side != want:
-                    continue
+            for _, side, point in _growth_candidates(f, cur, want):
                 cand = _candidate_arc(cur, side, point)
                 try:
                     cand_final, cand_steps, cand_cls = _plain_eliminate(f, cand)

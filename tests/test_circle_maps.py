@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpl import circle_maps
 from dpl import (
     Angle,
     DuplicateVertexValue,
@@ -16,6 +17,7 @@ from dpl import (
     ZeroSlopeSegment,
     classify_preimage,
     crossing_word,
+    double_point_curve,
     downward_pair_count,
     frac,
     make_map,
@@ -124,6 +126,44 @@ def test_fiber_is_sorted_within_one_period():
     pts = f.fiber(Angle(F(1, 2)))
     assert list(pts) == sorted(pts)
     assert all(0 <= x < 1 for x in pts)
+
+
+def _solved_fiber(f, y):
+    """Each preimage of y, solved lap by lap from the lap's end points and
+    reduced into [x_0, x_0 + 1), keyed to its lap; a later lap overwrites."""
+    x0 = f.breakpoints[0][0]
+    found = {}
+    for j in range(f.lap_count):
+        xlo, xhi, llo, lhi = f.lap(j)
+        lo, hi = sorted((llo, lhi))
+        for k in range(math.floor(lo - y), math.ceil(hi - y) + 1):
+            if lo <= y + k <= hi:
+                x = xlo + (y + k - llo) / (lhi - llo) * (xhi - xlo)
+                found[x - math.floor(x - x0)] = j
+    return found
+
+
+def test_fiber_laps_match_the_laps_solved_one_by_one(monkeypatch):
+    maps = [tent(), make_map([(F(1, 8), F(1, 3))], 3)]
+    maps += [random_map(seed, 6, 2) for seed in range(20)]
+    maps += [random_map(seed, 12, 4) for seed in range(20)]
+    built, rows = [], circle_maps._lap_rows
+    monkeypatch.setattr(
+        circle_maps, "_lap_rows", lambda m, count: built.append(m) or rows(m, count)
+    )
+    for f in maps:
+        f = make_map(f.breakpoints, f.degree)
+        levels = [v.value for v in f.critical_values] + [f.breakpoints[0][1] % 1]
+        levels += [lo + gw / k for lo, gw in value_gaps(f) for k in (2, 3)]
+        for y in levels:
+            got = f._fiber_laps(y)
+            assert list(got.items()) == list(_solved_fiber(f, y).items()), (f, y)
+        # a fold vertex is kept with the lap that starts there, x_0 with
+        # the last lap, which ends at x_0 + 1
+        for j, (x, v) in enumerate(f.folds):
+            assert f._fiber_laps(v)[x] == (j or f.lap_count - 1)
+        double_point_curve(f)
+        assert [g for g in built if g is f] == [f]
 
 
 def test_signed_fiber_count_is_the_degree():

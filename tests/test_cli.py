@@ -109,12 +109,21 @@ def test_unfold_explicit_arc(capsys, tent_file):
 
 
 def test_unfold_blocked_exits_one(capsys, tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_text(DEEP)
-    code, doc = run_json(capsys, "unfold", path, "--arc", "11/20", "1/20")
-    assert code == 1
-    assert doc["result"]["error"]["type"] == "UnfoldingBlocked"
-    assert doc["summary"].startswith("blocked")
+    # the second map's downward lap falls through every level twice in a
+    # row, so no default arc exists either
+    swept = '{"breakpoints": [["0", "0"], ["1/2", "5/2"]], "degree": 0}\n'
+    for text, arc, message in (
+        (DEEP, ["--arc", "11/20", "1/20"], "every reachable end position"),
+        (swept, [], "every level of the target circle"),
+    ):
+        path = tmp_path / "map.json"
+        path.write_text(text)
+        code, doc = run_json(capsys, "unfold", path, *arc)
+        assert code == 1
+        jsonschema.validate(doc, report_schema())
+        assert doc["result"]["error"]["type"] == "UnfoldingBlocked"
+        assert doc["result"]["error"]["message"].startswith(message)
+        assert doc["summary"].startswith("blocked")
 
 
 def test_unfold_regular_value_mode(capsys, tent_file):

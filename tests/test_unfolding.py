@@ -33,6 +33,8 @@ from dpl.unfolding import (
     NoOppositeArc,
     PreconditionUnmet,
     UnfoldingBlocked,
+    _candidate_order,
+    _growth_candidates,
     _try_direction,
 )
 
@@ -143,8 +145,16 @@ def test_unfold_default_arc_lands_in_a_quiet_gap():
 def test_unfold_blocked_when_every_end_is_swept():
     f = deep_tent()
     trapped = TransverseArc(Angle(F(11, 20)), Angle(F(1, 20)))
-    with pytest.raises(UnfoldingBlocked):
+    with pytest.raises(UnfoldingBlocked, match="every reachable end position"):
         eliminate_negative_arcs(f, trapped)
+
+
+def test_unfold_blocked_without_an_arc_when_every_level_is_swept():
+    # the downward lap falls through every level twice in a row
+    f = make_map([(0, 0), (F(1, 2), F(5, 2))], 0)
+    assert all(downward_pair_count(f, lo + gw / 2) for lo, gw in value_gaps(f))
+    with pytest.raises(UnfoldingBlocked, match="every level of the target circle"):
+        eliminate_negative_arcs(f)
 
 
 def _gap_thirds(f):
@@ -154,6 +164,49 @@ def _gap_thirds(f):
 
 def _negatives(f, x, y):
     return classify_preimage(f, TransverseArc(x, y)).negative_count
+
+
+def _sorted_candidates(f, arc):
+    """Every wider arc that moves one endpoint past a fold residue, by width:
+    the new start halfway into the gap below a residue, or the new end
+    halfway into the gap above it, capped to keep the width below one."""
+    a, b, w = arc.ccw_start.value, arc.ccw_end.value, arc.width
+    gaps = value_gaps(f)
+    out = []
+    for i, (r, above) in enumerate(gaps):
+        below = gaps[i - 1][1]
+        to_end = (b - r) % 1
+        half = min(below, 1 - to_end) / 2
+        if w < to_end + half < 1:
+            out.append((to_end + half, "start", (r - half) % 1))
+        from_start = (r - a) % 1
+        half = min(above, 1 - from_start) / 2
+        if w < from_start + half < 1:
+            out.append((from_start + half, "end", (r + half) % 1))
+    return sorted(out)
+
+
+def test_growth_candidates_come_in_width_order():
+    arcs = 0
+    for shape, seeds in (((6, 2), 100), ((12, 4), 60), ((40, 5), 16)):
+        for seed in range(seeds):
+            f = random_map(seed, *shape)
+            rng = random.Random(seed)
+            levels = _gap_thirds(f)
+            pairs = list(itertools.permutations(levels, 2))
+            for a, b in rng.sample(pairs, min(6, len(pairs))):
+                arc = TransverseArc(a, b)
+                want = _sorted_candidates(f, arc)
+                assert list(_candidate_order(f, arc, None)) == want, (f, arc)
+                for side in ("start", "end"):
+                    got = list(_growth_candidates(f, arc, side))
+                    assert got == [c for c in want if c[1] == side], (f, arc)
+                for need in (arc.width, (arc.width + 1) / 2):
+                    first = [c for c in want if c[1] == "start" and c[0] > need][:1]
+                    rest = [c for c in want if c not in first]
+                    assert list(_candidate_order(f, arc, need)) == first + rest
+                arcs += 1
+    assert arcs > 900
 
 
 def test_growth_lemma_holds_on_seeded_configurations():
