@@ -389,13 +389,11 @@ def _plain_eliminate(
 ) -> tuple[TransverseArc, list[UnfoldStep], PreimageClassification]:
     """The grown arc, the steps taken and the grown arc's classification.
 
-    Each step classifies the growth candidates one at a time, in the order
-    of :func:`_candidate_order`, and takes the first with fewer negative
-    components that has none left or keeps a sweep-free end in reach.  When
-    a balanced path witnesses the first negative component, the first start
-    candidate that takes the start below the path's lowest value goes
-    first.  Candidates are made on demand, so a step that accepts its first
-    one makes few others.
+    Each step classifies candidates, made on demand in the order of
+    :func:`_candidate_order`, and takes the first with fewer negative
+    components that has none left or keeps a sweep-free end in reach.
+    ``need`` asks for a start below the lowest value of the balanced path
+    that witnesses the first negative component.
     """
     cur = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classify_preimage(f, cur)
