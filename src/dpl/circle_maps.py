@@ -20,7 +20,7 @@ import math
 import operator
 import random
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -171,16 +171,33 @@ class TransverseArc:
 
 
 class _LevelTable(NamedTuple):
-    """A map's critical levels, computed once per map.
+    """A map's critical levels and their sweep counts, computed once per map.
 
     Gap i of ``gaps`` runs from ``residues[i]`` to the next residue; the
-    last one wraps past 0.  ``sweeps`` holds each gap's downward-pair count,
-    which :func:`downward_pair_count` fills in on the gap's first query.
+    last one wraps past 0.  ``sweeps[i]`` is gap i's downward-pair count
+    (see :func:`downward_pair_count`), counted for every gap in one pass
+    over the map's :class:`_LapIndex`.
     """
 
     residues: tuple[Fraction, ...]
     gaps: tuple[tuple[Fraction, Fraction], ...]
-    sweeps: dict[int, int]
+    sweeps: tuple[int, ...]
+
+
+class _LapIndex(NamedTuple):
+    """Each lap's lowest and highest value, as integers, computed once per map.
+
+    ``residues`` are the lap ends' values mod 1, sorted: a folded map's
+    critical levels, a fold-free map's anchor value.  Row j of ``ends`` is
+    (m_lo, a, m_hi, b): lap j runs from m_lo + residues[a] up to
+    m_hi + residues[b].  Below a level y, let k be the index of the last
+    residue <= y (-1 below residues[0]).  At a regular y the lap then meets
+    y + m_lo + [a > k] first, and m_hi - m_lo + 1 - [b <= k] - [a > k]
+    times in all, one turn apart.
+    """
+
+    residues: tuple[Fraction, ...]
+    ends: tuple[tuple[int, int, int, int], ...]
 
 
 def _lap_rows(m, count: int) -> list[tuple]:
@@ -256,12 +273,64 @@ class PLCircleMap:
 
     @cached_property
     def _level_table(self) -> _LevelTable:
-        residues = tuple(sorted(v.value for v in self.critical_values))
+        residues = () if self.fold_free else self._lap_index.residues
         if not residues:
-            return _LevelTable(residues, ((Fraction(0), Fraction(1)),), {})
-        ends = residues[1:] + (residues[0] + 1,)
-        gaps = tuple((r, nxt - r) for r, nxt in zip(residues, ends))
-        return _LevelTable(residues, gaps, {})
+            gaps = ((Fraction(0), Fraction(1)),)
+        else:
+            ends = residues[1:] + (residues[0] + 1,)
+            gaps = tuple((r, nxt - r) for r, nxt in zip(residues, ends))
+        return _LevelTable(residues, gaps, self._gap_sweeps())
+
+    @cached_property
+    def _lap_index(self) -> _LapIndex:
+        n, ls = self.lap_count, self._ls
+        floors = [math.floor(l) for l in ls[:n]]
+        rests = [l - m for l, m in zip(ls, floors)]
+        order = sorted(range(n), key=rests.__getitem__)
+        rank = [0] * n
+        for k, i in enumerate(order):
+            rank[i] = k
+        # vertex n is vertex 0 one turn on
+        floors.append(floors[0] + self.degree)
+        rank.append(rank[0])
+        ends = []
+        for j in range(n):
+            lo, hi = (j, j + 1) if ls[j] < ls[j + 1] else (j + 1, j)
+            ends.append((floors[lo], rank[lo], floors[hi], rank[hi]))
+        return _LapIndex(tuple(rests[i] for i in order), tuple(ends))
+
+    def _gap_sweeps(self) -> tuple[int, ...]:
+        """Each value gap's downward-pair count, from integer arithmetic only.
+
+        The crossing word at a level is each lap's slope sign, repeated as
+        often as the lap meets the level, in lap order.  Its descending
+        pairs are its descending letters less its descents followed by a
+        rise, and a rise can follow a descent only across laps.  Below
+        every residue each lap meets the level m_hi - m_lo times; passing
+        residue k adds a meeting to the laps whose bottom is there and takes
+        one from those whose top is there.
+        """
+        residues, ends = self._lap_index
+        ls = self._ls
+        falling = bytes(ls[j] > ls[j + 1] for j in range(self.lap_count))
+        bottoms: list[list[int]] = [[] for _ in residues]
+        tops: list[list[int]] = [[] for _ in residues]
+        for j, (_, a, _, b) in enumerate(ends):
+            bottoms[a].append(j)
+            tops[b].append(j)
+        counts = [m_hi - m_lo for m_lo, _, m_hi, _ in ends]
+        descending = sum(c for c, down in zip(counts, falling) if down)
+        sweeps = []
+        for k in range(len(residues)):
+            for j in bottoms[k]:
+                counts[j] += 1
+                descending += falling[j]
+            for j in tops[k]:
+                counts[j] -= 1
+                descending -= falling[j]
+            met = bytes(down for c, down in zip(counts, falling) if c)
+            sweeps.append(descending - (met + met[:1]).count(b"\1\0"))
+        return tuple(sweeps)
 
     def lap(self, j: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """(x_lo, x_hi, lift at x_lo, lift at x_hi) of lap j."""
@@ -307,16 +376,29 @@ class PLCircleMap:
         At a critical value a fold vertex is kept once, with the later of its
         laps in lap order.  Keys come in lap order, rising in value within
         each lap.
+
+        The :class:`_LapIndex` gives each lap's first value on y's level and
+        how often it meets that level; laps that miss it cost no Fraction
+        work.  A lap whose top lies on the level meets it once more, so the
+        top is counted below the level (``bisect_left``), the bottom at it.
         """
         yv = _as_angle(y).value
-        x1 = self._xs[-1]
+        residues, ends = self._lap_index
+        at_or_below = bisect_right(residues, yv) - 1
+        below = bisect_left(residues, yv) - 1
+        x1, last = self._xs[-1], self.lap_count - 1
         found: dict[Fraction, int] = {}
-        for j, (_, lo, _, hi, _, inv, c) in enumerate(self._lap_table):
-            t = yv + math.ceil(lo - yv)
-            while t <= hi:
-                x = t * inv + c
-                found[x - 1 if x >= x1 else x] = j
-                t += 1
+        for j, (m_lo, a, m_hi, b) in enumerate(ends):
+            first = m_lo + (a > at_or_below)
+            count = m_hi + 1 - (b <= below) - first
+            if count <= 0:
+                continue
+            _, _, _, _, _, inv, c = self._lap_table[j]
+            x = (yv + first) * inv + c
+            for _ in range(count):
+                # only the last lap reaches x_0 + 1
+                found[x - 1 if j == last and x >= x1 else x] = j
+                x += inv
         return found
 
     def fiber(self, y: Union[RationalLike, Angle]) -> tuple[Fraction, ...]:
@@ -489,23 +571,15 @@ def downward_pair_count(f: PLCircleMap, y: Union[RationalLike, Angle]) -> int:
     preimage component onto every arc ending at this level, whatever the
     start, so an arc can be unfolded only where this count is zero.
 
-    The count is the same at every level of a value gap, so each map keeps
-    it in its level table: the first query in a gap counts the crossing
-    word, later queries in that gap read the table.
+    The count is the same at every level of a value gap.  Each map counts
+    every gap once, in its level table, and this reads the table.
     """
     ya = _as_angle(y)
     if not f.is_regular_value(ya):
         raise EndpointNotRegular(f"{ya} is a critical value")
     residues, _, sweeps = f._level_table
     # below residues[0] is the wrap-around gap, the last one
-    gap = (bisect_right(residues, ya.value) - 1) % max(len(residues), 1)
-    count = sweeps.get(gap)
-    if count is None:
-        word = crossing_word(f, ya)
-        n = len(word)
-        count = sum(1 for i in range(n) if word[i] == -1 and word[(i + 1) % n] == -1)
-        sweeps[gap] = count
-    return count
+    return sweeps[(bisect_right(residues, ya.value) - 1) % len(sweeps)]
 
 
 def value_gaps(f: PLCircleMap) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -520,9 +594,10 @@ def value_gaps(f: PLCircleMap) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def _sweep_free_gap(f: PLCircleMap) -> tuple[Fraction, Fraction] | None:
     """The first value gap without a full downward sweep, or None."""
-    for lo, gw in value_gaps(f):
-        if downward_pair_count(f, lo + gw / 2) == 0:
-            return lo, gw
+    _, gaps, sweeps = f._level_table
+    for gap, count in zip(gaps, sweeps):
+        if count == 0:
+            return gap
     return None
 
 

@@ -99,23 +99,23 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
     n = len(table)
     if n == 0:
         raise BadParameter("empty table")
+    elements = set(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
             raise BadParameter(f"row {i} has length {len(row)}, expected {n}")
-        if any(not (0 <= v < n) for v in row):
+        if not elements.issuperset(row):
             raise BadParameter(f"row {i} has entries outside 0..{n - 1}")
     for j in range(n):
         if table[0][j] != j:
             raise BadParameter("row 0 is not the identity")
         if table[j][0] != j:
             raise BadParameter("column 0 is not the identity")
-    for i in range(n):
-        if len(set(table[i])) != n:
+    for i, (row, col) in enumerate(zip(table, zip(*table))):
+        if len(set(row)) != n:
             raise BadParameter(f"row {i} is not a permutation")
-        col = [table[k][i] for k in range(n)]
         if len(set(col)) != n:
             raise BadParameter(f"column {i} is not a permutation")
-        if 0 not in table[i]:
+        if 0 not in row:
             raise BadParameter(f"element {i} has no inverse")
     reached, gens = {0}, []
     for g in range(n):

@@ -71,7 +71,6 @@ from .circle_maps import (
     _lap_rows,
     _sweep_free_gap,
     classify_preimage,
-    downward_pair_count,
     frac,
     mod1,
     value_gaps,
@@ -153,13 +152,16 @@ def _lift_extrema(
     f: PLCircleMap, lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Exact min and max of the lift over [lo, hi]."""
+    xs, ls, n, d = f._xs, f._ls, f.lap_count, f.degree
     values = [f.lift_evaluate(lo), f.lift_evaluate(hi)]
-    for x, l in f.breakpoints:
-        k = math.ceil(lo - x)
-        while x + k < hi:
-            if x + k > lo:
-                values.append(l + k * f.degree)
-            k += 1
+    # vertex i of turn k sits at xs[i] + k; the first one above lo
+    turn = math.floor(lo - xs[0])
+    i, top = bisect_right(xs, lo - turn), hi - turn
+    while xs[i] < top:
+        values.append(ls[i] + turn * d)
+        i += 1
+        if i > n:  # xs[n] is xs[0] one turn on
+            i, turn, top = 1, turn + 1, top - 1
     return min(values), max(values)
 
 
@@ -372,16 +374,14 @@ def _sweep_free_end_reachable(f: PLCircleMap, arc: TransverseArc) -> bool:
     grown arc keeps a negative component, so a growth step accepts such a
     candidate only when it has none left.
     """
-    b = arc.ccw_end
-    if downward_pair_count(f, b) == 0:
-        return True
-    slack = 1 - arc.width
+    residues, _, sweeps = f._level_table
+    a, b = arc.ccw_start.value, arc.ccw_end.value
     # The crossing word is constant on a gap, so the part of b's own gap
-    # above b is swept like b; every other gap is entered at its low end.
-    return any(
-        mod1(lo - b.value) < slack and downward_pair_count(f, lo + gw / 2) == 0
-        for lo, gw in value_gaps(f)
-    )
+    # above b is swept like b; the gaps of the residues passed on the way
+    # to a are entered at their low ends.
+    above = bisect_right(residues, b)
+    passed = bisect_right(residues, a) - above + (len(residues) if a < b else 0)
+    return any(sweeps[(above + i) % len(sweeps)] == 0 for i in range(-1, passed))
 
 
 def _plain_eliminate(

@@ -147,6 +147,8 @@ def test_fiber_laps_match_the_laps_solved_one_by_one(monkeypatch):
     maps = [tent(), make_map([(F(1, 8), F(1, 3))], 3)]
     maps += [random_map(seed, 6, 2) for seed in range(20)]
     maps += [random_map(seed, 12, 4) for seed in range(20)]
+    maps += [random_map(seed, 40, 5) for seed in range(8)]
+    maps += [make_map([(F(3, 5), F(-7, 4))], d) for d in (-3, -2, -1, 1, 2, 3)]
     built, rows = [], circle_maps._lap_rows
     monkeypatch.setattr(
         circle_maps, "_lap_rows", lambda m, count: built.append(m) or rows(m, count)
@@ -391,6 +393,8 @@ def test_level_table_matches_the_crossing_words():
     maps = [tent(), make_map([(0, 0), (F(1, 2), F(8, 5))], 0)]
     maps += [make_map([(F(1, 8), F(1, 3))], 3), make_map([(F(1, 8), F(1, 3))], -2)]
     maps += [random_map(seed, 12, 4) for seed in range(30)]
+    maps += [random_map(seed, 40, 5) for seed in range(8)]
+    maps += [make_map([(F(3, 5), F(-7, 4))], d) for d in (-3, -2, -1, 1, 2, 3)]
     maps += [f.reflect() for f in maps]
     wrapped = 0
     for f in maps:
@@ -422,9 +426,7 @@ def test_each_map_keeps_its_own_level_table():
     assert f == g == h and f is not g and f is not h
     assert value_gaps(f) is value_gaps(f)
     assert value_gaps(g) is not value_gaps(f) and value_gaps(g) == value_gaps(f)
-    lo, width = value_gaps(g)[0]
-    downward_pair_count(g, lo + width / 2)
-    assert g._level_table.sweeps and not h._level_table.sweeps
+    assert g._level_table == h._level_table and g._level_table is not h._level_table
     assert f.reflect()._level_table is not f._level_table
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -35,6 +36,8 @@ from dpl.unfolding import (
     UnfoldingBlocked,
     _candidate_order,
     _growth_candidates,
+    _lift_extrema,
+    _sweep_free_end_reachable,
     _try_direction,
 )
 
@@ -118,6 +121,33 @@ def test_clockwise_scan_lists_the_arcs_it_passes():
     assert (path.end_component, path.skipped) == (3, (0, 1, 4, 5))
     assert path.level == path.path_min == F(-13, 16) and path.path_max == F(3, 4)
     assert path.one_sided
+
+
+def _scanned_extrema(f, lo, hi):
+    """Min and max of the lift over [lo, hi], trying every translate of
+    every breakpoint that could lie strictly inside."""
+    values = [f.lift_evaluate(lo), f.lift_evaluate(hi)]
+    for x, l in f.breakpoints:
+        k = math.ceil(lo - x)
+        while x + k < hi:
+            if x + k > lo:
+                values.append(l + k * f.degree)
+            k += 1
+    return min(values), max(values)
+
+
+def test_lift_extrema_match_the_scan_over_every_breakpoint():
+    maps = [random_map(seed, 12, 4) for seed in range(4)]
+    maps += [tent(), make_map([(F(3, 5), F(-7, 4))], -2)]
+    pairs = 0
+    for f in maps:
+        # vertices several turns away, and points between them
+        points = [x + k for x, _ in f.breakpoints for k in (-5, 0, 3)]
+        points += [F(n, 17) for n in range(-90, 90, 19)]
+        for lo, hi in itertools.combinations_with_replacement(sorted(set(points)), 2):
+            assert _lift_extrema(f, lo, hi) == _scanned_extrema(f, lo, hi), (f, lo, hi)
+            pairs += 1
+    assert pairs > 2000
 
 
 # ---------------------------------------------------------------- unfolding
@@ -253,6 +283,20 @@ def test_unfolding_is_blocked_exactly_out_of_sweep_free_reach():
             assert blocked == (not _sweep_free_reach(f, arc)), (f, arc)
             verdicts.append(blocked)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_sweep_free_end_reachable_matches_the_reach_oracle():
+    # every arc between gap-third levels, on maps with swept gaps as well
+    maps = [random_map(seed, 12, 4) for seed in range(20)]
+    maps += [deep_tent(), make_map([(F(3, 5), F(-7, 4))], -2)]
+    verdicts = []
+    for f in maps + [f.reflect() for f in maps]:
+        for a, b in itertools.permutations(_gap_thirds(f), 2):
+            arc = TransverseArc(a, b)
+            verdict = _sweep_free_end_reachable(f, arc)
+            assert verdict == _sweep_free_reach(f, arc), (f, arc)
+            verdicts.append(verdict)
+    assert 0 < verdicts.count(False) < len(verdicts) / 2
 
 
 def test_unfold_negative_degree_goes_through_reflection():
