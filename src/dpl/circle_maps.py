@@ -190,10 +190,10 @@ class _LapIndex(NamedTuple):
     ``residues`` are the lap ends' values mod 1, sorted: a folded map's
     critical levels, a fold-free map's anchor value.  Row j of ``ends`` is
     (m_lo, a, m_hi, b): lap j runs from m_lo + residues[a] up to
-    m_hi + residues[b].  Below a level y, let k be the index of the last
-    residue <= y (-1 below residues[0]).  At a regular y the lap then meets
-    y + m_lo + [a > k] first, and m_hi - m_lo + 1 - [b <= k] - [a > k]
-    times in all, one turn apart.
+    m_hi + residues[b].  For a level y in [0, 1), let k be the index of
+    the last residue <= y (-1 below residues[0]).  At a regular y the lap
+    then takes the value y + m_lo + [a > k] first, and meets the level
+    m_hi - m_lo + 1 - [b <= k] - [a > k] times in all, one turn apart.
     """
 
     residues: tuple[Fraction, ...]
@@ -379,8 +379,10 @@ class PLCircleMap:
 
         The :class:`_LapIndex` gives each lap's first value on y's level and
         how often it meets that level; laps that miss it cost no Fraction
-        work.  A lap whose top lies on the level meets it once more, so the
-        top is counted below the level (``bisect_left``), the bottom at it.
+        work.  At a critical level a lap also meets the level at an end
+        that lies on it, so its top is ranked against the residues below
+        the level (``bisect_left``) and its bottom against those at or
+        below it.
         """
         yv = _as_angle(y).value
         residues, ends = self._lap_index
