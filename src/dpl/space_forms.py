@@ -89,12 +89,13 @@ class FiniteSubgroupS3:
 def validate_table(table: Sequence[Sequence[int]]) -> None:
     """Check that the table is a group table with identity 0.
 
-    Closure, identity, inverses, and the Latin-square property are checked in
-    full.  Associativity is checked exactly, by Light's test: the elements g
-    with (xg)y = x(gy) for all x and y are closed under products, so it holds
-    everywhere once it holds for generators that reach every element by
-    right multiplication.  They are picked greedily, each the first element
-    not yet reached; a group of order n needs at most log2(n) of them.
+    Closure, identity, and the Latin-square property are checked in full;
+    inverses follow, as each row then holds the identity.  Associativity is
+    checked exactly, by Light's test: the elements g with (xg)y = x(gy) for
+    all x and y are closed under products, so it holds everywhere once it
+    holds for generators that reach every element by right multiplication.
+    They are picked greedily, each the first element not yet reached; a
+    group of order n needs at most log2(n) of them.
     """
     n = len(table)
     if n == 0:
@@ -115,8 +116,7 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
             raise BadParameter(f"row {i} is not a permutation")
         if len(set(col)) != n:
             raise BadParameter(f"column {i} is not a permutation")
-        if 0 not in row:
-            raise BadParameter(f"element {i} has no inverse")
+        # row i is now a permutation of 0..n-1, so it holds 0: i has an inverse
     reached, gens = {0}, []
     for g in range(n):
         if g in reached:

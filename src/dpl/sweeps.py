@@ -223,8 +223,8 @@ class DiskPlacement:
             return frames[0][1], frames[0][2]
         for (t0, p0, r0), (t1, p1, r1) in zip(frames, frames[1:]):
             if t <= t1:
-                if t0 == t1:
-                    return p1, r1
+                # t > t0 here (by the check before the loop, or the pair
+                # before), so the step has nonzero length
                 s = (t - t0) / (t1 - t0)
                 x = p0[0] + s * (p1[0] - p0[0])
                 y = p0[1] + s * (p1[1] - p0[1])

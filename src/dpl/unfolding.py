@@ -8,10 +8,10 @@ returns to its starting height.  Growth keeps the arcs nested, so the final
 arc contains the initial one as an open subset.
 
 Greedy growth is complete.  A step takes the first candidate arc with fewer
-negative components that has none left or can still move its end onto a
-level with no full downward sweep (two downward crossings of the level in a
-row).  A sweep pins a negative component onto every arc ending at its level,
-so when no such level is reachable no grown arc unfolds, and the step raises
+negative components that can still move its end onto a level with no full
+downward sweep (two downward crossings of the level in a row).  A sweep pins
+a negative component onto every arc ending at its level (Lemma A below), so
+when no such level is reachable no grown arc unfolds, and the step raises
 UnfoldingBlocked; the bundled generator rejects maps swept at every level.
 While one is reachable the step never stalls, by this lemma.
 
@@ -42,6 +42,39 @@ value, and the candidates offer a new endpoint in each gap the arc can grow
 into, on the near side of the other endpoint, so that arc's counts are a
 candidate's.  A candidate matching (a, b') ends in the gap of b'; one
 matching (s, b) keeps that gap within reach.  Either passes the step's guard.
+
+Lemma A.  If a regular level y outside the arc (a, b) is swept, then
+N(a, b) > 0.
+
+Proof.  Take consecutive crossings x1 < x2 of y, both downward.  On [x1, x2]
+the lift falls from a lift Y of y to Y - 1 and meets neither in between, so
+it stays in [Y - 1, Y], which holds lifts A < B of a and b.  After its last
+visit to B in [x1, x2] the lift stays below B, and up to its first visit to
+A after that it stays above A: that stretch falls from b to a inside (a, b),
+a negative component.
+
+Consequences.  If N(a, b) = 0, every value gap meeting [b, a] is sweep-free
+(a gap is open, so one holding b or a reaches past it, out of the arc).  So
+an arc with no negative component keeps a sweep-free end in reach, and
+passes the step's guard.  Growth never adds a negative component: one over a
+wider arc falls through the lifts B and A of the narrower arc's ends, and
+from its last visit to B up to its next visit to A it is one over the
+narrower arc.  So every growth candidate of an unfolded arc is unfolded too,
+and regular-value growth, which grows only unfolded arcs, is never blocked.
+
+Lemma B.  On a map of degree d >= 0, take a negative component over (a, b)
+ending at s, where the lift falls through a lift L of a.  Some positive
+component starts in (s, s + 1) at lift level L.
+
+Proof.  The lift is below L just after s and above L + d >= L just before
+s + 1, so its last crossing p of L in (s, s + 1) is upward: p enters the arc
+over a, and its component stays in (L, L + b - a) up to the next cut
+q <= s + 1 (s + 1 is a cut).  It cannot leave over a, at L.  No crossing of
+L lies in (p, s + 1), and at s + 1 either d > 0 and the lift is L + d,
+outside that window, or d = 0 and the cut ends the negative component, which
+entered over b.  So it leaves over b: a positive component at level L.  The
+counterclockwise walk from s meets its start, so every negative component of
+a growth step has a balanced path in that direction.
 """
 
 from __future__ import annotations
@@ -171,48 +204,46 @@ def _try_direction(
     start_index: int,
     direction: int,
 ) -> BalancedPath | None:
-    comp = cls.components[start_index]
+    """The first balanced partner the walk from the component meets, if any.
+
+    Components are disjoint and listed in domain order, so the walk from
+    the component's far end (its end counterclockwise, its start clockwise)
+    meets the others in cyclic index order, reversed clockwise.  It meets
+    each one's near end at its listed position, a turn on for those it
+    reaches by wrapping past an end of the list, shifted as the far end is
+    into [x_0, x_0 + 1).
+    """
+    comps = cls.components
+    comp = comps[start_index]
     opposite = "negative" if comp.kind == "positive" else "positive"
-    s = f.to_fundamental(comp.end if direction == 1 else comp.start)
+    far = comp.end if direction == 1 else comp.start
+    s = f.to_fundamental(far)
     level = f.lift_evaluate(s)
-
-    def ahead(x: Fraction) -> Fraction:
-        """Where the walk from s in its direction meets x, within one turn."""
-        e = f.to_fundamental(x)
-        if direction == 1:
-            return e if e > s else e + 1
-        return e if e < s else e - 1
-
-    candidates = [
-        (ahead(other.start if direction == 1 else other.end), idx)
-        for idx, other in enumerate(cls.components)
-        if idx != start_index and other.kind == opposite
-    ]
-    candidates.sort(reverse=(direction == -1))
-    for pos, idx in candidates:
-        if f.lift_evaluate(pos) != level:
-            continue
-        lo, hi = (s, pos) if direction == 1 else (pos, s)
-        path_min, path_max = _lift_extrema(f, lo, hi)
-        skipped = [
-            jdx
-            for jdx, other in enumerate(cls.components)
-            if jdx not in (start_index, idx)
-            and other.kind in ("positive", "negative")
-            and any(lo < ahead(e) < hi for e in (other.start, other.end))
-        ]
-        return BalancedPath(
-            start_component=start_index,
-            end_component=idx,
-            direction=direction,
-            start_point=s,
-            end_point=pos,
-            level=level,
-            path_min=path_min,
-            path_max=path_max,
-            one_sided=(path_max <= level) or (path_min >= level),
-            skipped=tuple(skipped),
-        )
+    passed = []
+    for k in range(1, len(comps)):
+        j = start_index + k * direction
+        idx = j % len(comps)
+        other = comps[idx]
+        if other.kind == opposite:
+            near = other.start if direction == 1 else other.end
+            pos = near + (s - far) + j // len(comps)
+            if f.lift_evaluate(pos) == level:
+                lo, hi = (s, pos) if direction == 1 else (pos, s)
+                path_min, path_max = _lift_extrema(f, lo, hi)
+                return BalancedPath(
+                    start_component=start_index,
+                    end_component=idx,
+                    direction=direction,
+                    start_point=s,
+                    end_point=pos,
+                    level=level,
+                    path_min=path_min,
+                    path_max=path_max,
+                    one_sided=(path_max <= level) or (path_min >= level),
+                    skipped=tuple(sorted(passed)),
+                )
+        if other.kind in ("positive", "negative"):
+            passed.append(idx)
     return None
 
 
@@ -226,7 +257,7 @@ def find_balanced_path(
 
     Scans counterclockwise first, then clockwise.  For a negative component
     of a map with nonnegative degree the counterclockwise scan always
-    succeeds, and the resulting path is one-sided.
+    succeeds (Lemma B in the module docstring).
     """
     canonical = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classification
@@ -339,23 +370,22 @@ def _growth_candidates(
 
 
 def _candidate_order(
-    f: PLCircleMap, arc: TransverseArc, need: Fraction | None
+    f: PLCircleMap, arc: TransverseArc, need: Fraction
 ) -> Iterator[Candidate]:
-    """Every growth candidate of the arc, narrowest first.
+    """Every growth candidate of the arc: the first start candidate wider
+    than ``need``, then the rest narrowest first.
 
-    With ``need`` given, the first start candidate wider than ``need``
-    comes first.  Only the start candidates up to it are made before it;
-    the rest of both sides follow on demand.
+    Only the start candidates up to it are made before it; the rest of both
+    sides follow on demand.
     """
     starts = _growth_candidates(f, arc, "start")
     ends = _growth_candidates(f, arc, "end")
     passed = []
-    if need is not None:
-        for cand in starts:
-            if cand[0] > need:
-                yield cand
-                break
-            passed.append(cand)
+    for cand in starts:
+        if cand[0] > need:
+            yield cand
+            break
+        passed.append(cand)
     yield from heapq.merge(passed, starts, ends)
 
 
@@ -370,9 +400,9 @@ def _candidate_arc(
 def _sweep_free_end_reachable(f: PLCircleMap, arc: TransverseArc) -> bool:
     """Whether the arc's end can grow onto a level with no full downward sweep.
 
-    The end moves counterclockwise, short of the start.  False means every
-    grown arc keeps a negative component, so a growth step accepts such a
-    candidate only when it has none left.
+    The end moves counterclockwise, short of the start.  False means the
+    arc and every grown arc keep a negative component (Lemma A in the
+    module docstring), so a growth step never accepts such a candidate.
     """
     residues, _, sweeps = f._level_table
     a, b = arc.ccw_start.value, arc.ccw_end.value
@@ -391,9 +421,9 @@ def _plain_eliminate(
 
     Each step classifies candidates, made on demand in the order of
     :func:`_candidate_order`, and takes the first with fewer negative
-    components that has none left or keeps a sweep-free end in reach.
-    ``need`` asks for a start below the lowest value of the balanced path
-    that witnesses the first negative component.
+    components that keeps a sweep-free end in reach.  ``need`` asks for a
+    start below the lowest value of the balanced path that witnesses the
+    first negative component; Lemma B says that path exists.
     """
     cur = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classify_preimage(f, cur)
@@ -402,22 +432,18 @@ def _plain_eliminate(
         start_index = next(
             i for i, c in enumerate(cls.components) if c.kind == "negative"
         )
-        try:
-            path = find_balanced_path(f, cur, start_index, cls)
-        except NoOppositeArc:
-            path = None
-        need = None
-        if path is not None:
-            need = cur.width + (path.level - path.path_min)
+        path = _try_direction(f, cls, start_index, 1)
+        need = cur.width + (path.level - path.path_min)
         for _, side, point in _candidate_order(f, cur, need):
             cand = _candidate_arc(cur, side, point)
             new_cls = classify_preimage(f, cand)
-            if new_cls.negative_count < cls.negative_count and (
-                new_cls.negative_count == 0 or _sweep_free_end_reachable(f, cand)
+            if (
+                new_cls.negative_count < cls.negative_count
+                and _sweep_free_end_reachable(f, cand)
             ):
                 break
         else:
-            # the module's lemma: a stall means no sweep-free end is in reach
+            # the module's first lemma: a stall means no sweep-free end is in reach
             assert not _sweep_free_end_reachable(f, cur), "greedy growth stalled"
             raise UnfoldingBlocked(
                 "every reachable end position is crossed by a full downward sweep"
@@ -519,10 +545,9 @@ def eliminate_negative_arcs(
             want = "start" if grow_start else "end"
             for _, side, point in _growth_candidates(f, cur, want):
                 cand = _candidate_arc(cur, side, point)
-                try:
-                    cand_final, cand_steps, cand_cls = _plain_eliminate(f, cand)
-                except UnfoldingBlocked:
-                    continue
+                # growing the unfolded cur adds no negative component (see the
+                # consequences of Lemma A), so this never blocks
+                cand_final, cand_steps, cand_cls = _plain_eliminate(f, cand)
                 cand_blockers = _blocking_neutrals(f, cand_cls, z)
                 if len(cand_blockers) < len(blockers):
                     steps.append(

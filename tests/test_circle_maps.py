@@ -97,6 +97,12 @@ def test_make_map_rejects_bad_vertex_data():
         make_map([(0, 0), (F(1, 2), 1)], 0)
 
 
+@pytest.mark.parametrize("x", [1, F(-1, 8)], ids=["one", "negative"])
+def test_make_map_refuses_a_vertex_outside_the_unit_interval(x):
+    with pytest.raises(NonIncreasingDomain, match=r"must lie in \[0, 1\)"):
+        make_map([(0, 0), (x, F(1, 2))], 0)
+
+
 def test_tent_basic_shape():
     f = tent()
     assert f.degree == 0

@@ -185,9 +185,36 @@ def test_degenerate_polygons_are_rejected():
         planar_self_crossings([(0, 0), (1, 1)])
     with pytest.raises(DegeneratePosition):
         planar_self_crossings([(0, 0), (1, 0), (0, 0), (1, 1)])
-    with pytest.raises(DegeneratePosition):
-        # the vertex (2, 2) lands on the interior of the first edge
+    with pytest.raises(DegeneratePosition, match="fold back"):
+        # the closing edge from (2, 2) runs back along the first edge
         planar_self_crossings([(0, 0), (4, 4), (4, 0), (2, 2)])
+
+
+@pytest.mark.parametrize(
+    "polygon, message",
+    [
+        pytest.param(
+            [(0, 0), (2, 0), (3, 1), (3, 0), (1, 0), (1, -1)],
+            "collinear overlapping edges",
+            id="collinear",
+        ),
+        pytest.param(
+            # the vertex (2, 0) lies inside the first edge
+            [(0, 0), (4, 0), (4, 2), (2, 0), (0, 2)],
+            "edge endpoint touches another edge",
+            id="touching",
+        ),
+        pytest.param(
+            # three edges through the origin
+            [(-2, 0), (2, 0), (0, 2), (0, -2), (3, 3), (-3, -3)],
+            "three or more edges concurrent at a point",
+            id="concurrent",
+        ),
+    ],
+)
+def test_planar_self_crossings_refuses_non_generic_polygons(polygon, message):
+    with pytest.raises(DegeneratePosition, match=message):
+        planar_self_crossings(polygon)
 
 
 # ---------------------------------------------------------------- the walker

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dpl import (
@@ -126,6 +128,24 @@ def test_validate_table_catches_defects():
     ]
     with pytest.raises(BadParameter, match="associativity fails"):
         validate_table(big)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        pytest.param([[0, 1], [1]], "row 1 has length 1, expected 2", id="ragged row"),
+        pytest.param([[0, 1], [1, 2]], "row 1 has entries outside 0..1", id="range"),
+        pytest.param([[0, 1], [0, 1]], "column 0 is not the identity", id="column 0"),
+        pytest.param(
+            [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+            "column 1 is not a permutation",
+            id="column not a permutation",
+        ),
+    ],
+)
+def test_validate_table_refuses_malformed_tables(table, message):
+    with pytest.raises(BadParameter, match=re.escape(message)):
+        validate_table(table)
 
 
 def test_from_table_roundtrip():

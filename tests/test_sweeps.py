@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from dpl import (
+    InfeasibleParameters,
     SweepMovie,
     assign_disks,
     embedding_certificate,
@@ -91,6 +92,33 @@ def test_movie_rejects_label_abuse():
     )
     with pytest.raises(DanglingLabel):
         validate_movie(movie)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(
+            lambda: validate_movie(
+                SweepMovie(
+                    initial=("a",),
+                    events=(make_event(F(1, 2), "split", "a", "b", "b"),),
+                )
+            ),
+            DoubleBirth,
+            "a split must produce two distinct labels",
+            id="split into equal labels",
+        ),
+        pytest.param(
+            lambda: random_movie(0, max_events=-1),
+            InfeasibleParameters,
+            "max_events must be nonnegative",
+            id="negative max_events",
+        ),
+    ],
+)
+def test_sweeps_refuse_malformed_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_merge_needs_two_distinct_circles():
@@ -203,3 +231,36 @@ def test_census_rejects_unknown_moves():
     data = {"initial": ["a"], "final": 1, "moves": [{"kind": "twist", "in": ["a"], "out": ["a2"]}]}
     report = surgery_census(data)
     assert any("twist" in d for d in report.deviations)
+
+
+@pytest.mark.parametrize(
+    "data, deviation",
+    [
+        pytest.param(
+            {"initial": ["a", "a"], "final": 2, "moves": []},
+            "initial labels are not distinct",
+            id="repeated initial labels",
+        ),
+        pytest.param(
+            {"initial": ["a"], "moves": [{"kind": "split", "in": ["a"], "out": ["b"]}]},
+            "move 0: split has arity 1->1",
+            id="wrong arity",
+        ),
+        pytest.param(
+            {
+                "initial": ["a", "b"],
+                "moves": [{"kind": "band", "in": ["a"], "out": ["b"]}],
+            },
+            "move 0: output 'b' already exists",
+            id="existing output",
+        ),
+        pytest.param(
+            {"initial": [], "moves": []},
+            "parity check impossible: counts must be positive and n nonnegative",
+            id="parity check impossible",
+        ),
+    ],
+)
+def test_census_reports_each_deviation(data, deviation):
+    report = surgery_census(data)
+    assert deviation in report.deviations

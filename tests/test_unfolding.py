@@ -10,6 +10,7 @@ from dpl import (
     Angle,
     EndpointNotRegular,
     InfeasibleParameters,
+    NonIncreasingDomain,
     TransverseArc,
     build_euler_graph,
     classify_preimage,
@@ -20,6 +21,7 @@ from dpl import (
     make_interval_map,
     make_map,
     pair_count_check,
+    random_admissible_graph,
     random_map,
     resolution_choices,
     surgery_parity,
@@ -34,9 +36,11 @@ from dpl.unfolding import (
     NoOppositeArc,
     PreconditionUnmet,
     UnfoldingBlocked,
+    _candidate_arc,
     _candidate_order,
     _growth_candidates,
     _lift_extrema,
+    _plain_eliminate,
     _sweep_free_end_reachable,
     _try_direction,
 )
@@ -88,8 +92,16 @@ def test_balanced_path_absent_partner():
     f = make_map([(0, 0)], 2)  # no folds: positive components only
     arc = TransverseArc(Angle(F(1, 8)), Angle(F(1, 4)))
     cls = classify_preimage(f, arc)
-    with pytest.raises(NoOppositeArc):
+    with pytest.raises(NoOppositeArc, match="no opposite-sign arcs exist"):
         find_balanced_path(f, arc, 0, cls)
+    # Opposite arcs exist, but at negative degree Lemma B does not hold:
+    # neither walk from component 2 meets the one positive arc at its level.
+    f = make_map([(F(1, 8), F(1, 4)), (F(3, 4), F(67, 64))], -2)
+    arc = TransverseArc(Angle(F(33, 64)), Angle(F(25, 32)))
+    cls = classify_preimage(f, arc)
+    assert [c.kind for c in cls.components] == ["positive"] + ["negative"] * 3
+    with pytest.raises(NoOppositeArc, match="required lift level"):
+        find_balanced_path(f, arc, 2, cls)
 
 
 def test_balanced_path_classifies_the_arc_when_not_given_a_classification():
@@ -121,6 +133,16 @@ def test_clockwise_scan_lists_the_arcs_it_passes():
     assert (path.end_component, path.skipped) == (3, (0, 1, 4, 5))
     assert path.level == path.path_min == F(-13, 16) and path.path_max == F(3, 4)
     assert path.one_sided
+
+
+def test_growth_witness_need_not_be_one_sided():
+    # Lemma B promises a counterclockwise partner, not a one-sided path:
+    # the second step's path rises above its level and falls below it
+    _, trace = eliminate_negative_arcs(random_map(199, 6, 2))
+    path = trace.steps[1].path
+    assert (path.direction, path.start_component, path.end_component) == (1, 3, 1)
+    assert path.path_min < path.level < path.path_max
+    assert not path.one_sided
 
 
 def _scanned_extrema(f, lo, hi):
@@ -227,7 +249,6 @@ def test_growth_candidates_come_in_width_order():
             for a, b in rng.sample(pairs, min(6, len(pairs))):
                 arc = TransverseArc(a, b)
                 want = _sorted_candidates(f, arc)
-                assert list(_candidate_order(f, arc, None)) == want, (f, arc)
                 for side in ("start", "end"):
                     got = list(_growth_candidates(f, arc, side))
                     assert got == [c for c in want if c[1] == side], (f, arc)
@@ -261,6 +282,69 @@ def test_growth_lemma_holds_on_seeded_configurations():
                     checked += 1
                     live += n_ab > 0
     assert checked > 500 and live > 200
+
+
+def _swept_bases(count):
+    """Maps of nonnegative degree, each with a swept value gap."""
+    maps = (random_map(seed, (6, 8, 12)[seed % 3], 3) for seed in itertools.count())
+    bases = (f if f.degree >= 0 else f.reflect() for f in maps)
+    swept = (
+        f for f in bases
+        if any(downward_pair_count(f, lo + gw / 2) for lo, gw in value_gaps(f))
+    )
+    return list(itertools.islice(swept, count))
+
+
+def test_lemma_a_no_negative_component_means_no_sweep_outside():
+    # an arc with no negative component has no swept level outside it, so
+    # its own end is a sweep-free level in reach
+    unfolded = 0
+    for f in _swept_bases(16):
+        levels = _gap_thirds(f)
+        for a, b in itertools.permutations(levels, 2):
+            arc = TransverseArc(a, b)
+            if classify_preimage(f, arc).negative_count:
+                continue
+            outside = [y for y in levels if not arc.contains(y) and y not in (a, b)]
+            assert not any(downward_pair_count(f, y) for y in outside), (f, arc)
+            assert _sweep_free_end_reachable(f, arc), (f, arc)
+            unfolded += 1
+    assert unfolded > 1000
+
+
+def test_growth_candidates_of_an_unfolded_arc_are_unfolded():
+    # what regular-value mode does: unfold each candidate of an unfolded arc
+    candidates = 0
+    for f in _swept_bases(40):
+        final, _ = eliminate_negative_arcs(f)
+        for side in ("start", "end"):
+            for _, _, point in _growth_candidates(f, final, side):
+                cand = _candidate_arc(final, side, point)
+                grown, steps, cls = _plain_eliminate(f, cand)
+                assert (grown, len(steps), cls.negative_count) == (cand, 1, 0)
+                assert _sweep_free_end_reachable(f, cand)
+                candidates += 1
+    assert candidates > 200
+
+
+def test_lemma_b_every_negative_component_has_a_counterclockwise_partner():
+    negatives = 0
+    for seed in range(120):
+        f = random_map(seed, (8, 12, 40)[seed % 3], 4)
+        base = f if f.degree >= 0 else f.reflect()
+        rng = random.Random(seed)
+        pairs = list(itertools.permutations(_gap_thirds(base), 2))
+        for a, b in rng.sample(pairs, min(12, len(pairs))):
+            cls = classify_preimage(base, TransverseArc(a, b))
+            for i, comp in enumerate(cls.components):
+                if comp.kind != "negative":
+                    continue
+                path = _try_direction(base, cls, i, 1)
+                assert path is not None, (base, a, b, i)
+                assert cls.components[path.end_component].kind == "positive"
+                assert path.level == base.lift_evaluate(path.start_point)
+                negatives += 1
+    assert negatives > 800
 
 
 def test_unfolding_is_blocked_exactly_out_of_sweep_free_reach():
@@ -414,6 +498,34 @@ def test_interval_map_validation():
         make_interval_map([(0, 0), (F(1, 2), 0), (1, 1)])
     with pytest.raises(PreconditionUnmet):
         make_interval_map([(0, F(1, 8)), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(
+            lambda: make_interval_map([(0, 0), (F(1, 2), F(1, 2)), (F(1, 2), 1)]),
+            NonIncreasingDomain,
+            "breakpoint positions must strictly increase",
+            id="positions",
+        ),
+        pytest.param(
+            lambda: make_interval_map([(0, 0), (F(1, 2), F(3, 2)), (1, 1)]),
+            PreconditionUnmet,
+            r"values must stay inside \[0, 1\]",
+            id="values",
+        ),
+        pytest.param(
+            lambda: random_admissible_graph(0, -1),
+            InfeasibleParameters,
+            "vertex count must be nonnegative",
+            id="vertex count",
+        ),
+    ],
+)
+def test_unfolding_refuses_malformed_input(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 # ---------------------------------------------------------------- euler graphs
