@@ -269,6 +269,10 @@ def _step_payload(step) -> dict:
 
 
 def _cmd_unfold(args):
+    if args.mode == "plain" and args.value is not None:
+        raise ValueError("--value needs --mode regular-value")
+    if args.mode == "regular-value" and args.arc is not None:
+        raise ValueError("--mode regular-value builds its own arc; drop --arc")
     f = _load_map(args.map)
     arc = _arc_from(args)
     value = None if args.value is None else frac(args.value)
@@ -309,6 +313,8 @@ def _cmd_hopf(args):
 def _cmd_group(args):
     payload = {"command": "group", "family": args.family, "n": args.n}
     if args.family == "infinite":
+        if args.n is not None:
+            raise ValueError("the infinite family takes no order")
         result = {
             "family": "infinite",
             "order": None,
@@ -334,10 +340,13 @@ def _cmd_group(args):
 
 
 def _cmd_dcover_check(args):
-    payload = {"command": "dcover-check", "degree": args.degree, "upto": args.upto}
+    if args.degree is not None and args.upto is not None:
+        raise ValueError("dcover-check takes a degree or --upto, not both")
+    upto = 12 if args.upto is None else args.upto
+    payload = {"command": "dcover-check", "degree": args.degree, "upto": upto}
     if args.degree is None:
-        _at_least("--upto", args.upto, 2)
-        degrees = list(range(2, args.upto + 1))
+        _at_least("--upto", upto, 2)
+        degrees = list(range(2, upto + 1))
     else:
         degrees = [args.degree]  # dcover_consistency refuses degrees below 1
     reports = [dcover_consistency(d) for d in degrees]
@@ -555,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="match circle covers against the group model",
     )
     p.add_argument("degree", nargs="?", type=int, default=None)
-    p.add_argument("--upto", type=int, default=12)
+    p.add_argument("--upto", type=int, default=None, help="default 12")
     p.set_defaults(fn=_cmd_dcover_check)
 
     p = sub.add_parser(

@@ -105,26 +105,38 @@ class QuotientComponent:
 
 
 def _equal_value_pieces(
-    rows_x: Sequence[tuple], rows_y: Sequence[tuple], shifted: bool
-) -> Iterator[tuple[int, int, int, Point, Point]]:
+    rows_x: Sequence[tuple], rows_y: Sequence[tuple], degree: int | None
+) -> Iterator[tuple[int, int, int, Point, Point, tuple[int, int, int]]]:
     """Clip {A_i(x) = B_j(y) + k} to every lap rectangle i x j, in (i, j, k) order.
 
-    ``shifted``: every integer k, leaving out the diagonal (i = j, k = 0),
-    for the two coordinates of one circle map; otherwise k = 0 only.  Yields
-    (i, j, k, start, end), ordered so that the x-displacement has the sign
-    of B's slope (the canonical orientation); empty and one-point overlaps
-    are skipped.
+    ``degree``: the degree of the one circle map both coordinates read, for
+    every integer k, leaving out the diagonal (i = j, k = 0); None for an
+    interval pair, k = 0 only.  Yields (i, j, k, start, end, after), ordered
+    so that the x-displacement has the sign s_b of B's slope and the
+    y-displacement that of A's, s_a (the canonical orientation); empty and
+    one-point overlaps are skipped.
     Each end of a piece lies on an edge of its rectangle, so one of its
     coordinates is a lap end and only the other needs arithmetic.
+
+    ``after`` keys the rectangle the curve enters at the end: across B's
+    edge into lap j + s_a, or else across A's edge into lap i + s_b.  On the
+    circle a lap index past either end wraps mod n and shifts k by the
+    degree; off an interval pair's square it keys no rectangle.  A
+    rectangle holds at most one piece, and the one entered starts where
+    this one ends.  Genericity leaves corners only on the diagonal, and a
+    piece ending there keys the diagonal rectangle, which holds none.
     """
+    n = len(rows_x)
     for i, (up_a, alo, xa_lo, ahi, xa_hi, ia, ca) in enumerate(rows_x):
+        s_a = 1 if up_a else -1
         for j, (up_b, blo, yb_lo, bhi, yb_hi, ib, cb) in enumerate(rows_y):
-            if shifted:
-                ks = range(math.ceil(alo - bhi), math.floor(ahi - blo) + 1)
-            else:
+            s_b = 1 if up_b else -1
+            if degree is None:
                 ks = (0,)
+            else:
+                ks = range(math.ceil(alo - bhi), math.floor(ahi - blo) + 1)
             for k in ks:
-                if shifted and k == 0 and i == j:
+                if degree is not None and k == 0 and i == j:
                     continue  # the diagonal itself
                 vlo, vhi = blo + k, bhi + k
                 on_b_lo, on_b_hi = vlo > alo, vhi < ahi
@@ -136,7 +148,30 @@ def _equal_value_pieces(
                     continue
                 lo = (vlo * ia + ca, yb_lo) if on_b_lo else (xa_lo, (vlo - k) * ib + cb)
                 hi = (vhi * ia + ca, yb_hi) if on_b_hi else (xa_hi, (vhi - k) * ib + cb)
-                yield (i, j, k, lo, hi) if up_a == up_b else (i, j, k, hi, lo)
+                if up_a == up_b:
+                    start, end, on_b = lo, hi, on_b_hi
+                else:
+                    start, end, on_b = hi, lo, on_b_lo
+                ii, jj = (i, j + s_a) if on_b else (i + s_b, j)
+                kk = k
+                if degree is not None:  # wrap a lap index past either end
+                    turns_x, ii = divmod(ii, n)
+                    turns_y, jj = divmod(jj, n)
+                    kk += (turns_y - turns_x) * degree
+                yield i, j, k, start, end, (ii, jj, kk)
+
+
+def _glued_pieces(
+    rows_x: Sequence[tuple], rows_y: Sequence[tuple], degree: int | None
+) -> tuple[list[tuple], list[int]]:
+    """The pieces of :func:`_equal_value_pieces`, and what each end glues to.
+
+    ``succ[a]`` is the index of the piece the curve enters at a's end, -1
+    where that rectangle holds none (a diagonal end, or the square's edge).
+    """
+    pieces = list(_equal_value_pieces(rows_x, rows_y, degree))
+    index = {piece[:3]: a for a, piece in enumerate(pieces)}
+    return pieces, [index.get(piece[5], -1) for piece in pieces]
 
 
 def _chains(nodes: Sequence[int], succ: list[int]) -> list[tuple[int, ...]]:
@@ -193,10 +228,15 @@ def _groups(nodes: Iterable[Hashable], links: Iterable[tuple]) -> list[list]:
     return sorted([sorted(m) for n, m in owner.items() if m[0] == n])
 
 
-def _raw_segments(f: PLCircleMap) -> list[CurveSegment]:
-    """Every straight piece of the curve, sorted by key."""
+def _raw_segments(f: PLCircleMap) -> tuple[list[CurveSegment], list[int]]:
+    """Every straight piece of the curve, sorted by key, and its gluing.
+
+    ``succ[a]`` is the index of the segment that follows segment a along the
+    canonical orientation, or -1 where a's end lies on the diagonal.
+    """
     rows = f._lap_table
-    return [CurveSegment(*piece) for piece in _equal_value_pieces(rows, rows, True)]
+    pieces, succ = _glued_pieces(rows, rows, f.degree)
+    return [CurveSegment(*piece[:5]) for piece in pieces], succ
 
 
 def _torus_key(x1: Fraction, p: Point) -> tuple[Fraction, Fraction]:
@@ -298,20 +338,8 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
     starts there, and the second's the same on y: an integer by
     construction, with no fractional winding left to check.
     """
-    segs = _raw_segments(f)
+    segs, succ = _raw_segments(f)
     x1 = f.breakpoints[0][0] + 1
-    starts: dict[tuple[Fraction, Fraction], int] = {}
-    for si, seg in enumerate(segs):
-        key = _torus_key(x1, seg.start)
-        if key[0] != key[1]:
-            if key in starts:
-                raise AssertionError(f"non-manifold gluing at {key}")
-            starts[key] = si
-    # Canonical orientations agree along components, so off the diagonal
-    # every segment end is the start of the next segment.
-    ends = [_torus_key(x1, seg.end) for seg in segs]
-    succ = [starts.get(key, -1) for key in ends]
-
     # Components are numbered by the key of their first segment (an arc's
     # diagonal start, a circle's least segment); segments are sorted by key,
     # so sorting the runs gives that order.
@@ -323,7 +351,7 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
             p2 = sum((s.end[1] == x1) - (s.start[1] == x1) for s in chain)
             components.append(CurveComponent(index, "circle", chain, p1, p2, None))
             continue
-        c_from, c_to = _torus_key(x1, chain[0].start), ends[run[-1]]
+        c_from, c_to = _torus_key(x1, chain[0].start), _torus_key(x1, chain[-1].end)
         if c_from[0] != c_from[1] or c_to[0] != c_to[1]:
             raise AssertionError(f"open piece {c_from} -> {c_to} off the diagonal")
         ends_at = (c_from[0], c_to[0])

@@ -108,7 +108,7 @@ from .circle_maps import (
     mod1,
     value_gaps,
 )
-from .double_points import _chains, _equal_value_pieces, _groups, double_point_curve
+from .double_points import _chains, _glued_pieces, _groups, double_point_curve
 
 __all__ = [
     "NoOppositeArc",
@@ -332,10 +332,15 @@ def _growth_candidates(
     of the circle outside the arc, and stops at the first residue inside
     the arc.  Each step of the walk adds a whole gap to the distance from
     r to the end, while the new start sits at most half of the gap below
-    r, so widths rise strictly along the walk.  Inside the arc only the
-    first residue above the start can offer a wider arc, when its half gap
-    clears the start; that one candidate is merged in.  The end side
-    mirrors this, walking counterclockwise from the residue above the end.
+    r, so widths rise strictly along the walk.  The end side mirrors this,
+    walking counterclockwise from the residue above the end.
+
+    The first residue inside the arc could offer a wider arc too, when its
+    half gap clears the endpoint; it is left out.  Its new endpoint stays
+    in the endpoint's own value gap, so no component changes kind and the
+    count it offers is the arc's own.  Nor is such a start ever the first
+    one wider than a balanced path's ``need``: the path's lift turns at a
+    fold value at or below the floor of the start's gap.
     """
     a, b = arc.ccw_start.value, arc.ccw_end.value
     w = arc.width
@@ -344,49 +349,44 @@ def _growth_candidates(
     grow_end = side == "end"
     # the residue just below the endpoint that moves
     below = bisect_right(gaps, b if grow_end else a, key=itemgetter(0)) - 1
-
-    def offer(k: int) -> tuple[Fraction, Candidate]:
-        """Residue k's distance from the fixed endpoint, and its candidate."""
-        k %= n
+    for step in range(n):
+        k = (below + 1 + step if grow_end else below - step) % n
         r = gaps[k][0]
         if grow_end:
             reach = mod1(r - a)
             delta = min(gaps[k][1], 1 - reach) / 2
-            return reach, (reach + delta, side, mod1(r + delta))
-        reach = mod1(b - r)
-        delta = min(gaps[k - 1][1], 1 - reach) / 2
-        return reach, (reach + delta, side, mod1(r - delta))
-
-    def walk() -> Iterator[Candidate]:
-        for step in range(n):
-            reach, cand = offer(below + 1 + step if grow_end else below - step)
-            if reach < w:  # the residue lies inside the arc
-                return
-            yield cand
-
-    reach, cand = offer(below if grow_end else below + 1)
-    near = [cand] if reach < w < cand[0] else []
-    return heapq.merge(near, walk())
+            point = mod1(r + delta)
+        else:
+            reach = mod1(b - r)
+            delta = min(gaps[k - 1][1], 1 - reach) / 2
+            point = mod1(r - delta)
+        if reach < w:  # the residue lies inside the arc
+            return
+        yield reach + delta, side, point
 
 
 def _candidate_order(
     f: PLCircleMap, arc: TransverseArc, need: Fraction
 ) -> Iterator[Candidate]:
-    """Every growth candidate of the arc: the first start candidate wider
-    than ``need``, then the rest narrowest first.
+    """The first start candidate wider than ``need``, then the narrower
+    start candidates and the end candidates, narrowest first.
 
-    Only the start candidates up to it are made before it; the rest of both
-    sides follow on demand.
+    Only the start candidates up to it are made before it, and the end
+    candidates on demand.  Wider start candidates are never made.  The
+    first pick's start lies below the lowest value of the balanced path
+    that ``need`` measures, so that path's negative component turns
+    neutral, and by Lemma A no new one comes: it always has fewer negative
+    components.  The step's guard can refuse it only for want of a
+    sweep-free end in reach, and a wider start leaves the end less room.
     """
     starts = _growth_candidates(f, arc, "start")
-    ends = _growth_candidates(f, arc, "end")
     passed = []
     for cand in starts:
         if cand[0] > need:
             yield cand
             break
         passed.append(cand)
-    yield from heapq.merge(passed, starts, ends)
+    yield from heapq.merge(passed, _growth_candidates(f, arc, "end"))
 
 
 def _candidate_arc(
@@ -423,7 +423,9 @@ def _plain_eliminate(
     :func:`_candidate_order`, and takes the first with fewer negative
     components that keeps a sweep-free end in reach.  ``need`` asks for a
     start below the lowest value of the balanced path that witnesses the
-    first negative component; Lemma B says that path exists.
+    first negative component; Lemma B says that path exists.  The reach
+    guard is needed: a first pick can lower the count and still leave no
+    sweep-free end in reach, and growth from there would stall.
     """
     cur = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classify_preimage(f, cur)
@@ -546,22 +548,17 @@ def eliminate_negative_arcs(
             for _, side, point in _growth_candidates(f, cur, want):
                 cand = _candidate_arc(cur, side, point)
                 # growing the unfolded cur adds no negative component (see the
-                # consequences of Lemma A), so this never blocks
-                cand_final, cand_steps, cand_cls = _plain_eliminate(f, cand)
+                # consequences of Lemma A), so the candidate is unfolded as is
+                cand_cls = classify_preimage(f, cand)
                 cand_blockers = _blocking_neutrals(f, cand_cls, z)
                 if len(cand_blockers) < len(blockers):
-                    steps.append(
-                        UnfoldStep(
-                            arc=cur,
-                            negative_count=0,
-                            positive_count=cls.positive_count,
-                            path=None,
-                            extended_start=cand.start if grow_start else None,
-                            extended_end=None if grow_start else cand.end,
-                        )
-                    )
-                    steps.extend(cand_steps)
-                    cur, cls, blockers = cand_final, cand_cls, cand_blockers
+                    grown = (cand.start, None) if grow_start else (None, cand.end)
+                    counts = (cand_cls.negative_count, cand_cls.positive_count)
+                    steps += [
+                        UnfoldStep(cur, 0, cls.positive_count, None, *grown),
+                        UnfoldStep(cand, *counts, None, None, None),
+                    ]
+                    cur, cls, blockers = cand, cand_cls, cand_blockers
                     break
             else:
                 raise UnfoldingBlocked(
@@ -755,34 +752,16 @@ def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
 
     rows_a = _lap_rows(fa, len(fa.breakpoints) - 1)
     rows_b = _lap_rows(fb, len(fb.breakpoints) - 1)
-    segs = [piece[3:] for piece in _equal_value_pieces(rows_a, rows_b, False)]
-
-    # Canonically oriented segments glue end to start; loose ends of the
-    # open runs must lie on the square's boundary.
-    starts: dict[tuple[Fraction, Fraction], int] = {}
-    for si, (p, _) in enumerate(segs):
-        if p in starts:
-            raise AssertionError(f"non-manifold solution set at {p}")
-        starts[p] = si
-    succ = [starts.get(q, -1) for _, q in segs]
-    runs = _chains(range(len(segs)), succ)
-    loose: dict[tuple[Fraction, Fraction], list[tuple[Fraction, Fraction]]] = {}
-    for run in runs:
-        if succ[run[-1]] >= 0:
-            continue
-        pts = [segs[run[0]][0]] + [segs[si][1] for si in run]
-        for p in (pts[0], pts[-1]):
-            if not (p[0] in (lo, hi) or p[1] in (lo, hi)):
-                raise AssertionError(f"non-manifold solution set at {p}")
-        loose[pts[0]] = pts
-        loose[pts[-1]] = pts[::-1]
-
-    corner0, corner1 = (lo, lo), (hi, hi)
-    if corner0 not in loose or corner1 not in loose:
+    pieces, succ = _glued_pieces(rows_a, rows_b, None)
+    runs = _chains(range(len(pieces)), succ)
+    # Both first laps rise from the corner (lo, lo), so the first piece
+    # starts there, has no predecessor and begins the first run.
+    first = runs[0]
+    witness = [pieces[first[0]][3]] + [pieces[si][4] for si in first]
+    if witness[0] != (lo, lo):
         raise AssertionError("corner solutions missing")
-    witness = loose[corner0]
     return CornerReport(
-        connected=witness[-1] == corner1,
+        connected=witness[-1] == (hi, hi),
         witness=tuple(witness),
         collar_extended=collar,
         component_count=len(runs),

@@ -359,6 +359,15 @@ REFUSED = [
     ("dcover upto not an int", ["dcover-check", "--upto", "x"], None),
     ("analyze without a map", ["analyze"], None),
     ("group extra argument", ["group", "cyclic", "4", "5"], None),
+    ("unfold value in plain mode", ["unfold", "FILE", "--value", "1/8"], TENT),
+    (
+        "unfold arc in regular-value mode",
+        ["unfold", "FILE", "--mode", "regular-value", "--value", "1/8"]
+        + ["--arc", "1/4", "3/8"],
+        TENT,
+    ),
+    ("group infinite with an order", ["group", "infinite", "3"], None),
+    ("dcover degree and upto", ["dcover-check", "3", "--upto", "6"], None),
 ]
 
 

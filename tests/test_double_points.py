@@ -247,6 +247,34 @@ def test_chains_refuses_two_pieces_continuing_into_one():
         dpl.double_points._chains(range(3), [2, 2, -1])
 
 
+def _point_glued(segs, x1):
+    """Glue by torus points: an end continues into the segment that starts
+    at the same point of the torus, unless that point is on the diagonal."""
+
+    def torus(p):
+        return tuple(c - 1 if c == x1 else c for c in p)
+
+    starts = {}
+    for index, seg in enumerate(segs):
+        p = torus(seg.start)
+        if p[0] != p[1]:
+            assert p not in starts, p
+            starts[p] = index
+    return [starts.get(torus(seg.end), -1) for seg in segs]
+
+
+def test_lap_rectangle_gluing_matches_torus_point_gluing():
+    glued = loose = 0
+    for seed in range(300):
+        f = random_map(seed, 12, 4)
+        for g in (f, f.reflect()):
+            segs, succ = dpl.double_points._raw_segments(g)
+            assert succ == _point_glued(segs, g.breakpoints[0][0] + 1), (seed, g)
+            loose += succ.count(-1)
+            glued += len(succ) - succ.count(-1)
+    assert loose > 3000 and glued > 30000, (loose, glued)
+
+
 # ---------------------------------------------------------------- consistency
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dpl.unfolding
 from dpl import (
     Angle,
     EndpointNotRegular,
@@ -27,7 +28,8 @@ from dpl import (
     surgery_parity,
     trace_circuits,
 )
-from dpl.circle_maps import downward_pair_count, value_gaps
+from dpl.circle_maps import _lap_rows, downward_pair_count, value_gaps
+from dpl.double_points import _glued_pieces
 from dpl.properties import _sweep_free_reach
 from dpl.unfolding import (
     EulerGraph,
@@ -43,9 +45,11 @@ from dpl.unfolding import (
     _plain_eliminate,
     _sweep_free_end_reachable,
     _try_direction,
+    _with_collar,
 )
 
 from test_acceptance import _balanced_graphs
+from test_golden import _random_interval_breakpoints
 
 
 def tent():
@@ -219,9 +223,10 @@ def _negatives(f, x, y):
 
 
 def _sorted_candidates(f, arc):
-    """Every wider arc that moves one endpoint past a fold residue, by width:
-    the new start halfway into the gap below a residue, or the new end
-    halfway into the gap above it, capped to keep the width below one."""
+    """Every wider arc that moves one endpoint past a fold residue outside
+    the arc, by width: the new start halfway into the gap below a residue,
+    or the new end halfway into the gap above it, capped to keep the width
+    below one."""
     a, b, w = arc.ccw_start.value, arc.ccw_end.value, arc.width
     gaps = value_gaps(f)
     out = []
@@ -229,11 +234,11 @@ def _sorted_candidates(f, arc):
         below = gaps[i - 1][1]
         to_end = (b - r) % 1
         half = min(below, 1 - to_end) / 2
-        if w < to_end + half < 1:
+        if w < to_end:
             out.append((to_end + half, "start", (r - half) % 1))
         from_start = (r - a) % 1
         half = min(above, 1 - from_start) / 2
-        if w < from_start + half < 1:
+        if w < from_start:
             out.append((from_start + half, "end", (r + half) % 1))
     return sorted(out)
 
@@ -253,11 +258,116 @@ def test_growth_candidates_come_in_width_order():
                     got = list(_growth_candidates(f, arc, side))
                     assert got == [c for c in want if c[1] == side], (f, arc)
                 for need in (arc.width, (arc.width + 1) / 2):
-                    first = [c for c in want if c[1] == "start" and c[0] > need][:1]
-                    rest = [c for c in want if c not in first]
-                    assert list(_candidate_order(f, arc, need)) == first + rest
+                    wider = [c for c in want if c[1] == "start" and c[0] > need]
+                    rest = [c for c in want if c not in wider]
+                    assert list(_candidate_order(f, arc, need)) == wider[:1] + rest
                 arcs += 1
     assert arcs > 900
+
+
+def _first_need(f, arc, cls):
+    """The width a start candidate must pass to clear the balanced path of
+    the arc's first negative component."""
+    first = next(i for i, c in enumerate(cls.components) if c.kind == "negative")
+    path = _try_direction(f, cls, first, 1)
+    return arc.width + (path.level - path.path_min)
+
+
+def _inner_moves(f, arc):
+    """What the first residue inside the arc offers: the endpoint moved
+    halfway across the gap past it (capped below a full turn), when that
+    widens the arc."""
+    a, b, w = arc.ccw_start.value, arc.ccw_end.value, arc.width
+    gaps = value_gaps(f)
+    out = []
+    for i, (r, above) in enumerate(gaps):
+        below = gaps[i - 1][1]
+        to_end, from_start = (b - r) % 1, (r - a) % 1
+        if from_start < below and to_end < w:  # the first residue above a
+            half = min(below, 1 - to_end) / 2
+            if to_end + half > w:
+                out.append((to_end + half, "start", (r - half) % 1))
+        if to_end < above and from_start < w:  # the last residue below b
+            half = min(above, 1 - from_start) / 2
+            if from_start + half > w:
+                out.append((from_start + half, "end", (r + half) % 1))
+    return out
+
+
+def _kinds(f, arc):
+    return sorted(c.kind for c in classify_preimage(f, arc).components)
+
+
+def test_a_move_inside_the_endpoints_gap_changes_no_kind():
+    # so no such candidate lowers the count, and none is a first pick
+    moves = starts = 0
+    for seed in range(60):
+        f = random_map(seed, (6, 12, 40)[seed % 3], 4)
+        base = f if f.degree >= 0 else f.reflect()
+        rng = random.Random(seed)
+        pairs = list(itertools.permutations(_gap_thirds(base), 2))
+        for a, b in rng.sample(pairs, min(10, len(pairs))):
+            arc = TransverseArc(a, b)
+            cls = classify_preimage(base, arc)
+            for width, side, point in _inner_moves(base, arc):
+                assert _kinds(base, _candidate_arc(arc, side, point)) == _kinds(
+                    base, arc
+                ), (base, arc, side)
+                moves += 1
+                if side == "start" and cls.negative_count:
+                    assert width <= _first_need(base, arc, cls), (base, arc)
+                    starts += 1
+    assert moves > 400 and starts > 80, (moves, starts)
+
+
+def test_the_first_pick_lowers_the_count_and_wider_starts_reach_less():
+    picks = refused = 0
+    for f in _swept_bases(24):
+        rng = random.Random(repr(f))
+        pairs = list(itertools.permutations(_gap_thirds(f), 2))
+        for a, b in rng.sample(pairs, min(30, len(pairs))):
+            arc = TransverseArc(a, b)
+            starts = list(_growth_candidates(f, arc, "start"))
+            reach = [
+                _sweep_free_end_reachable(f, _candidate_arc(arc, "start", point))
+                for _, _, point in starts
+            ]
+            # once a start loses the reach, every wider one has lost it too
+            assert reach == sorted(reach, reverse=True), (f, arc)
+            refused += reach.count(False)
+            cls = classify_preimage(f, arc)
+            if not cls.negative_count:
+                continue
+            need = _first_need(f, arc, cls)
+            wider = [c for c in starts if c[0] > need]
+            if wider:
+                pick = _candidate_arc(arc, "start", wider[0][2])
+                lowered = classify_preimage(f, pick).negative_count
+                assert lowered < cls.negative_count, (f, arc)
+                picks += 1
+    assert picks > 200 and refused > 100, (picks, refused)
+
+
+def test_acceptance_guard_refuses_a_first_pick_out_of_reach(monkeypatch):
+    f = random_map(24, 14, 3)
+    assert (f.degree, f.lap_count) == (2, 12)
+    arc = TransverseArc(Angle(F(3401, 38208)), Angle(F(1303, 3184)))
+    cls = classify_preimage(f, arc)
+    # the first pick lowers the negatives from 3 to 1 but keeps no
+    # sweep-free end in reach, so the step takes an end candidate instead
+    pick = next(_candidate_order(f, arc, _first_need(f, arc, cls)))
+    assert pick[1:] == ("start", F(13169, 19104))
+    pick_arc = _candidate_arc(arc, "start", pick[2])
+    assert (cls.negative_count, classify_preimage(f, pick_arc).negative_count) == (3, 1)
+    assert not _sweep_free_end_reachable(f, pick_arc)
+    final, trace = eliminate_negative_arcs(f, arc)
+    assert trace.steps[0].extended_end == Angle(F(35579, 76416))
+    assert len(trace.steps) - 1 == 3
+    assert final == TransverseArc(Angle(F(38101, 38208)), Angle(F(70829, 76416)))
+    # without the guard the step takes the pick, and growth stalls there
+    monkeypatch.setattr(dpl.unfolding, "_sweep_free_end_reachable", lambda f, a: True)
+    with pytest.raises(AssertionError, match="greedy growth stalled"):
+        eliminate_negative_arcs(f, arc)
 
 
 def test_growth_lemma_holds_on_seeded_configurations():
@@ -487,6 +597,30 @@ def test_corner_connectivity_rejects_shared_fold_values():
 
     with pytest.raises(DuplicateVertexValue):
         corner_connectivity(IntervalMapPair(a, b))
+
+
+def test_corner_gluing_matches_point_gluing():
+    # an end continues into the piece that starts at the same point
+    pairs = collared = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        first, second = (
+            make_interval_map(_random_interval_breakpoints(rng, rng.choice(denoms)))
+            for denoms in ((12, 20), (12, 21))
+        )
+        folds = first.interior_fold_values | second.interior_fold_values
+        if first.interior_fold_values & second.interior_fold_values:
+            continue
+        if {0, 1} & folds:
+            first, second = _with_collar(first), _with_collar(second)
+            collared += 1
+        rows = [_lap_rows(m, len(m.breakpoints) - 1) for m in (first, second)]
+        pieces, succ = _glued_pieces(*rows, None)
+        starts = {piece[3]: index for index, piece in enumerate(pieces)}
+        assert len(starts) == len(pieces)
+        assert succ == [starts.get(piece[4], -1) for piece in pieces], seed
+        pairs += 1
+    assert pairs > 500 and collared > 150, (pairs, collared)
 
 
 def test_interval_map_validation():
