@@ -54,7 +54,6 @@ from .space_forms import (
 )
 from .sweeps import (
     SweepMovie,
-    assign_disks,
     embedding_certificate,
     make_event,
     random_movie,
@@ -402,8 +401,7 @@ def _cmd_sweep(args):
         movie = random_movie(args.random if args.random is not None else _DEFAULT_SEED)
         digest = _digest_args({"command": "sweep", "random": args.random})
     checked = validate_movie(movie)
-    placements = assign_disks(checked)
-    certificate = embedding_certificate(checked, placements, samples=args.samples)
+    certificate = embedding_certificate(checked, samples=args.samples)
     result = {
         "circles": checked.circle_count,
         "events": len(checked.events),

@@ -257,16 +257,17 @@ class DoublePointCurve:
 
     map: PLCircleMap
     components: tuple[CurveComponent, ...]
-    swap_pairing: tuple[int, ...]
     closure_components: tuple[ClosureComponent, ...]
 
     @cached_property
     def _component_by_key(self) -> dict[tuple[int, int, int], int]:
-        out: dict[tuple[int, int, int], int] = {}
-        for comp in self.components:
-            for seg in comp.segments:
-                out[seg.key] = comp.index
-        return out
+        return {s.key: c.index for c in self.components for s in c.segments}
+
+    @cached_property
+    def swap_pairing(self) -> tuple[int, ...]:
+        # segment (i, j, k) swaps to segment (j, i, -k)
+        keys = (c.segments[0].key for c in self.components)
+        return tuple(self._component_by_key[(j, i, -k)] for i, j, k in keys)
 
     def component_of_segment_key(self, key: tuple[int, int, int]) -> int:
         return self._component_by_key[key]
@@ -276,13 +277,17 @@ class DoublePointCurve:
 
     @cached_property
     def quotient_components(self) -> tuple[QuotientComponent, ...]:
+        # The swap is an involution: each class is a fixed point or a pair,
+        # met first at its least member.
         out: list[QuotientComponent] = []
-        swapped = enumerate(self.swap_pairing)
-        for members in _groups(range(len(self.components)), swapped):
-            compact = all(self.components[i].kind == "circle" for i in members)
+        for i, j in enumerate(self.swap_pairing):
+            if j < i:
+                continue
+            members = (i,) if i == j else (i, j)
+            compact = all(self.components[m].kind == "circle" for m in members)
             out.append(
                 QuotientComponent(
-                    members=tuple(members),
+                    members=members,
                     compact=compact,
                     cover_trivial=len(members) == 2,
                     lifts_through_arc=not _image_covers_circle(
@@ -357,14 +362,9 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
         ends_at = (c_from[0], c_to[0])
         components.append(CurveComponent(index, "arc", chain, 0, 0, ends_at))
 
-    by_key = {seg.key: comp.index for comp in components for seg in comp.segments}
-    swap_pairing = tuple(
-        by_key[(j, i, -k)] for i, j, k in (c.segments[0].key for c in components)
-    )
     return DoublePointCurve(
         map=f,
         components=tuple(components),
-        swap_pairing=swap_pairing,
         closure_components=_closure_components(components),
     )
 

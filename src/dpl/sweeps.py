@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .circle_maps import InfeasibleParameters, RationalLike, frac
@@ -86,7 +87,6 @@ class SweepMovie:
 class CheckedMovie:
     """A validated movie with canonical integer labels in birth order."""
 
-    movie: SweepMovie
     names: tuple[str, ...]  # index -> original label
     born: tuple[Fraction, ...]
     died: tuple[Fraction, ...]
@@ -185,7 +185,6 @@ def validate_movie(movie: SweepMovie) -> CheckedMovie:
             canonical.append((t, "split", (ic, ia, ib)))
 
     return CheckedMovie(
-        movie=movie,
         names=tuple(names),
         born=tuple(born),
         died=tuple(died),
@@ -200,7 +199,8 @@ def validate_movie(movie: SweepMovie) -> CheckedMovie:
 _HOME_R = Fraction(2, 5)
 _LANE_R = Fraction(1, 6)
 
-Keyframe = tuple[Fraction, tuple[Fraction, Fraction], Fraction]
+Point = tuple[Fraction, Fraction]
+Keyframe = tuple[Fraction, Point, Fraction]
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,7 @@ class DiskPlacement:
     died: Fraction
     keyframes: tuple[Keyframe, ...]
 
-    def placement_at(
-        self, t: RationalLike
-    ) -> tuple[tuple[Fraction, Fraction], Fraction] | None:
+    def placement_at(self, t: RationalLike) -> tuple[Point, Fraction] | None:
         """Center and radius at time t, or None when not alive."""
         t = frac(t)
         if not (self.born <= t <= self.died):
@@ -232,6 +230,16 @@ class DiskPlacement:
         return frames[-1][1], frames[-1][2]
 
 
+def _grid(checked: CheckedMovie) -> list[Fraction]:
+    """The window boundaries 0, the event times and 1, in increasing order.
+
+    Precondition: ``checked`` comes from :func:`validate_movie`, which
+    guarantees that the event times strictly increase inside (0, 1); so the
+    list is sorted and free of repeats as built.
+    """
+    return [Fraction(0), *(t for t, _, _ in checked.events), Fraction(1)]
+
+
 def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
     """Disjointly embedded moving disks realizing the movie.
 
@@ -243,20 +251,17 @@ def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
     internal tangency; a split starts its children as radius-zero points on
     the parent's boundary.
     """
-    grid = sorted({Fraction(0), Fraction(1)} | {t for t, _, _ in checked.events})
-    # an eighth of the window after and before each event time
-    after = {t: (nxt - t) / 8 for t, nxt in zip(grid, grid[1:])}
-    before = {t: (t - prev) / 8 for prev, t in zip(grid, grid[1:])}
+    grid = _grid(checked)
     frames: dict[int, list[Keyframe]] = {i: [] for i in range(checked.circle_count)}
 
-    def home(i: int) -> tuple[Fraction, Fraction]:
+    def home(i: int) -> Point:
         return (Fraction(i), Fraction(0))
 
     def spawn_travel(
-        i: int, t0: Fraction, pos: tuple[Fraction, Fraction], r: Fraction, lane: int
+        i: int, t0: Fraction, d: Fraction, pos: Point, r: Fraction, lane: int
     ) -> None:
-        """Born at pos/r at time t0; descend to the lane, slide home, settle."""
-        d = after[t0]
+        """Born at pos/r at time t0; descend to the lane, slide home, settle,
+        one step d per move."""
         hx, hy = home(i)
         frames[i].append((t0, pos, r))
         frames[i].append((t0 + d, (pos[0], Fraction(lane)), _LANE_R))
@@ -268,12 +273,13 @@ def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
         if checked.born[i] == 0:
             frames[i].append((Fraction(0), home(i), _HOME_R))
 
-    for t, kind, labels in checked.events:
-        d = before[t]
+    for e, (t, kind, labels) in enumerate(checked.events):
+        # an eighth of the window before and after the event, which is grid[e + 1]
+        d, after = (t - grid[e]) / 8, (grid[e + 2] - t) / 8
         if kind == "birth":
             (i,) = labels
             frames[i].append((t, home(i), Fraction(0)))
-            frames[i].append((t + after[t], home(i), _HOME_R))
+            frames[i].append((t + after, home(i), _HOME_R))
         elif kind == "death":
             (i,) = labels
             frames[i].append((t - d, home(i), _HOME_R))
@@ -289,19 +295,19 @@ def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
             frames[ia].append((t - d, home(ia), _LANE_R))
             frames[ia].append((t, home(ia), _LANE_R))
             # the second parent travels along the +1 lane and lands tangent
-            meet = (ax + Fraction(1, 3), Fraction(0))
+            meet = (ax + 2 * _LANE_R, Fraction(0))
             frames[ib].append((t - 3 * d, home(ib), _HOME_R))
             frames[ib].append((t - 2 * d, (home(ib)[0], Fraction(1)), _LANE_R))
             frames[ib].append((t - d, (meet[0], Fraction(1)), _LANE_R))
             frames[ib].append((t, meet, _LANE_R))
             # the child covers both parents in internal tangency, then leaves
-            spawn_travel(ic, t, (ax + Fraction(1, 6), Fraction(0)), Fraction(1, 3), -1)
+            spawn_travel(ic, t, after, (ax + _LANE_R, Fraction(0)), 2 * _LANE_R, -1)
         else:  # split
             ic, ia, ib = labels
             cx = home(ic)[0]
             frames[ic].append((t, home(ic), _HOME_R))
-            spawn_travel(ia, t, (cx - _HOME_R, Fraction(0)), Fraction(0), -1)
-            spawn_travel(ib, t, (cx + _HOME_R, Fraction(0)), Fraction(0), -2)
+            spawn_travel(ia, t, after, (cx - _HOME_R, Fraction(0)), Fraction(0), -1)
+            spawn_travel(ib, t, after, (cx + _HOME_R, Fraction(0)), Fraction(0), -2)
 
     out = []
     for i in range(checked.circle_count):
@@ -352,34 +358,28 @@ def embedding_certificate(
     """
     if placements is None:
         placements = assign_disks(checked)
-    grid = sorted({Fraction(0), Fraction(1)} | {t for t, _, _ in checked.events})
-    times: list[Fraction] = list(grid)
+    grid = _grid(checked)
+    # each window's start and then its samples, window by window, and the
+    # end; with samples below 1 only the grid is checked
+    n = max(samples, 0) + 1
+    times: list[Fraction] = []
     for t0, t1 in zip(grid, grid[1:]):
-        for i in range(1, samples + 1):
-            times.append(t0 + Fraction(i, samples + 1) * (t1 - t0))
-    times = sorted(set(times))
-    exempt: dict[Fraction, set[frozenset[int]]] = {}
-    for t, _, labels in checked.events:
-        pairs = exempt.setdefault(t, set())
-        for a in labels:
-            for b in labels:
-                if a != b:
-                    pairs.add(frozenset((a, b)))
+        times += [t0 + Fraction(i, n) * (t1 - t0) for i in range(n)]
+    times.append(grid[-1])
+    # the participants of the event at each event time
+    exempt = {t: labels for t, _, labels in checked.events}
 
     failures: list[CertificateFailure] = []
     pairs_checked = 0
     for t in times:
-        live = [(p.label, p.placement_at(t)) for p in placements]
-        live = [(l, pr) for l, pr in live if pr is not None]
-        for a in range(len(live)):
-            la, ((xa, ya), ra) = live[a]
-            for b in range(a + 1, len(live)):
-                lb, ((xb, yb), rb) = live[b]
-                if frozenset((la, lb)) in exempt.get(t, set()):
-                    continue
-                pairs_checked += 1
-                if (xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2:
-                    failures.append(CertificateFailure(time=t, labels=(la, lb)))
+        live = [(p.label, *pr) for p in placements if (pr := p.placement_at(t))]
+        event = exempt.get(t, ())
+        for (la, (xa, ya), ra), (lb, (xb, yb), rb) in combinations(live, 2):
+            if la in event and lb in event:
+                continue
+            pairs_checked += 1
+            if (xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2:
+                failures.append(CertificateFailure(time=t, labels=(la, lb)))
     return CertificateReport(
         ok=not failures,
         times_checked=tuple(times),

@@ -681,7 +681,6 @@ class IntervalPLMap:
 
 def make_interval_map(
     breakpoints: Iterable[tuple[RationalLike, RationalLike]],
-    _check_boundary: bool = True,
 ) -> IntervalPLMap:
     pts = [(frac(x), frac(v)) for x, v in breakpoints]
     if len(pts) < 2:
@@ -697,12 +696,11 @@ def make_interval_map(
     keep = [pts[0]] + [
         pts[i] for i in range(1, len(pts) - 1) if signs[i - 1] != signs[i]
     ] + [pts[-1]]
-    if _check_boundary:
-        lo, hi = keep[0], keep[-1]
-        if lo != (Fraction(0), Fraction(0)) or hi != (Fraction(1), Fraction(1)):
-            raise PreconditionUnmet("interval maps must fix 0 and 1")
-        if any(not (0 <= v <= 1) for _, v in keep):
-            raise PreconditionUnmet("values must stay inside [0, 1]")
+    lo, hi = keep[0], keep[-1]
+    if lo != (Fraction(0), Fraction(0)) or hi != (Fraction(1), Fraction(1)):
+        raise PreconditionUnmet("interval maps must fix 0 and 1")
+    if any(not (0 <= v <= 1) for _, v in keep):
+        raise PreconditionUnmet("values must stay inside [0, 1]")
     return IntervalPLMap(tuple(keep))
 
 
@@ -721,12 +719,14 @@ class CornerReport:
 
 
 def _with_collar(m: IntervalPLMap) -> IntervalPLMap:
-    pts = (
-        ((Fraction(-1, 4), Fraction(-1, 4)),)
-        + m.breakpoints
-        + ((Fraction(5, 4), Fraction(5, 4)),)
-    )
-    return make_interval_map(pts, _check_boundary=False)
+    """The map extended by the identity on [-1/4, 0] and [1, 5/4].
+
+    The values stay in [0, 1], so both end laps rise; the corners (0, 0)
+    and (1, 1) are then no folds, and the collar's straight pieces replace
+    them.
+    """
+    collar = ((Fraction(-1, 4), Fraction(-1, 4)), (Fraction(5, 4), Fraction(5, 4)))
+    return IntervalPLMap(collar[:1] + m.breakpoints[1:-1] + collar[1:])
 
 
 def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
@@ -871,26 +871,25 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
         return EulerResolution(component=component, pairing=(), circuit=())
     verts = g.components[component]
     ins, outs = g._in_out
-    # Hierholzer's walk from the first vertex: ``v`` is the walk's head,
-    # ``vstack`` the vertices behind it and ``estack`` the edges between
+    # Hierholzer's walk from the first vertex: ``estack`` holds the edges of
+    # the open trail and ``v`` is its head.  From a head with unused edges
+    # the walk takes the last one; at a stuck head it retires the trail's
+    # last edge e to the circuit and backs up to e's tail.
     edges = g.edges
     pool = {v: outs[v][:] for v in verts}
-    vstack: list[int] = []
     estack: list[int] = []
     circuit: list[int] = []
     v = verts[0]
-    out = pool[v]
     while True:
+        out = pool[v]
         if out:
             e = out.pop()
             estack.append(e)
-            vstack.append(v)
             v = edges[e][1]
-            out = pool[v]
         elif estack:
-            circuit.append(estack.pop())
-            v = vstack.pop()
-            out = pool[v]
+            e = estack.pop()
+            circuit.append(e)
+            v = edges[e][0]
         else:
             break
     circuit.reverse()

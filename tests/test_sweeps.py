@@ -1,4 +1,5 @@
 import dataclasses
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
@@ -166,6 +167,70 @@ def test_certificate_flags_a_corrupted_assignment():
     report = embedding_certificate(checked, placements)
     assert not report.ok
     assert any(set(f.labels) == {0, 1} for f in report.failures)
+
+
+def _oracle_position(p, t):
+    """Center and radius of placement p at t by bisecting its keyframe times."""
+    if not p.born <= t <= p.died:
+        return None
+    frames = p.keyframes
+    k = bisect_left([kf[0] for kf in frames], t)
+    if k in (0, len(frames)):
+        return frames[min(k, len(frames) - 1)][1:]
+    (t0, (x0, y0), r0), (t1, (x1, y1), r1) = frames[k - 1], frames[k]
+    s = (t - t0) / (t1 - t0)
+    return (x0 + s * (x1 - x0), y0 + s * (y1 - y0)), r0 + s * (r1 - r0)
+
+
+def _oracle_certificate(checked, placements, samples):
+    """The certificate as first written: grid and sample times by set and
+    sort, the exemptions as frozenset pairs of each event's participants."""
+    grid = sorted({F(0), F(1)} | {t for t, _, _ in checked.events})
+    times = set(grid)
+    for t0, t1 in zip(grid, grid[1:]):
+        times.update(t0 + F(i, samples + 1) * (t1 - t0) for i in range(1, samples + 1))
+    exempt = {}
+    for t, _, labels in checked.events:
+        pairs = exempt.setdefault(t, set())
+        pairs.update(frozenset((a, b)) for a in labels for b in labels if a != b)
+    pairs_checked, failures = 0, []
+    for t in sorted(times):
+        live = [(p.label, _oracle_position(p, t)) for p in placements]
+        live = [(l, pr) for l, pr in live if pr is not None]
+        for a in range(len(live)):
+            la, ((xa, ya), ra) = live[a]
+            for b in range(a + 1, len(live)):
+                lb, ((xb, yb), rb) = live[b]
+                if frozenset((la, lb)) in exempt.get(t, set()):
+                    continue
+                pairs_checked += 1
+                if (xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2:
+                    failures.append((t, (la, lb)))
+    return sorted(times), pairs_checked, failures
+
+
+@pytest.mark.parametrize("samples", [1, 4, 10])
+def test_certificate_matches_the_set_and_sort_oracle(samples):
+    failing = 0
+    for seed in range(40):
+        checked = validate_movie(random_movie(seed))
+        placements = list(assign_disks(checked))
+        variants = [placements]
+        if len(placements) > 1:
+            # park disk 1 on top of disk 0 for the whole movie
+            parked = list(placements)
+            parked[1] = dataclasses.replace(parked[1], keyframes=parked[0].keyframes)
+            variants.append(parked)
+        for variant in variants:
+            report = embedding_certificate(checked, variant, samples=samples)
+            got = (
+                list(report.times_checked),
+                report.pairs_checked,
+                [(fl.time, fl.labels) for fl in report.failures],
+            )
+            assert got == _oracle_certificate(checked, variant, samples), seed
+            failing += not report.ok
+    assert failing > 10, failing
 
 
 def test_certificate_handles_the_empty_movie():

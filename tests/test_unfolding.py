@@ -623,6 +623,31 @@ def test_corner_gluing_matches_point_gluing():
     assert pairs > 500 and collared > 150, (pairs, collared)
 
 
+def _collar_by_straightening(m):
+    """The collar as first built: pad the breakpoints with (-1/4, -1/4) and
+    (5/4, 5/4), then keep the two ends and every fold between them."""
+    pts = ((F(-1, 4), F(-1, 4)),) + m.breakpoints + ((F(5, 4), F(5, 4)),)
+    folds = tuple(
+        b for a, b, c in zip(pts, pts[1:], pts[2:]) if (b[1] - a[1]) * (c[1] - b[1]) < 0
+    )
+    return pts[:1] + folds + pts[-1:]
+
+
+def test_collar_matches_straightened_padding():
+    collared = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        pair = [
+            make_interval_map(_random_interval_breakpoints(rng, rng.choice(denoms)))
+            for denoms in ((12, 20), (12, 21))
+        ]
+        if {0, 1} & (pair[0].interior_fold_values | pair[1].interior_fold_values):
+            for m in pair:
+                assert _with_collar(m).breakpoints == _collar_by_straightening(m), seed
+            collared += 1
+    assert collared > 150, collared
+
+
 def test_interval_map_validation():
     from dpl import NonIncreasingDomain, ZeroSlopeSegment
 
