@@ -9,8 +9,9 @@ reference every refactor must reproduce:
 - ``digests.json``: one sha256 per seeded input for the double-point curve's
   component structure, its quotient components, ``corner_connectivity``
   reports, ``trace_circuits`` over every resolution pairing,
-  ``classify_preimage`` on seeded arcs, ``eliminate_negative_arcs`` and the
-  multiplication tables of the catalog groups (the binary octahedral table
+  ``classify_preimage`` on seeded arcs, ``eliminate_negative_arcs``, seeded
+  sweep movies with their validation (refusals included) and disk layouts,
+  and the multiplication tables of the catalog groups (the binary octahedral table
   is left out: only its invariants are fixed, see
   ``tests/test_space_forms.py``).
 
@@ -34,8 +35,11 @@ import dpl.cli
 import dpl.unfolding
 from dpl import (
     Angle,
+    Event,
     IntervalMapPair,
+    SweepMovie,
     TransverseArc,
+    assign_disks,
     build_group,
     classify_preimage,
     corner_connectivity,
@@ -45,8 +49,10 @@ from dpl import (
     make_interval_map,
     random_admissible_graph,
     random_map,
+    random_movie,
     resolution_choices,
     trace_circuits,
+    validate_movie,
     value_gaps,
 )
 from dpl.cli import main
@@ -118,6 +124,9 @@ CORNER_SEEDS = range(400)
 GRAPH_SEEDS = range(120)
 CLASSIFY_SEEDS = range(100)
 UNFOLD_SEEDS = range(200)
+MOVIE_SEEDS = range(150)
+MOVIE_SIZES = (0, 3, 10, 20)
+MOVIE_KINDS = ("birth", "death", "isolated", "merge", "split")
 GROUPS = (
     *(("cyclic", n) for n in range(1, 13)),
     *(("binary_dihedral", n) for n in range(1, 7)),
@@ -285,6 +294,38 @@ def unfold_structure(seed: int):
     )
 
 
+def _malformed_movie(rng: random.Random) -> SweepMovie:
+    """A hand-built movie on labels from a small alphabet: the kinds and
+    labels are drawn freely, now and then with a wrong label count or an
+    unknown kind, and the event times mostly rise by a sixteenth or more but
+    now and then stall, fall back or leave (0, 1)."""
+    names = "abcdef"
+    initial = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+    events, tick = [], 0
+    for _ in range(rng.randint(1, 6)):
+        tick += rng.randint(1, 3) if rng.random() < 0.9 else rng.randint(-2, 0)
+        kind = rng.choice(MOVIE_KINDS) if rng.random() < 0.97 else "bogus"
+        count = 3 if kind in ("merge", "split") else 1
+        if rng.random() < 0.05:
+            count = rng.randint(0, 4)
+        labels = tuple(rng.choice(names) for _ in range(count))
+        events.append(Event(F(tick, 16), kind, labels))
+    return SweepMovie(initial, tuple(events))
+
+
+def movie_structure(seed: int):
+    """Seeded random movies, their validation and disk layouts, and the
+    validation outcomes of seeded malformed movies, in order."""
+    out = []
+    for size in MOVIE_SIZES:
+        movie = random_movie(seed, size)
+        checked = validate_movie(movie)
+        out.append((movie, checked, assign_disks(checked)))
+    rng = random.Random(f"golden movies {seed}")
+    out.extend(_outcome(validate_movie, _malformed_movie(rng)) for _ in range(8))
+    return tuple(out)
+
+
 def group_table(index: int):
     return build_group(*GROUPS[index]).table
 
@@ -296,6 +337,7 @@ FAMILIES = {
     "circuits": (GRAPH_SEEDS, circuit_structure),
     "classify": (CLASSIFY_SEEDS, classify_structure),
     "unfold": (UNFOLD_SEEDS, unfold_structure),
+    "movies": (MOVIE_SEEDS, movie_structure),
     "groups": (range(len(GROUPS)), group_table),
 }
 
