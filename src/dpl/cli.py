@@ -69,17 +69,11 @@ from .unfolding import (
 _DEFAULT_SEED = 2026
 
 
-def _plain(x):
-    """Make a result JSON-ready: fractions and angles become 'p/q' strings."""
-    if isinstance(x, Fraction):
+def _json_default(x):
+    """The JSON encoder's hook: fractions and angles become 'p/q' strings."""
+    if isinstance(x, (Fraction, Angle)):
         return str(x)
-    if isinstance(x, Angle):
-        return str(x.value)
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return x
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _digest_file(path: str) -> str:
@@ -113,9 +107,9 @@ def _load_map(path: str) -> PLCircleMap:
 
 def _load_movie(path: str) -> SweepMovie:
     data = _load_json(path)
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or "initial" not in data or "events" not in data:
         raise ValueError("a movie file holds an object with 'initial' and 'events'")
-    initial, events = data.get("initial", []), data.get("events", [])
+    initial, events = data["initial"], data["events"]
     if not _is_str_list(initial):
         raise ValueError("'initial' must be a list of label strings")
     if not isinstance(events, list):
@@ -401,6 +395,8 @@ def _cmd_sweep(args):
         movie = random_movie(args.random if args.random is not None else _DEFAULT_SEED)
         digest = _digest_args({"command": "sweep", "random": args.random})
     checked = validate_movie(movie)
+    if not checked.circle_count:
+        raise ValueError("the movie has no circles, so there is nothing to check")
     certificate = embedding_certificate(checked, samples=args.samples)
     result = {
         "circles": checked.circle_count,
@@ -612,12 +608,12 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "input_digest": digest,
         "version": __version__,
-        "result": _plain(result),
+        "result": result,
         "summary": summary,
     }
     try:
         if args.format == "json":
-            json.dump(envelope, stream, sort_keys=True, indent=2)
+            json.dump(envelope, stream, sort_keys=True, indent=2, default=_json_default)
             stream.write("\n")
         else:
             _render_text(envelope, stream)

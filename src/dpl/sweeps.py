@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, count
 from typing import Mapping, Sequence
 
 from .circle_maps import InfeasibleParameters, RationalLike, frac
@@ -64,9 +64,10 @@ class EventOrderViolation(ValueError):
 class Event:
     """One timed event.
 
-    Label conventions: ``birth``/``death``/``isolated`` take one label;
-    ``merge`` takes (left, right, child); ``split`` takes (parent, left,
-    right).
+    The labels name the circles the event ends, then those it starts (see
+    ``_SHAPE``): ``birth``/``death``/``isolated`` take one label; ``merge``
+    takes (left, right, child); ``split`` takes (parent, left, right).  An
+    ``isolated`` circle is born and dies at the same moment.
     """
 
     time: Fraction
@@ -74,7 +75,15 @@ class Event:
     labels: tuple[str, ...]
 
 
-_ARITY = {"birth": 1, "death": 1, "isolated": 1, "merge": 3, "split": 3}
+# each kind's shape: how many of its labels are circles it ends, then how
+# many it starts
+_SHAPE = {
+    "birth": (0, 1),
+    "death": (1, 0),
+    "isolated": (0, 1),
+    "merge": (2, 1),
+    "split": (1, 2),
+}
 
 
 @dataclass(frozen=True)
@@ -99,12 +108,11 @@ class CheckedMovie:
 
 
 def _check_event(kind: str, labels: tuple[str, ...]) -> None:
-    if kind not in _ARITY:
+    if kind not in _SHAPE:
         raise EventOrderViolation(f"unknown event kind {kind!r}")
-    if len(labels) != _ARITY[kind]:
-        raise EventOrderViolation(
-            f"{kind} takes {_ARITY[kind]} label(s), got {len(labels)}"
-        )
+    arity = sum(_SHAPE[kind])
+    if len(labels) != arity:
+        raise EventOrderViolation(f"{kind} takes {arity} label(s), got {len(labels)}")
 
 
 def make_event(time: RationalLike, kind: str, *labels: str) -> Event:
@@ -138,6 +146,7 @@ def validate_movie(movie: SweepMovie) -> CheckedMovie:
         names.append(label)
         born.append(t)
         died.append(Fraction(1))
+        alive.add(label)
         return ids[label]
 
     def die(label: str, t: Fraction) -> int:
@@ -149,40 +158,20 @@ def validate_movie(movie: SweepMovie) -> CheckedMovie:
 
     for label in movie.initial:
         be_born(label, Fraction(0))
-        alive.add(label)
 
     canonical: list[tuple[Fraction, str, tuple[int, ...]]] = []
     for ev in movie.events:
         t = frac(ev.time)
-        if ev.kind == "birth":
-            (l,) = ev.labels
-            idx = be_born(l, t)
-            alive.add(l)
-            canonical.append((t, "birth", (idx,)))
-        elif ev.kind == "death":
-            (l,) = ev.labels
-            canonical.append((t, "death", (die(l, t),)))
-        elif ev.kind == "isolated":
-            (l,) = ev.labels
-            idx = be_born(l, t)
-            died[idx] = t
-            canonical.append((t, "isolated", (idx,)))
-        elif ev.kind == "merge":
-            a, b, c = ev.labels
-            if a == b:
-                raise DanglingLabel("a merge needs two distinct live circles")
-            ia, ib = die(a, t), die(b, t)
-            ic = be_born(c, t)
-            alive.add(c)
-            canonical.append((t, "merge", (ia, ib, ic)))
-        else:  # split
-            c, a, b = ev.labels
-            if a == b:
-                raise DoubleBirth("a split must produce two distinct labels")
-            ic = die(c, t)
-            ia, ib = be_born(a, t), be_born(b, t)
-            alive.update((a, b))
-            canonical.append((t, "split", (ic, ia, ib)))
+        n_end = _SHAPE[ev.kind][0]
+        ended, started = ev.labels[:n_end], ev.labels[n_end:]
+        if ev.kind == "merge" and ended[0] == ended[1]:
+            raise DanglingLabel("a merge needs two distinct live circles")
+        if ev.kind == "split" and started[0] == started[1]:
+            raise DoubleBirth("a split must produce two distinct labels")
+        idx = [die(l, t) for l in ended] + [be_born(l, t) for l in started]
+        if ev.kind == "isolated":
+            die(started[0], t)
+        canonical.append((t, ev.kind, tuple(idx)))
 
     return CheckedMovie(
         names=tuple(names),
@@ -397,48 +386,30 @@ def random_movie(seed: int, max_events: int = 20) -> SweepMovie:
     if max_events < 0:
         raise InfeasibleParameters("max_events must be nonnegative")
     rng = random.Random(seed)
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        counter += 1
-        return f"c{counter}"
-
-    initial = tuple(fresh() for _ in range(rng.randint(1, 3)))
+    fresh = map("c{}".format, count(1))
+    initial = tuple(next(fresh) for _ in range(rng.randint(1, 3)))
     alive = list(initial)
     n = rng.randint(0, max_events)
     denom = 8 * (n + 1)
     ticks = sorted(rng.sample(range(1, denom), n)) if n else []
     events = []
     for tick in ticks:
-        t = Fraction(tick, denom)
         choices = ["birth", "isolated"]
         if alive:
             choices += ["death", "split", "split"]
         if len(alive) >= 2:
             choices += ["merge", "merge"]
         kind = rng.choice(choices)
-        if kind == "birth":
-            l = fresh()
-            alive.append(l)
-            events.append(make_event(t, "birth", l))
-        elif kind == "isolated":
-            events.append(make_event(t, "isolated", fresh()))
-        elif kind == "death":
-            l = alive.pop(rng.randrange(len(alive)))
-            events.append(make_event(t, "death", l))
-        elif kind == "split":
-            c = alive.pop(rng.randrange(len(alive)))
-            a, b = fresh(), fresh()
-            alive += [a, b]
-            events.append(make_event(t, "split", c, a, b))
-        else:
-            ia = rng.randrange(len(alive))
-            a = alive.pop(ia)
-            b = alive.pop(rng.randrange(len(alive)))
-            c = fresh()
-            alive.append(c)
-            events.append(make_event(t, "merge", a, b, c))
+        n_end, n_start = _SHAPE[kind]
+        labels = []
+        for _ in range(n_end):
+            labels.append(alive.pop(rng.randrange(len(alive))))
+        for _ in range(n_start):
+            labels.append(next(fresh))
+        if kind != "isolated":
+            alive += labels[n_end:]
+        # labels drawn by the kind's shape always pass make_event's check
+        events.append(Event(Fraction(tick, denom), kind, tuple(labels)))
     return SweepMovie(initial=initial, events=tuple(events))
 
 

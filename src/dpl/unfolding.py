@@ -654,25 +654,18 @@ def pair_count_check(f: PLCircleMap, arc: TransverseArc) -> PairCountReport:
 
 @dataclass(frozen=True)
 class IntervalPLMap:
-    """A PL map between intervals, stored like the circle maps minus the wrap."""
+    """A PL map between intervals, stored like the circle maps minus the wrap.
+
+    Instances come from :func:`make_interval_map`, which straightens every
+    run of same-sign laps, or from ``_with_collar``, which keeps those inner
+    breakpoints; so every inner breakpoint is a fold.
+    """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
 
     @cached_property
-    def slopes(self) -> tuple[Fraction, ...]:
-        pts = self.breakpoints
-        return tuple(
-            (pts[i + 1][1] - pts[i][1]) / (pts[i + 1][0] - pts[i][0])
-            for i in range(len(pts) - 1)
-        )
-
-    @cached_property
     def interior_fold_values(self) -> frozenset[Fraction]:
-        out = set()
-        for i in range(1, len(self.breakpoints) - 1):
-            if self.slopes[i - 1] * self.slopes[i] < 0:
-                out.add(self.breakpoints[i][1])
-        return frozenset(out)
+        return frozenset(v for _, v in self.breakpoints[1:-1])
 
     def lap(self, j: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         (xa, la), (xb, lb) = self.breakpoints[j], self.breakpoints[j + 1]

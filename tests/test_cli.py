@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 
 import dpl
+import dpl.sweeps
 from dpl.cli import main, report_schema
 from dpl.properties import PROPERTIES
 
@@ -234,6 +236,29 @@ def test_sweep_rejects_bad_movie(capsys, tmp_path):
     assert doc["result"]["error"]["type"] == "DanglingLabel"
 
 
+def test_sweep_reports_certificate_failures(capsys, monkeypatch):
+    layout = dpl.sweeps.assign_disks
+
+    def parked(checked):
+        # disk 1 sits on disk 0 for the whole movie
+        placements = list(layout(checked))
+        placements[1] = dataclasses.replace(
+            placements[1], keyframes=placements[0].keyframes
+        )
+        return tuple(placements)
+
+    monkeypatch.setattr(dpl.sweeps, "assign_disks", parked)
+    movie = Path(__file__).parent / "golden" / "movies" / "choreography.json"
+    code, doc = run_json(capsys, "sweep", movie)
+    assert code == 1
+    jsonschema.validate(doc, report_schema())
+    certificate = doc["result"]["certificate"]
+    assert certificate["ok"] is False
+    failures = certificate["failures"]
+    assert {"time": "0", "labels": [0, 1]} in failures
+    assert all(sorted(f) == ["labels", "time"] and len(f["labels"]) == 2 for f in failures)
+
+
 def test_selftest_runs_all_suites(capsys):
     code, doc = run_json(capsys, "selftest", "--runs", "2", "--seed", "9")
     assert code == 0
@@ -353,6 +378,9 @@ REFUSED = [
     ("event labels string", ["sweep", "FILE"], _movie_with(event={"labels": "abc"})),
     ("events scalar", ["sweep", "FILE"], _movie_with(events=5)),
     ("movie not an object", ["sweep", "FILE"], "[1, 2]"),
+    ("movie empty object", ["sweep", "FILE"], "{}"),
+    ("movie without events", ["sweep", "FILE"], '{"initial": ["a"]}'),
+    ("movie without circles", ["sweep", "FILE"], '{"initial": [], "events": []}'),
     ("mode open-subset", ["unfold", "FILE", "--mode", "open-subset"], TENT),
     ("group n not an int", ["group", "cyclic", "x"], None),
     ("sweep samples not an int", ["sweep", "--samples", "x"], None),
