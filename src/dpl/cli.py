@@ -281,8 +281,11 @@ def _cmd_unfold(args):
         "final_counts": _counts_payload(cls),
         "pair_count_ok": pairs.ok,
     }
+    extensions = sum(
+        (s.extended_start, s.extended_end) != (None, None) for s in trace.steps
+    )
     summary = (
-        f"unfolded in {len(trace.steps) - 1} extensions; "
+        f"unfolded in {extensions} extensions; "
         f"{cls.positive_count} positive components remain, none negative"
     )
     return _digest_file(args.map), result, summary, 0

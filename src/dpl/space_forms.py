@@ -172,7 +172,14 @@ def _binary_dihedral(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(mul(i, j) for j in range(2 * m)) for i in range(2 * m))
 
 
-def _matmul_modp(p: int):
+def _matrix_group_table(p: int, gens, order: int) -> tuple[tuple[int, ...], ...]:
+    """The table of the subgroup of SL(2, p) generated by ``gens``.
+
+    A matrix [[a, b], [c, d]] is the tuple (a, b, c, d); the identity is
+    element 0 and the others follow in tuple order.  SL(2, p) is finite, so
+    the closure ends; the group it reaches must have the stated order.
+    """
+
     def mul(x, y):
         a, b, c, d = x
         e, f, g, h = y
@@ -183,41 +190,20 @@ def _matmul_modp(p: int):
             (c * f + d * h) % p,
         )
 
-    return mul
-
-
-def _mulclose(generators, mul, identity, expected_order: int):
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in generators:
-                y = mul(x, g)
-                if y not in elements:
-                    elements.add(y)
-                    fresh.append(y)
-        frontier = fresh
-        if len(elements) > expected_order:
-            raise AssertionError("generated group exceeds the expected order")
-    if len(elements) != expected_order:
-        raise AssertionError(
-            f"generated group has order {len(elements)}, expected {expected_order}"
-        )
-    return elements
-
-
-def _matrix_group_table(p: int, gens, order: int) -> tuple[tuple[int, ...], ...]:
-    """The table of the subgroup of SL(2, p) generated by ``gens``.
-
-    A matrix [[a, b], [c, d]] is the tuple (a, b, c, d); the identity is
-    element 0 and the others follow in tuple order.
-    """
-    mul = _matmul_modp(p)
     identity = (1, 0, 0, 1)
-    ordered = sorted(
-        _mulclose(gens, mul, identity, order), key=lambda e: (e != identity, e)
-    )
+    elements, todo = {identity}, [identity]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in elements:
+                elements.add(y)
+                todo.append(y)
+    if len(elements) != order:
+        raise AssertionError(
+            f"generated group has order {len(elements)}, expected {order}"
+        )
+    ordered = sorted(elements, key=lambda e: (e != identity, e))
     index = {e: i for i, e in enumerate(ordered)}
     return tuple(tuple(index[mul(x, y)] for y in ordered) for x in ordered)
 
@@ -344,7 +330,10 @@ def dcover_consistency(d: int) -> DcoverReport:
     The curve component whose points are the pairs (x, x + j/d) corresponds
     to the deck element j; the correspondence must send the coordinate swap
     to group inversion, swap-invariant components to involutions, and keep
-    the winding of every component equal to the model's unit degree.
+    the winding of every component equal to the model's unit degree.  So each
+    component is read as the model row it should be (element, element of its
+    swap image, swap-invariance, winding), and the sorted rows must equal the
+    model's, whose elements 1 .. d-1 occur once each.
     """
     if d < 1:
         raise BadParameter("the covering degree must be positive")
@@ -352,37 +341,25 @@ def dcover_consistency(d: int) -> DcoverReport:
     model = cover_double_point_model(group)
     f = make_map([(0, 0)], d)
     curve = double_point_curve(f)
-    ok = len(curve.components) == len(model.components)
-    matched = []
-    by_element: dict[int, int] = {}
+    elements = []
     for comp in curve.components:
-        start = comp.segments[0].start
-        offset = mod1(start[1] - start[0])
-        j = offset * d
-        if j.denominator != 1 or comp.kind != "circle":
-            ok = False
-            continue
-        by_element[int(j)] = comp.index
-        matched.append((int(j), comp.index))
-    for mc in model.components:
-        idx = by_element.get(mc.element)
-        if idx is None:
-            ok = False
-            continue
-        comp = curve.components[idx]
-        if comp.p1_degree != mc.projection_degree:
-            ok = False
-        if curve.swap_pairing[idx] != by_element.get(mc.partner):
-            ok = False
-        if curve.swap_invariant(idx) != mc.swap_invariant:
-            ok = False
+        x, y = comp.segments[0].start
+        j = mod1(y - x) * d
+        # -1 matches no model row
+        elements.append(int(j) if comp.kind == "circle" and j.denominator == 1 else -1)
+    rows = [
+        (e, elements[curve.swap_pairing[i]], curve.swap_invariant(i), comp.p1_degree)
+        for i, (e, comp) in enumerate(zip(elements, curve.components))
+    ]
     curve_hopf = hopf_invariant(f)
     model_hopf = hopf_of_cover(group)
-    if curve_hopf != model_hopf:
-        ok = False
+    ok = sorted(rows) == [
+        (c.element, c.partner, c.swap_invariant, c.projection_degree)
+        for c in model.components
+    ] and curve_hopf == model_hopf
     return DcoverReport(
         degree=d,
-        matched=tuple(sorted(matched)),
+        matched=tuple(sorted((e, i) for i, e in enumerate(elements) if e >= 0)),
         curve_hopf=curve_hopf,
         model_hopf=model_hopf,
         ok=ok,

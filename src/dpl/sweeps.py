@@ -85,6 +85,10 @@ _SHAPE = {
     "split": (1, 2),
 }
 
+# the surgery census's moves by the same measure: a split or a merge has its
+# movie event's shape, and a band move turns one circle into one
+_MOVE_SHAPE = {"split": _SHAPE["split"], "merge": _SHAPE["merge"], "band": (1, 1)}
+
 
 @dataclass(frozen=True)
 class SweepMovie:
@@ -450,16 +454,15 @@ def surgery_census(data: Mapping | None = None) -> CensusReport:
     initial_count = len(alive)
     if len(set(alive)) != initial_count:
         deviations.append("initial labels are not distinct")
-    counts = {"split": 0, "merge": 0, "band": 0}
-    arity = {"split": (1, 2), "merge": (2, 1), "band": (1, 1)}
+    counts = dict.fromkeys(_MOVE_SHAPE, 0)
     for pos, move in enumerate(data.get("moves", ())):
         kind = move.get("kind")
-        if kind not in arity:
+        if kind not in _MOVE_SHAPE:
             deviations.append(f"move {pos}: unknown kind {kind!r}")
             continue
         counts[kind] += 1
         ins, outs = list(move.get("in", ())), list(move.get("out", ()))
-        if (len(ins), len(outs)) != arity[kind]:
+        if (len(ins), len(outs)) != _MOVE_SHAPE[kind]:
             deviations.append(f"move {pos}: {kind} has arity {len(ins)}->{len(outs)}")
         for l in ins:
             if l in alive:

@@ -488,11 +488,11 @@ def _arc_around(f: PLCircleMap, z: Angle) -> TransverseArc:
 
 
 def _blocking_neutrals(
-    f: PLCircleMap, cls: PreimageClassification, z: Angle
+    cls: PreimageClassification, fiber: tuple[Fraction, ...]
 ) -> list[int]:
-    """Indices of the neutral components of ``cls`` that meet z's fiber."""
+    """Indices of the neutral components of ``cls`` that meet ``fiber``."""
     out = []
-    for x in f.fiber(z):
+    for x in fiber:
         comp = cls.component_containing(x)
         if comp is not None and comp.kind == "neutral":
             idx = cls.components.index(comp)
@@ -540,7 +540,8 @@ def eliminate_negative_arcs(
         # so it holds a local extremum of the lift, which is a fold: there
         # are at most lap_count blockers.  Each round strictly lowers their
         # number, so the loop ends within lap_count + 1 rounds.
-        blockers = _blocking_neutrals(f, cls, z)
+        fiber = f.fiber(z)
+        blockers = _blocking_neutrals(cls, fiber)
         while blockers:
             side_value = cls.components[blockers[0]].endpoint_values[0]
             grow_start = side_value == cur.ccw_start
@@ -550,7 +551,7 @@ def eliminate_negative_arcs(
                 # growing the unfolded cur adds no negative component (see the
                 # consequences of Lemma A), so the candidate is unfolded as is
                 cand_cls = classify_preimage(f, cand)
-                cand_blockers = _blocking_neutrals(f, cand_cls, z)
+                cand_blockers = _blocking_neutrals(cand_cls, fiber)
                 if len(cand_blockers) < len(blockers):
                     grown = (cand.start, None) if grow_start else (None, cand.end)
                     counts = (cand_cls.negative_count, cand_cls.positive_count)

@@ -1,0 +1,176 @@
+"""Named faults, each injected with ``monkeypatch``, and the check that catches it.
+
+Every row of ``MUTANTS`` replaces one private function or constant and names
+the check that must notice: a property in ``dpl.properties.PROPERTIES``, the
+cover cross-check, or a construction's own guard.  A refactor re-runs them
+all; a change that tries a new mutant adds it here.  The plain tests below
+the table drive the remaining guard lines with stub inputs.
+"""
+
+import dataclasses
+import operator
+from fractions import Fraction as F
+
+import pytest
+
+import dpl.properties
+import dpl.space_forms
+from dpl import Angle, TransverseArc, make_map
+from dpl.cli import _json_default
+from dpl.properties import PROPERTIES, _regular_arc, _regular_value
+from dpl.space_forms import build_group, dcover_consistency
+from dpl.unfolding import UnfoldingBlocked
+
+_model = dpl.space_forms.cover_double_point_model
+_hopf = dpl.space_forms.hopf_of_cover
+
+
+def _always_blocked(*args, **kwargs):
+    raise UnfoldingBlocked("injected")
+
+
+def _growth_checks_say_not_blocked():
+    for name in ("unfold_termination", "pair_counts"):
+        assert PROPERTIES[name](0) == ["unfolding is not blocked: injected"]
+
+
+def _termination_sees_an_unexpected_unfolding():
+    tail = " unfolds, though no reachable end is sweep-free"
+    found = [PROPERTIES["unfold_termination"](seed) for seed in range(20)]
+    assert any(len(f) == 1 and f[0].endswith(tail) for f in found)
+
+
+def _with_first_row(field, change):
+    def model(group):
+        m = _model(group)
+        row, *rest = m.components
+        row = dataclasses.replace(row, **{field: change(getattr(row, field))})
+        return dataclasses.replace(m, components=(row, *rest))
+
+    return model
+
+
+def _without_first_row(group):
+    m = _model(group)
+    return dataclasses.replace(m, components=m.components[1:])
+
+
+def _with_first_row_twice(group):
+    m = _model(group)
+    return dataclasses.replace(m, components=m.components[:1] + m.components)
+
+
+def _dcover_fails():
+    for d in range(2, 7):
+        report = dcover_consistency(d)
+        assert report.ok is False, d
+        assert [e for e, _ in report.matched] == list(range(1, d)), d
+
+
+def _tetrahedral_order_is_refused():
+    with pytest.raises(AssertionError, match="order 3, expected 24"):
+        build_group("binary_tetrahedral")
+
+
+# fault name: (module, attribute, replacement, the check that catches it)
+MUTANTS = {
+    "growth always blocked": (
+        dpl.properties,
+        "eliminate_negative_arcs",
+        _always_blocked,
+        _growth_checks_say_not_blocked,
+    ),
+    "no reachable end is sweep-free": (
+        dpl.properties,
+        "_sweep_free_reach",
+        lambda f, arc: False,
+        _termination_sees_an_unexpected_unfolding,
+    ),
+    "model row with another degree": (
+        dpl.space_forms,
+        "cover_double_point_model",
+        _with_first_row("projection_degree", lambda v: v + 1),
+        _dcover_fails,
+    ),
+    "model row with another partner": (
+        dpl.space_forms,
+        "cover_double_point_model",
+        _with_first_row("partner", lambda v: v + 1),
+        _dcover_fails,
+    ),
+    "model row with invariance flipped": (
+        dpl.space_forms,
+        "cover_double_point_model",
+        _with_first_row("swap_invariant", operator.not_),
+        _dcover_fails,
+    ),
+    "model row for the identity": (
+        dpl.space_forms,
+        "cover_double_point_model",
+        _with_first_row("element", lambda v: 0),
+        _dcover_fails,
+    ),
+    "model row dropped": (
+        dpl.space_forms,
+        "cover_double_point_model",
+        _without_first_row,
+        _dcover_fails,
+    ),
+    "model row duplicated": (
+        dpl.space_forms,
+        "cover_double_point_model",
+        _with_first_row_twice,
+        _dcover_fails,
+    ),
+    "cover hopf parity flipped": (
+        dpl.space_forms,
+        "hopf_of_cover",
+        lambda group: 1 - _hopf(group),
+        _dcover_fails,
+    ),
+    "tetrahedral generators of a smaller group": (
+        dpl.space_forms,
+        "_EXCEPTIONAL",
+        {
+            **dpl.space_forms._EXCEPTIONAL,
+            "binary_tetrahedral": (3, [(1, 1, 0, 1)], 24),
+        },
+        _tetrahedral_order_is_refused,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_caught(name, monkeypatch):
+    module, attribute, fault, caught = MUTANTS[name]
+    monkeypatch.setattr(module, attribute, fault)
+    caught()
+
+
+class _Draws:
+    """A stand-in for ``random.Random`` whose ``randrange`` returns set values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randrange(self, *args):
+        return self.values.pop(0)
+
+
+def test_regular_value_steps_off_a_fold_value():
+    tent = make_map([(0, 0), (F(1, 2), F(3, 4))], 0)
+    assert not tent.is_regular_value(Angle(0))
+    assert _regular_value(tent, _Draws(0)) == Angle(F(1, 193))
+
+
+def test_regular_arc_steps_its_end_off_a_fold_value():
+    f = make_map([(0, F(1, 9)), (F(1, 2), F(1, 2))], 0)
+    assert not f.is_regular_value(Angle(F(1, 9)))
+    arc = _regular_arc(f, _Draws(0, 1))
+    assert arc == TransverseArc(Angle(0), Angle(F(1, 9) + F(1, 193)))
+
+
+def test_json_hook_refuses_other_objects():
+    assert _json_default(F(1, 3)) == _json_default(Angle(F(1, 3))) == "1/3"
+    with pytest.raises(TypeError, match="type object is not JSON serializable"):
+        _json_default(object())
