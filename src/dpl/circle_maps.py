@@ -1,10 +1,16 @@
 """Exact piecewise-linear self-maps of the circle.
 
-The circle is R/Z.  Points are exact rationals (fractions.Fraction); nothing
-in this package touches floating point.  A map is stored as the cyclic
-sequence of its linear laps: breakpoints (x_i, l_i) with x_i strictly
+The circle is R/Z.  Points are exact rationals (fractions.Fraction) at the
+API; nothing in this package touches floating point.  A map is stored as the
+cyclic sequence of its linear laps: breakpoints (x_i, l_i) with x_i strictly
 increasing in [0, 1) and l_i the lift value at x_i, closed up by
 lift(x + 1) = lift(x) + degree.
+
+Inside, the hot paths run in ints on the map's grid (1/D)Z, D the LCM of
+every breakpoint denominator: each lap is a row of ints (:func:`_lap_rows`),
+a level's preimages are int numerators over per-lap denominators
+(``PLCircleMap._level_cuts``), and a Fraction is built only where a caller
+receives one.
 
 Construction normalizes the breakpoint list so that every interior vertex is
 a genuine fold (slope sign change); runs of same-sign segments are
@@ -200,22 +206,34 @@ class _LapIndex(NamedTuple):
     ends: tuple[tuple[int, int, int, int], ...]
 
 
-def _lap_rows(m, count: int) -> list[tuple]:
-    """Each lap of a circle or interval map, read once for inversion and clipping.
+def _grid_of(points: Iterable[tuple[Fraction, Fraction]]) -> int:
+    """D, the LCM of every coordinate's denominator: all points lie on (1/D)Z^2."""
+    return math.lcm(*(v.denominator for point in points for v in point))
 
-    A row is (rising, lowest value, x where it is taken, highest value, x
-    where it is taken, inverse slope, x-intercept of the inverse), so that
-    the lap takes value v at ``v * inverse + intercept``.
+
+def _lap_rows(m, count: int, grid: int) -> list[tuple]:
+    """Each lap of a circle or interval map on the grid (1/grid)Z, read once.
+
+    A row is (rising, V_lo, x_lo, V_hi, x_hi, dX, c, den): the lap's lowest
+    and highest values are V_lo / grid and V_hi / grid, taken at x_lo and
+    x_hi, and it takes the value V / grid at x = (V * dX + c) / den, with
+    den > 0.  All but x_lo and x_hi are ints; ``grid`` must be a multiple of
+    every breakpoint denominator.
     """
     rows = []
     for j in range(count):
         xlo, xhi, l0, l1 = m.lap(j)
-        inv = (xhi - xlo) / (l1 - l0)
-        c = xlo - l0 * inv
-        if l0 < l1:
-            rows.append((True, l0, xlo, l1, xhi, inv, c))
+        x0, v0, v1 = (v.numerator * (grid // v.denominator) for v in (xlo, l0, l1))
+        run = xhi.numerator * (grid // xhi.denominator) - x0
+        g = math.gcd(run, v1 - v0)
+        dx, dv = run // g, (v1 - v0) // g
+        if dv < 0:
+            dx, dv = -dx, -dv
+            row = (False, v1, xhi, v0, xlo)
         else:
-            rows.append((False, l1, xhi, l0, xlo, inv, c))
+            row = (True, v0, xlo, v1, xhi)
+        # x = xlo + (V - v0) * run / ((v1 - v0) * grid)
+        rows.append((*row, dx, (x0 * dv - v0 * dx), grid * dv))
     return rows
 
 
@@ -337,9 +355,14 @@ class PLCircleMap:
         return self._xs[j], self._xs[j + 1], self._ls[j], self._ls[j + 1]
 
     @cached_property
+    def _grid(self) -> int:
+        """D, the LCM of every breakpoint x and lift denominator."""
+        return _grid_of(self.breakpoints)
+
+    @cached_property
     def _lap_table(self) -> tuple[tuple, ...]:
-        """One :func:`_lap_rows` row per lap, built once per map."""
-        return tuple(_lap_rows(self, self.lap_count))
+        """One :func:`_lap_rows` row per lap, on the map's grid, built once per map."""
+        return tuple(_lap_rows(self, self.lap_count, self._grid))
 
     def to_fundamental(self, x: RationalLike) -> Fraction:
         """Translate x by an integer into [x_0, x_0 + 1)."""
@@ -368,44 +391,70 @@ class PLCircleMap:
     def is_regular_value(self, y: Union[RationalLike, Angle]) -> bool:
         return _as_angle(y) not in self.critical_values
 
+    @cached_property
+    def _cut_memo(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def _level_cuts(self, yv: Fraction) -> tuple[tuple[int, ...], ...]:
+        """Each preimage of the level yv in [0, 1), in domain order from x_0, in ints.
+
+        A cut (j, key, N, den) lies at x = N / den on lap j, where the lap
+        takes the value yv + m; key is m times twice the lap's slope sign,
+        so (j, key) orders the cuts along the domain.  A lap holds
+        [x_j, x_{j+1}): where the level passes through a vertex, the lap
+        ending there leaves it to the lap starting there, so the last lap
+        leaves x_0 + 1 to x_0 on lap 0.
+
+        The :class:`_LapIndex` gives each lap's first and last value on
+        yv's level; laps that miss the level cost nothing.  At a critical
+        level a lap also meets the level at an end that lies on it, so its
+        top is ranked against the residues below the level (``bisect_left``)
+        and its bottom against those at or below it.  With yv = p/q, lap j
+        takes the value yv + m at ((p + m q) D dX + c q) / (q den), from its
+        :func:`_lap_rows` row on the grid D.  Cuts are kept per map, keyed
+        by (p, q).
+        """
+        p, q = yv.numerator, yv.denominator
+        cuts = self._cut_memo.get((p, q))
+        if cuts is not None:
+            return cuts
+        residues, ends = self._lap_index
+        at_or_below = bisect_right(residues, yv) - 1
+        below = bisect_left(residues, yv) - 1
+        # the residue on the level, if the level passes through a vertex
+        vertex = at_or_below if below < at_or_below else None
+        grid, found = self._grid, []
+        for j, ((m_lo, a, m_hi, b), row) in enumerate(zip(ends, self._lap_table)):
+            lo, hi = m_lo + (a > at_or_below), m_hi - (b <= below)
+            rising, _, _, _, _, dx, c, den = row
+            if rising:
+                hi -= b == vertex
+                ms, sign = range(lo, hi + 1), 2
+            else:
+                lo += a == vertex
+                ms, sign = range(hi, lo - 1, -1), -2
+            n, step, qden = p * grid * dx + c * q, q * grid * dx, q * den
+            found += [(j, sign * m, n + m * step, qden) for m in ms]
+        cuts = self._cut_memo[p, q] = tuple(found)
+        return cuts
+
     def _fiber_laps(self, y: Union[RationalLike, Angle]) -> dict[Fraction, int]:
-        """Each preimage of y inside [x_0, x_0 + 1), keyed to the lap it lies on.
+        """Each preimage of y inside [x_0, x_0 + 1), in order, keyed to its lap.
 
         A preimage of a regular value lies inside one lap (on a fold-free
         map the anchor is no fold, and both ends of its one lap are lap 0).
         At a critical value a fold vertex is kept once, with the later of its
-        laps in lap order.  Keys come in lap order, rising in value within
-        each lap.
-
-        The :class:`_LapIndex` gives each lap's first value on y's level and
-        how often it meets that level; laps that miss it cost no Fraction
-        work.  At a critical level a lap also meets the level at an end
-        that lies on it, so its top is ranked against the residues below
-        the level (``bisect_left``) and its bottom against those at or
-        below it.
+        laps in lap order: x_0 with the last lap, which ends at x_0 + 1.
         """
-        yv = _as_angle(y).value
-        residues, ends = self._lap_index
-        at_or_below = bisect_right(residues, yv) - 1
-        below = bisect_left(residues, yv) - 1
-        x1, last = self._xs[-1], self.lap_count - 1
-        found: dict[Fraction, int] = {}
-        for j, (m_lo, a, m_hi, b) in enumerate(ends):
-            first = m_lo + (a > at_or_below)
-            count = m_hi + 1 - (b <= below) - first
-            if count <= 0:
-                continue
-            _, _, _, _, _, inv, c = self._lap_table[j]
-            x = (yv + first) * inv + c
-            for _ in range(count):
-                # only the last lap reaches x_0 + 1
-                found[x - 1 if j == last and x >= x1 else x] = j
-                x += inv
+        cuts = self._level_cuts(_as_angle(y).value)
+        found = {Fraction(n, den): j for j, _, n, den in cuts}
+        if self._xs[0] in found:
+            found[self._xs[0]] = self.lap_count - 1
         return found
 
     def fiber(self, y: Union[RationalLike, Angle]) -> tuple[Fraction, ...]:
         """All preimages of the target point y, inside [x_0, x_0 + 1), sorted."""
-        return tuple(sorted(self._fiber_laps(y)))
+        return tuple(self._fiber_laps(y))
 
     def signed_fiber_count(self, y: Union[RationalLike, Angle]) -> int:
         """Sum of lap-slope signs over the fiber of a regular value; equals degree."""
@@ -522,34 +571,40 @@ def classify_preimage(f: PLCircleMap, arc: TransverseArc) -> PreimageClassificat
         if not f.is_regular_value(endpoint):
             raise EndpointNotRegular(f"arc endpoint {endpoint} is a critical value")
     a, b = arc.ccw_start, arc.ccw_end
-    # Each cut is (x, lap, f(x) == a); the other endpoint is f(x) == b.
-    cuts = [(x, j, True) for x, j in f._fiber_laps(a).items()]
-    cuts += [(x, j, False) for x, j in f._fiber_laps(b).items()]
-    cuts.sort(key=operator.itemgetter(0))
+    # Each cut is (lap, key, f(x) == a, N, den); the other endpoint is
+    # f(x) == b.  Where a lap takes a + m at key 2m times its slope sign,
+    # it takes b + m between a + m and a + m + 1 if a < b, else between
+    # a + m - 1 and a + m, so an odd key puts b's cuts among a's.
+    rows = f._lap_table
+    off = 1 if a.value < b.value else -1
+    cuts = [(j, key, True, n, den) for j, key, n, den in f._level_cuts(a.value)]
+    cuts += [
+        (j, key + (off if rows[j][0] else -off), False, n, den)
+        for j, key, n, den in f._level_cuts(b.value)
+    ]
+    cuts.sort()
     comps: list[PreimageComponent] = []
     if not cuts:
         x0 = f.breakpoints[0][0]
         if arc.contains(f.evaluate(x0)):
             comps.append(PreimageComponent("circle", x0, x0 + 1, None))
-    else:
-        slopes = f.slopes
-        for idx, (p, lap, at_a) in enumerate(cuts):
-            # leaving a upward or b downward enters the arc
-            if at_a != (slopes[lap] > 0):
-                continue
-            if idx + 1 < len(cuts):
-                q, _, q_at_a = cuts[idx + 1]
-            else:
-                q, _, q_at_a = cuts[0]
-                q += 1
-            if at_a != q_at_a:
-                kind = "positive" if at_a else "negative"
-            else:
-                kind = "neutral"
-            if arc.orientation == -1 and kind != "neutral":
-                kind = "negative" if kind == "positive" else "positive"
-            ends = (a if at_a else b, a if q_at_a else b)
-            comps.append(PreimageComponent(kind, p, q, ends))
+    for idx, (lap, _, at_a, n, den) in enumerate(cuts):
+        # leaving a upward or b downward enters the arc
+        if at_a != rows[lap][0]:
+            continue
+        # the cut after the last one is the first, one turn on
+        _, _, q_at_a, qn, qden = cuts[(idx + 1) % len(cuts)]
+        if idx + 1 == len(cuts):
+            qn += qden
+        if at_a != q_at_a:
+            kind = "positive" if at_a else "negative"
+        else:
+            kind = "neutral"
+        if arc.orientation == -1 and kind != "neutral":
+            kind = "negative" if kind == "positive" else "positive"
+        ends = (a if at_a else b, a if q_at_a else b)
+        start, end = Fraction(n, den), Fraction(qn, qden)
+        comps.append(PreimageComponent(kind, start, end, ends))
     return PreimageClassification(arc=arc, components=tuple(comps))
 
 
@@ -560,9 +615,8 @@ def crossing_word(
     ya = _as_angle(y)
     if not f.is_regular_value(ya):
         raise EndpointNotRegular(f"{ya} is a critical value")
-    slopes = f.slopes
-    laps = [j for _, j in sorted(f._fiber_laps(ya).items())]
-    return tuple(1 if slopes[j] > 0 else -1 for j in laps)
+    rows = f._lap_table
+    return tuple(1 if rows[j][0] else -1 for j, *_ in f._level_cuts(ya.value))
 
 
 def downward_pair_count(f: PLCircleMap, y: Union[RationalLike, Angle]) -> int:

@@ -105,18 +105,20 @@ class QuotientComponent:
 
 
 def _equal_value_pieces(
-    rows_x: Sequence[tuple], rows_y: Sequence[tuple], degree: int | None
+    rows_x: Sequence[tuple], rows_y: Sequence[tuple], degree: int | None, grid: int
 ) -> Iterator[tuple[int, int, int, Point, Point, tuple[int, int, int]]]:
     """Clip {A_i(x) = B_j(y) + k} to every lap rectangle i x j, in (i, j, k) order.
 
-    ``degree``: the degree of the one circle map both coordinates read, for
-    every integer k, leaving out the diagonal (i = j, k = 0); None for an
-    interval pair, k = 0 only.  Yields (i, j, k, start, end, after), ordered
-    so that the x-displacement has the sign s_b of B's slope and the
-    y-displacement that of A's, s_a (the canonical orientation); empty and
-    one-point overlaps are skipped.
-    Each end of a piece lies on an edge of its rectangle, so one of its
-    coordinates is a lap end and only the other needs arithmetic.
+    ``rows_x``/``rows_y``: :func:`~dpl.circle_maps._lap_rows` rows of both
+    maps on one ``grid``.  ``degree``: the degree of the one circle map both
+    coordinates read, for every integer k, leaving out the diagonal (i = j,
+    k = 0); None for an interval pair, k = 0 only.  Yields (i, j, k, start,
+    end, after), ordered so that the x-displacement has the sign s_b of B's
+    slope and the y-displacement that of A's, s_a (the canonical
+    orientation); empty and one-point overlaps are skipped.
+    Values are compared as ints on the grid.  Each end of a piece lies on an
+    edge of its rectangle, so one of its coordinates is a lap end and only
+    the other is built, as one Fraction.
 
     ``after`` keys the rectangle the curve enters at the end: across B's
     edge into lap j + s_a, or else across A's edge into lap i + s_b.  On the
@@ -127,18 +129,19 @@ def _equal_value_pieces(
     piece ending there keys the diagonal rectangle, which holds none.
     """
     n = len(rows_x)
-    for i, (up_a, alo, xa_lo, ahi, xa_hi, ia, ca) in enumerate(rows_x):
+    for i, (up_a, alo, xa_lo, ahi, xa_hi, dxa, ca, dena) in enumerate(rows_x):
         s_a = 1 if up_a else -1
-        for j, (up_b, blo, yb_lo, bhi, yb_hi, ib, cb) in enumerate(rows_y):
+        for j, (up_b, blo, yb_lo, bhi, yb_hi, dxb, cb, denb) in enumerate(rows_y):
             s_b = 1 if up_b else -1
             if degree is None:
                 ks = (0,)
             else:
-                ks = range(math.ceil(alo - bhi), math.floor(ahi - blo) + 1)
+                ks = range(-((bhi - alo) // grid), (ahi - blo) // grid + 1)
             for k in ks:
                 if degree is not None and k == 0 and i == j:
                     continue  # the diagonal itself
-                vlo, vhi = blo + k, bhi + k
+                shift = k * grid
+                vlo, vhi = blo + shift, bhi + shift
                 on_b_lo, on_b_hi = vlo > alo, vhi < ahi
                 if not on_b_lo:
                     vlo = alo
@@ -146,8 +149,14 @@ def _equal_value_pieces(
                     vhi = ahi
                 if vlo >= vhi:
                     continue
-                lo = (vlo * ia + ca, yb_lo) if on_b_lo else (xa_lo, (vlo - k) * ib + cb)
-                hi = (vhi * ia + ca, yb_hi) if on_b_hi else (xa_hi, (vhi - k) * ib + cb)
+                if on_b_lo:
+                    lo = (Fraction(vlo * dxa + ca, dena), yb_lo)
+                else:
+                    lo = (xa_lo, Fraction((vlo - shift) * dxb + cb, denb))
+                if on_b_hi:
+                    hi = (Fraction(vhi * dxa + ca, dena), yb_hi)
+                else:
+                    hi = (xa_hi, Fraction((vhi - shift) * dxb + cb, denb))
                 if up_a == up_b:
                     start, end, on_b = lo, hi, on_b_hi
                 else:
@@ -162,14 +171,14 @@ def _equal_value_pieces(
 
 
 def _glued_pieces(
-    rows_x: Sequence[tuple], rows_y: Sequence[tuple], degree: int | None
+    rows_x: Sequence[tuple], rows_y: Sequence[tuple], degree: int | None, grid: int
 ) -> tuple[list[tuple], list[int]]:
     """The pieces of :func:`_equal_value_pieces`, and what each end glues to.
 
     ``succ[a]`` is the index of the piece the curve enters at a's end, -1
     where that rectangle holds none (a diagonal end, or the square's edge).
     """
-    pieces = list(_equal_value_pieces(rows_x, rows_y, degree))
+    pieces = list(_equal_value_pieces(rows_x, rows_y, degree, grid))
     index = {piece[:3]: a for a, piece in enumerate(pieces)}
     return pieces, [index.get(piece[5], -1) for piece in pieces]
 
@@ -235,7 +244,7 @@ def _raw_segments(f: PLCircleMap) -> tuple[list[CurveSegment], list[int]]:
     canonical orientation, or -1 where a's end lies on the diagonal.
     """
     rows = f._lap_table
-    pieces, succ = _glued_pieces(rows, rows, f.degree)
+    pieces, succ = _glued_pieces(rows, rows, f.degree, f._grid)
     return [CurveSegment(*piece[:5]) for piece in pieces], succ
 
 

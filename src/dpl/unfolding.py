@@ -101,6 +101,7 @@ from .circle_maps import (
     RationalLike,
     TransverseArc,
     ZeroSlopeSegment,
+    _grid_of,
     _lap_rows,
     _sweep_free_gap,
     classify_preimage,
@@ -744,9 +745,11 @@ def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
     lo = fa.breakpoints[0][0]
     hi = fa.breakpoints[-1][0]
 
-    rows_a = _lap_rows(fa, len(fa.breakpoints) - 1)
-    rows_b = _lap_rows(fb, len(fb.breakpoints) - 1)
-    pieces, succ = _glued_pieces(rows_a, rows_b, None)
+    # one grid for both maps, so that their values compare as ints
+    grid = _grid_of(fa.breakpoints + fb.breakpoints)
+    rows_a = _lap_rows(fa, len(fa.breakpoints) - 1, grid)
+    rows_b = _lap_rows(fb, len(fb.breakpoints) - 1, grid)
+    pieces, succ = _glued_pieces(rows_a, rows_b, None, grid)
     runs = _chains(range(len(pieces)), succ)
     # Both first laps rise from the corner (lo, lo), so the first piece
     # starts there, has no predecessor and begins the first run.

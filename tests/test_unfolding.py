@@ -28,7 +28,7 @@ from dpl import (
     surgery_parity,
     trace_circuits,
 )
-from dpl.circle_maps import _lap_rows, downward_pair_count, value_gaps
+from dpl.circle_maps import _grid_of, _lap_rows, downward_pair_count, value_gaps
 from dpl.double_points import _glued_pieces
 from dpl.properties import _sweep_free_reach
 from dpl.unfolding import (
@@ -614,8 +614,9 @@ def test_corner_gluing_matches_point_gluing():
         if {0, 1} & folds:
             first, second = _with_collar(first), _with_collar(second)
             collared += 1
-        rows = [_lap_rows(m, len(m.breakpoints) - 1) for m in (first, second)]
-        pieces, succ = _glued_pieces(*rows, None)
+        grid = _grid_of(first.breakpoints + second.breakpoints)
+        rows = [_lap_rows(m, len(m.breakpoints) - 1, grid) for m in (first, second)]
+        pieces, succ = _glued_pieces(*rows, None, grid)
         starts = {piece[3]: index for index, piece in enumerate(pieces)}
         assert len(starts) == len(pieces)
         assert succ == [starts.get(piece[4], -1) for piece in pieces], seed
