@@ -556,10 +556,9 @@ def eliminate_negative_arcs(
                 if len(cand_blockers) < len(blockers):
                     grown = (cand.start, None) if grow_start else (None, cand.end)
                     counts = (cand_cls.negative_count, cand_cls.positive_count)
-                    steps += [
-                        UnfoldStep(cur, 0, cls.positive_count, None, *grown),
-                        UnfoldStep(cand, *counts, None, None, None),
-                    ]
+                    # cur ends the steps so far; its step now carries the extension
+                    steps[-1] = UnfoldStep(cur, 0, cls.positive_count, None, *grown)
+                    steps.append(UnfoldStep(cand, *counts, None, None, None))
                     cur, cls, blockers = cand, cand_cls, cand_blockers
                     break
             else:

@@ -511,6 +511,22 @@ def test_unfold_regular_value_mode_clears_the_fiber():
         assert comp is not None and comp.kind in ("positive", "circle")
 
 
+def test_regular_value_traces_list_each_arc_once():
+    # each extension is carried by the step of the arc it grows
+    extended = 0
+    for seed in range(60):
+        f = random_map(seed, 8, 3)
+        lo, width = value_gaps(f)[0]
+        try:
+            _, trace = eliminate_negative_arcs(f, None, "regular-value", lo + width / 2)
+        except UnfoldingBlocked:
+            continue
+        arcs = [s.arc for s in trace.steps]
+        assert all(a != b for a, b in zip(arcs, arcs[1:])), seed
+        extended += sum(s.path is None and s is not trace.steps[-1] for s in trace.steps)
+    assert extended > 10, extended
+
+
 def test_unfold_regular_value_mode_refuses_a_critical_value():
     for value in (0, F(3, 4)):  # the tent's two fold values
         with pytest.raises(EndpointNotRegular, match="is a critical value"):
