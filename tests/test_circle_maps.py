@@ -176,6 +176,41 @@ def test_fiber_laps_match_the_laps_solved_one_by_one(monkeypatch):
         assert [g for g in built if g is f] == [f]
 
 
+def test_fiber_at_each_critical_value_keeps_its_fold_once():
+    f = make_map(
+        [(0, 0), (F(1, 4), F(11, 8)), (F(1, 2), F(9, 8)), (F(3, 4), F(39, 16))], 2
+    )
+    fibers = {v.value: f.fiber(v) for _, v in f.folds}
+    assert fibers == {
+        0: (0, F(2, 11), F(2, 3)),
+        F(3, 8): (F(3, 44), F(1, 4), F(23, 42), F(31, 42), F(11, 14)),
+        F(1, 8): (F(1, 44), F(9, 44), F(1, 2), F(29, 42), F(13, 14)),
+        F(7, 16): (F(7, 88), F(47, 84), F(3, 4)),
+    }
+
+
+def test_fold_free_anchor_preimage_is_x0_and_comes_first():
+    # the anchor value 1/3 is taken at x_0 = 1/8 and again at x_0 + 1
+    f = make_map([(F(1, 8), F(1, 3))], -2)
+    assert f.fiber(F(1, 3)) == (F(1, 8), F(5, 8))
+    assert crossing_word(f, F(1, 3)) == (-1, -1)
+    at_a, at_b = (Angle(F(1, 3)), Angle(F(1, 5))), (Angle(F(1, 5)), Angle(F(1, 3)))
+    cases = {
+        1: [
+            ("negative", F(1, 8), F(23, 120), at_a),
+            ("negative", F(5, 8), F(83, 120), at_a),
+        ],
+        -1: [
+            ("positive", F(23, 120), F(5, 8), at_b),
+            ("positive", F(83, 120), F(9, 8), at_b),
+        ],
+    }
+    for orientation, want in cases.items():
+        cls = classify_preimage(f, TransverseArc(F(1, 5), F(1, 3), orientation))
+        got = [(c.kind, c.start, c.end, c.endpoint_values) for c in cls.components]
+        assert got == want, orientation
+
+
 def test_signed_fiber_count_is_the_degree():
     f = make_map([(0, 0), (F(1, 4), F(11, 8)), (F(1, 2), F(9, 8)), (F(3, 4), F(39, 16))], 2)
     for y in (F(1, 16), F(1, 5), F(5, 12), F(99, 100)):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,9 @@ from dpl import (
     realizability_report,
     TransverseArc,
 )
+from dpl.circle_maps import _grid_of, _lap_rows
+
+from test_unfolding import corner_pairs
 
 
 def tent():
@@ -273,6 +277,71 @@ def test_lap_rectangle_gluing_matches_torus_point_gluing():
             loose += succ.count(-1)
             glued += len(succ) - succ.count(-1)
     assert loose > 3000 and glued > 30000, (loose, glued)
+
+
+def _clipped_by_fractions(laps_x, laps_y, circle_degree=None):
+    """{lift_i(x) = lift_j(y) + k} on each lap rectangle, in plain Fractions.
+
+    A lap is ((x0, a0), (x1, a1)).  On a circle map every k whose value
+    ranges overlap is solved, the diagonal (i = j, k = 0) left out; on an
+    interval pair only k = 0.  Each piece runs from its lower value to its
+    upper one when both laps slope the same way, else back.
+    """
+    pieces = []
+    for i, ((x0, a0), (x1, a1)) in enumerate(laps_x):
+        for j, ((y0, b0), (y1, b1)) in enumerate(laps_y):
+            if circle_degree is None:
+                ks = [0]
+            else:
+                low = math.ceil(min(a0, a1) - max(b0, b1))
+                ks = range(low, math.floor(max(a0, a1) - min(b0, b1)) + 1)
+            for k in ks:
+                if circle_degree is not None and i == j and k == 0:
+                    continue
+                lo = max(min(a0, a1), min(b0, b1) + k)
+                hi = min(max(a0, a1), max(b0, b1) + k)
+                if lo >= hi:
+                    continue
+
+                def at(v):
+                    return (
+                        x0 + (v - a0) / (a1 - a0) * (x1 - x0),
+                        y0 + (v - k - b0) / (b1 - b0) * (y1 - y0),
+                    )
+
+                ends = (at(lo), at(hi)) if (a1 > a0) == (b1 > b0) else (at(hi), at(lo))
+                pieces.append((i, j, k, *ends))
+    return pieces
+
+
+def _circle_laps(f):
+    (x0, l0), *_ = pts = list(f.breakpoints)
+    pts.append((x0 + 1, l0 + f.degree))
+    return list(zip(pts, pts[1:]))
+
+
+def test_clipper_matches_a_plain_fraction_clipper():
+    maps = [random_map(seed, 12, 4) for seed in range(100)]
+    maps += [random_map(seed, 40, 5) for seed in range(8)]
+    for f in maps:
+        for g in (f, f.reflect()):
+            laps = _circle_laps(g)
+            want = _clipped_by_fractions(laps, laps, g.degree)
+            rows = g._lap_table
+            got = dpl.double_points._equal_value_pieces(rows, rows, g.degree, g._grid)
+            assert [piece[:5] for piece in got] == want, g
+
+
+def test_interval_clipper_matches_a_plain_fraction_clipper():
+    pairs = 0
+    for seed, first, second in corner_pairs():
+        laps = [list(zip(m.breakpoints, m.breakpoints[1:])) for m in (first, second)]
+        grid = _grid_of(first.breakpoints + second.breakpoints)
+        rows = [_lap_rows(m, len(m.breakpoints) - 1, grid) for m in (first, second)]
+        got = dpl.double_points._equal_value_pieces(*rows, None, grid)
+        assert [piece[:5] for piece in got] == _clipped_by_fractions(*laps), seed
+        pairs += 1
+    assert pairs > 500, pairs
 
 
 # ---------------------------------------------------------------- consistency

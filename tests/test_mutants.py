@@ -1,24 +1,37 @@
 """Named faults, each injected with ``monkeypatch``, and the check that catches it.
 
-Every row of ``MUTANTS`` replaces one private function or constant and names
-the check that must notice: a property in ``dpl.properties.PROPERTIES``, the
-cover cross-check, or a construction's own guard.  A refactor re-runs them
-all; a change that tries a new mutant adds it here.  The plain tests below
-the table drive the remaining guard lines with stub inputs.
+Every row of ``MUTANTS`` replaces one private function, method or constant
+and names the check that must notice: a property in
+``dpl.properties.PROPERTIES``, the cover cross-check, an oracle test of this
+suite, or a construction's own guard.  A fault inside a function is that
+function recompiled from its source with one piece of text replaced
+(:func:`_rewritten`).  A refactor re-runs them all; a change that tries a
+new mutant adds it here.  The plain tests below the table drive the
+remaining guard lines with stub inputs.
 """
 
+import __future__
 import dataclasses
+import inspect
 import operator
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
+import dpl.circle_maps
+import dpl.double_points
 import dpl.properties
 import dpl.space_forms
-from dpl import Angle, TransverseArc, make_map
+import dpl.sweeps
+import test_circle_maps
+import test_double_points
+import test_sweeps
+from dpl import Angle, PLCircleMap, TransverseArc, make_map
 from dpl.cli import _json_default
 from dpl.properties import PROPERTIES, _regular_arc, _regular_value
 from dpl.space_forms import build_group, dcover_consistency
+from dpl.sweeps import assign_disks, random_movie, validate_movie
 from dpl.unfolding import UnfoldingBlocked
 
 _model = dpl.space_forms.cover_double_point_model
@@ -72,7 +85,60 @@ def _tetrahedral_order_is_refused():
         build_group("binary_tetrahedral")
 
 
-# fault name: (module, attribute, replacement, the check that catches it)
+def _rewritten(function, old, new):
+    """``function`` compiled again from its source, with ``old`` replaced by ``new``.
+
+    ``old`` must occur exactly once.  The copy reads the globals of the
+    function's module, so every other name means what it means there.
+    """
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, (function.__qualname__, old)
+    flags = __future__.annotations.compiler_flag
+    path = inspect.getsourcefile(function)
+    code = compile(source.replace(old, new), path, "exec", flags, dont_inherit=True)
+    scope = {}
+    exec(code, function.__globals__, scope)
+    return scope[function.__name__]
+
+
+def _fails(test):
+    """The check that ``test``, a test function of this suite, fails."""
+
+    def caught():
+        with pytest.raises(AssertionError):
+            test()
+
+    return caught
+
+
+def _pair_counts_fail():
+    assert any(PROPERTIES["pair_counts"](seed) for seed in range(20))
+
+
+def _classification_breaks_the_midpoint_rule():
+    def components(f, arc):
+        got = dpl.circle_maps.classify_preimage(f, arc).components
+        return [(c.kind, c.start, c.end, c.endpoint_values) for c in got]
+
+    oracle = test_circle_maps._midpoint_classification
+    cases = test_circle_maps._oracle_cases()
+    assert any(components(f, arc) != oracle(f, arc) for f, arc in cases)
+
+
+def _certificate_breaks_its_oracle():
+    def report(checked, placements):
+        got = dpl.sweeps.embedding_certificate(checked, placements, samples=4)
+        failed = [(fl.time, fl.labels) for fl in got.failures]
+        return list(got.times_checked), got.pairs_checked, failed
+
+    oracle = test_sweeps._oracle_certificate
+    movies = [validate_movie(random_movie(seed)) for seed in range(40)]
+    assert any(
+        report(m, assign_disks(m)) != oracle(m, assign_disks(m), 4) for m in movies
+    )
+
+
+# fault name: (module or class, attribute, replacement, the check that catches it)
 MUTANTS = {
     "growth always blocked": (
         dpl.properties,
@@ -136,6 +202,61 @@ MUTANTS = {
             "binary_tetrahedral": (3, [(1, 1, 0, 1)], 24),
         },
         _tetrahedral_order_is_refused,
+    ),
+    "grid that forgets the x denominators": (
+        dpl.circle_maps,
+        "_grid_of",
+        _rewritten(dpl.circle_maps._grid_of, "for v in point", "for v in point[1:]"),
+        _fails(test_double_points.test_clipper_matches_a_plain_fraction_clipper),
+    ),
+    "fold-free anchor not wrapped to x_0": (
+        PLCircleMap,
+        "_level_cuts",
+        # a falling lap keeps its end at x_{j+1}, not its start at x_j
+        _rewritten(PLCircleMap._level_cuts, "lo += a == vertex", "hi -= b == vertex"),
+        _fails(test_circle_maps.test_fold_free_anchor_preimage_is_x0_and_comes_first),
+    ),
+    "b-level key offset with the wrong sign": (
+        dpl.circle_maps,
+        "classify_preimage",
+        _rewritten(
+            dpl.circle_maps.classify_preimage,
+            "(off if rows[j][0] else -off)",
+            "(-off if rows[j][0] else off)",
+        ),
+        _classification_breaks_the_midpoint_rule,
+    ),
+    "bisect_right for the top": (
+        PLCircleMap,
+        "_level_cuts",
+        _rewritten(PLCircleMap._level_cuts, "bisect_left(", "bisect_right("),
+        _fails(test_circle_maps.test_fiber_at_each_critical_value_keeps_its_fold_once),
+    ),
+    "or for and in the exemption": (
+        dpl.sweeps,
+        "embedding_certificate",
+        _rewritten(
+            dpl.sweeps.embedding_certificate,
+            "la in event and lb in event",
+            "la in event or lb in event",
+        ),
+        _certificate_breaks_its_oracle,
+    ),
+    "dropped end time": (
+        dpl.sweeps,
+        "embedding_certificate",
+        _rewritten(dpl.sweeps.embedding_certificate, "times.append(grid[-1])", "pass"),
+        _certificate_breaks_its_oracle,
+    ),
+    "ends-only windings": (
+        dpl.double_points,
+        "_build_curve",
+        _rewritten(
+            dpl.double_points._build_curve,
+            "(s.end[0] == x1) - (s.start[0] == x1)",
+            "(s.end[0] == x1)",
+        ),
+        _pair_counts_fail,
     ),
 }
 

@@ -615,9 +615,9 @@ def test_corner_connectivity_rejects_shared_fold_values():
         corner_connectivity(IntervalMapPair(a, b))
 
 
-def test_corner_gluing_matches_point_gluing():
-    # an end continues into the piece that starts at the same point
-    pairs = collared = 0
+def corner_pairs():
+    """The generic interval pairs of seeds 0-599, collared as
+    ``corner_connectivity`` collars them, with their seeds."""
     for seed in range(600):
         rng = random.Random(seed)
         first, second = (
@@ -629,7 +629,14 @@ def test_corner_gluing_matches_point_gluing():
             continue
         if {0, 1} & folds:
             first, second = _with_collar(first), _with_collar(second)
-            collared += 1
+        yield seed, first, second
+
+
+def test_corner_gluing_matches_point_gluing():
+    # an end continues into the piece that starts at the same point
+    pairs = collared = 0
+    for seed, first, second in corner_pairs():
+        collared += first.breakpoints[0][0] < 0
         grid = _grid_of(first.breakpoints + second.breakpoints)
         rows = [_lap_rows(m, len(m.breakpoints) - 1, grid) for m in (first, second)]
         pieces, succ = _glued_pieces(*rows, None, grid)
