@@ -636,7 +636,7 @@ def test_corner_gluing_matches_point_gluing():
     # an end continues into the piece that starts at the same point
     pairs = collared = 0
     for seed, first, second in corner_pairs():
-        collared += first.breakpoints[0][0] < 0
+        collared += first.breakpoints[0][0] < 0  # a collar starts at -1/4
         grid = _grid_of(first.breakpoints + second.breakpoints)
         rows = [_lap_rows(m, len(m.breakpoints) - 1, grid) for m in (first, second)]
         pieces, succ = _glued_pieces(*rows, None, grid)
