@@ -439,7 +439,7 @@ class PLCircleMap:
         return cuts
 
     def _fiber_laps(self, y: Union[RationalLike, Angle]) -> dict[Fraction, int]:
-        """Each preimage of y inside [x_0, x_0 + 1), in order, keyed to its lap.
+        """Each preimage of y inside [x_0, x_0 + 1), in domain order, keyed to its lap.
 
         A preimage of a regular value lies inside one lap (on a fold-free
         map the anchor is no fold, and both ends of its one lap are lap 0).
