@@ -222,18 +222,17 @@ def _lap_rows(m, count: int, grid: int) -> list[tuple]:
     """
     rows = []
     for j in range(count):
-        xlo, xhi, l0, l1 = m.lap(j)
-        x0, v0, v1 = (v.numerator * (grid // v.denominator) for v in (xlo, l0, l1))
-        run = xhi.numerator * (grid // xhi.denominator) - x0
-        g = math.gcd(run, v1 - v0)
-        dx, dv = run // g, (v1 - v0) // g
+        lap = xlo, xhi, _, _ = m.lap(j)
+        x0, x1, v0, v1 = (v.numerator * (grid // v.denominator) for v in lap)
+        g = math.gcd(x1 - x0, v1 - v0)
+        dx, dv = (x1 - x0) // g, (v1 - v0) // g
         if dv < 0:
             dx, dv = -dx, -dv
             row = (False, v1, xhi, v0, xlo)
         else:
             row = (True, v0, xlo, v1, xhi)
-        # x = xlo + (V - v0) * run / ((v1 - v0) * grid)
-        rows.append((*row, dx, (x0 * dv - v0 * dx), grid * dv))
+        # x = (x0 + (V - v0) * (x1 - x0) / (v1 - v0)) / grid
+        rows.append((*row, dx, x0 * dv - v0 * dx, grid * dv))
     return rows
 
 
