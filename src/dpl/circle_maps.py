@@ -566,8 +566,11 @@ def classify_preimage(f: PLCircleMap, arc: TransverseArc) -> PreimageClassificat
     negative ones against it, neutral ones enter and back out over a single
     endpoint.  Components are listed in domain order from the map's anchor.
     """
+    # a folded map's critical values are its sorted vertex residues
+    residues = () if f.fold_free else f._lap_index.residues
     for endpoint in (arc.start, arc.end):
-        if not f.is_regular_value(endpoint):
+        k = bisect_left(residues, endpoint.value)
+        if residues[k : k + 1] == (endpoint.value,):
             raise EndpointNotRegular(f"arc endpoint {endpoint} is a critical value")
     a, b = arc.ccw_start, arc.ccw_end
     # Each cut is (lap, key, f(x) == a, N, den); the other endpoint is

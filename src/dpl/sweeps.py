@@ -6,7 +6,9 @@ combinatorics and assigns canonical integer labels in birth order;
 :func:`assign_disks` realizes every circle as a moving round disk in the
 plane so that disks are pairwise disjoint at all times, touching only at
 their own event's moment; :func:`embedding_certificate` verifies that
-disjointness on a finite sample grid with exact rational arithmetic.
+disjointness exactly on a finite sample grid.  It computes in ints, on one
+time unit and one length unit common to the movie and its disks, and returns
+its times as ``Fraction`` values.
 
 The layout is a slot system: disk k idles at (k, 0) with radius 2/5.
 Travel happens in horizontal lanes at y = +1 (heading to an event) and
@@ -19,10 +21,12 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, count
+from math import lcm
 from typing import Mapping, Sequence
 
 from .circle_maps import InfeasibleParameters, RationalLike, frac
@@ -223,6 +227,11 @@ class DiskPlacement:
         return frames[-1][1], frames[-1][2]
 
 
+def _on(v: Fraction, unit: int) -> int:
+    """v times ``unit``, a multiple of v's denominator, as an int."""
+    return v.numerator * (unit // v.denominator)
+
+
 def _grid(checked: CheckedMovie) -> list[Fraction]:
     """The window boundaries 0, the event times and 1, in increasing order.
 
@@ -348,30 +357,61 @@ def embedding_certificate(
     Every pair of disks alive at a sampled time must be strictly disjoint,
     except that the participants of an event may touch or overlap each other
     at exactly that event's time.
+
+    The check runs in ints on one time unit 1/T and one length unit 1/U:
+    T is the LCM of samples + 1 times each grid denominator and of every
+    time in the placements given, U the LCM of their keyframe coordinate
+    and radius denominators, so every time checked is a tick k/T.  Each
+    disk walks its keyframes once over the ticks of its lifespan and is
+    placed as :meth:`DiskPlacement.placement_at` places it: at a tick
+    inside the keyframe step (K0, K1] its center is (X, Y)/(U Δ) and its
+    radius R/(U Δ), with Δ = K1 - K0, or Δ = 1 where it is clamped to a
+    keyframe.  The pair test is multiplied through by (U Δa Δb)².  The
+    report gives each time checked as a ``Fraction``, built once.
     """
     if placements is None:
         placements = assign_disks(checked)
     grid = _grid(checked)
+    n = max(samples, 0) + 1
+    spans = [(p.born, p.died, *(kf[0] for kf in p.keyframes)) for p in placements]
+    sizes = [(*c, r) for p in placements for _, c, r in p.keyframes]
+    T = n * lcm(*(t.denominator for t in grid))
+    T = lcm(T, *(t.denominator for s in spans for t in s))
+    U = lcm(*(v.denominator for s in sizes for v in s))
     # each window's start and then its samples, window by window, and the
     # end; with samples below 1 only the grid is checked
-    n = max(samples, 0) + 1
-    times: list[Fraction] = []
-    for t0, t1 in zip(grid, grid[1:]):
-        times += [t0 + Fraction(i, n) * (t1 - t0) for i in range(n)]
-    times.append(grid[-1])
-    # the participants of the event at each event time
-    exempt = {t: labels for t, _, labels in checked.events}
-
+    ends = [_on(t, T) for t in grid]
+    ticks = [a + i * (b - a) // n for a, b in zip(ends, ends[1:]) for i in range(n)]
+    ticks.append(ends[-1])
+    # each tick's live disks in placements order, as (label, X, Y, R, Δ)
+    live: list[list[tuple[int, ...]]] = [[] for _ in ticks]
+    for p, (born, died, *kts) in zip(placements, spans):
+        ks, j = [_on(t, T) for t in kts], 1
+        fs = [[_on(v, U) for v in (*c, r)] for _, c, r in p.keyframes]
+        lo, hi = bisect_left(ticks, _on(born, T)), bisect_right(ticks, _on(died, T))
+        for i, k in enumerate(ticks[lo:hi], lo):
+            # the first keyframe after the first with time >= k, if any
+            while j < len(ks) and ks[j] < k:
+                j += 1
+            if k <= ks[0] or j == len(ks):
+                live[i].append((p.label, *fs[0 if k <= ks[0] else -1], 1))
+                continue
+            w0, w1 = ks[j] - k, k - ks[j - 1]
+            xyr = [v0 * w0 + v1 * w1 for v0, v1 in zip(fs[j - 1], fs[j])]
+            live[i].append((p.label, *xyr, w0 + w1))
+    # the participants of the event at each event tick
+    exempt = {_on(t, T): labels for t, _, labels in checked.events}
+    times = [Fraction(k, T) for k in ticks]
     failures: list[CertificateFailure] = []
     pairs_checked = 0
-    for t in times:
-        live = [(p.label, *pr) for p in placements if (pr := p.placement_at(t))]
-        event = exempt.get(t, ())
-        for (la, (xa, ya), ra), (lb, (xb, yb), rb) in combinations(live, 2):
+    for k, t, disks in zip(ticks, times, live):
+        event = exempt.get(k, ())
+        for (la, xa, ya, ra, da), (lb, xb, yb, rb, db) in combinations(disks, 2):
             if la in event and lb in event:
                 continue
             pairs_checked += 1
-            if (xa - xb) ** 2 + (ya - yb) ** 2 <= (ra + rb) ** 2:
+            dx, dy, rr = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
+            if dx * dx + dy * dy <= rr * rr:
                 failures.append(CertificateFailure(time=t, labels=(la, lb)))
     return CertificateReport(
         ok=not failures,

@@ -125,16 +125,27 @@ def _classification_breaks_the_midpoint_rule():
     assert any(components(f, arc) != oracle(f, arc) for f, arc in cases)
 
 
-def _certificate_breaks_its_oracle():
-    def report(checked, placements):
-        got = dpl.sweeps.embedding_certificate(checked, placements, samples=4)
-        failed = [(fl.time, fl.labels) for fl in got.failures]
-        return list(got.times_checked), got.pairs_checked, failed
+def _certificate_report(checked, placements, samples):
+    got = dpl.sweeps.embedding_certificate(checked, placements, samples=samples)
+    failed = [(fl.time, fl.labels) for fl in got.failures]
+    return list(got.times_checked), got.pairs_checked, failed
 
+
+def _certificate_breaks_its_oracle():
     oracle = test_sweeps._oracle_certificate
     movies = [validate_movie(random_movie(seed)) for seed in range(40)]
     assert any(
-        report(m, assign_disks(m)) != oracle(m, assign_disks(m), 4) for m in movies
+        _certificate_report(m, assign_disks(m), 4) != oracle(m, assign_disks(m), 4)
+        for m in movies
+    )
+
+
+def _off_grid_certificate_breaks_its_oracle():
+    checked, placements = test_sweeps._off_grid_movie()
+    oracle = test_sweeps._oracle_certificate
+    assert any(
+        _certificate_report(checked, placements, s) != oracle(checked, placements, s)
+        for s in (1, 4, 10)
     )
 
 
@@ -245,8 +256,20 @@ MUTANTS = {
     "dropped end time": (
         dpl.sweeps,
         "embedding_certificate",
-        _rewritten(dpl.sweeps.embedding_certificate, "times.append(grid[-1])", "pass"),
+        _rewritten(dpl.sweeps.embedding_certificate, "ticks.append(ends[-1])", "pass"),
         _certificate_breaks_its_oracle,
+    ),
+    "time unit without the samples + 1 factor": (
+        dpl.sweeps,
+        "embedding_certificate",
+        _rewritten(dpl.sweeps.embedding_certificate, "T = n * lcm", "T = lcm"),
+        _certificate_breaks_its_oracle,
+    ),
+    "swapped interpolation weights": (
+        dpl.sweeps,
+        "embedding_certificate",
+        _rewritten(dpl.sweeps.embedding_certificate, "w0, w1 = ", "w1, w0 = "),
+        _off_grid_certificate_breaks_its_oracle,
     ),
     "ends-only windings": (
         dpl.double_points,

@@ -15,7 +15,13 @@ from dpl import (
     surgery_parity,
     validate_movie,
 )
-from dpl.sweeps import DanglingLabel, DoubleBirth, Event, EventOrderViolation
+from dpl.sweeps import (
+    DanglingLabel,
+    DiskPlacement,
+    DoubleBirth,
+    Event,
+    EventOrderViolation,
+)
 
 import json
 from importlib import resources
@@ -231,6 +237,72 @@ def test_certificate_matches_the_set_and_sort_oracle(samples):
             assert got == _oracle_certificate(checked, variant, samples), seed
             failing += not report.ok
     assert failing > 10, failing
+
+
+def _off_grid_movie():
+    """A movie and hand-built placements with keyframe times, coordinates and
+    radii over 7, 9 and 11; a merge at 2/7 and a split at 5/9 exempt pairs."""
+    checked = validate_movie(
+        SweepMovie(
+            initial=("a", "b"),
+            events=(
+                make_event(F(2, 7), "merge", "a", "b", "c"),
+                make_event(F(5, 9), "split", "c", "d", "e"),
+            ),
+        )
+    )
+    y = F(5, 9)
+    placements = [
+        # born before its one keyframe and dying after it
+        DiskPlacement(0, "a", F(0), F(1), ((F(1, 11), (F(1, 7), y), F(3, 11)),)),
+        # slides through disk 0, exactly tangent to it at t = 1/7
+        DiskPlacement(
+            1,
+            "b",
+            F(1, 9),
+            F(7, 9),
+            ((F(1, 9), (F(2), y), F(2, 7)), (F(2, 7), (F(-36, 7), y), F(2, 7))),
+        ),
+        DiskPlacement(
+            2,
+            "c",
+            F(2, 9),
+            F(1),
+            (
+                (F(1, 7), (F(3), F(-1, 9)), F(1, 11)),
+                (F(4, 9), (F(30, 11), F(2, 7)), F(4, 11)),
+                (F(8, 11), (F(2), F(1, 9)), F(2, 9)),
+            ),
+        ),
+        DiskPlacement(
+            3,
+            "d",
+            F(0),
+            F(5, 9),
+            (
+                (F(0), (F(2), F(-2, 7)), F(1, 9)),
+                (F(3, 7), (F(20, 9), F(-1, 11)), F(3, 7)),
+                (F(5, 9), (F(19, 7), F(1, 11)), F(2, 11)),
+            ),
+        ),
+    ]
+    return checked, placements
+
+
+def test_certificate_matches_the_oracle_off_the_movie_grid():
+    checked, placements = _off_grid_movie()
+    (ca, ra), (cb, rb) = (p.placement_at(F(1, 7)) for p in placements[:2])
+    assert (ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2 == (ra + rb) ** 2
+    for samples in (1, 4, 10):
+        report = embedding_certificate(checked, placements, samples=samples)
+        got = (
+            list(report.times_checked),
+            report.pairs_checked,
+            [(fl.time, fl.labels) for fl in report.failures],
+        )
+        assert got == _oracle_certificate(checked, placements, samples), samples
+        # 1/7 is the middle of the first window, sampled at samples = 1
+        assert ((F(1, 7), (0, 1)) in got[2]) == (samples == 1)
 
 
 def test_certificate_handles_the_empty_movie():
