@@ -388,7 +388,10 @@ class PLCircleMap:
         return Angle(self.lift_evaluate(x))
 
     def is_regular_value(self, y: Union[RationalLike, Angle]) -> bool:
-        return _as_angle(y) not in self.critical_values
+        # a folded map's critical values are its sorted vertex residues
+        residues = () if self.fold_free else self._lap_index.residues
+        k = bisect_left(residues, v := _as_angle(y).value)
+        return residues[k : k + 1] != (v,)
 
     @cached_property
     def _cut_memo(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
@@ -566,11 +569,8 @@ def classify_preimage(f: PLCircleMap, arc: TransverseArc) -> PreimageClassificat
     negative ones against it, neutral ones enter and back out over a single
     endpoint.  Components are listed in domain order from the map's anchor.
     """
-    # a folded map's critical values are its sorted vertex residues
-    residues = () if f.fold_free else f._lap_index.residues
     for endpoint in (arc.start, arc.end):
-        k = bisect_left(residues, endpoint.value)
-        if residues[k : k + 1] == (endpoint.value,):
+        if not f.is_regular_value(endpoint):
             raise EndpointNotRegular(f"arc endpoint {endpoint} is a critical value")
     a, b = arc.ccw_start, arc.ccw_end
     # Each cut is (lap, key, f(x) == a, N, den); the other endpoint is

@@ -359,15 +359,19 @@ def embedding_certificate(
     at exactly that event's time.
 
     The check runs in ints on one time unit 1/T and one length unit 1/U:
-    T is the LCM of samples + 1 times each grid denominator and of every
+    T is samples + 1 times the LCM of every grid denominator and every
     time in the placements given, U the LCM of their keyframe coordinate
-    and radius denominators, so every time checked is a tick k/T.  Each
-    disk walks its keyframes once over the ticks of its lifespan and is
-    placed as :meth:`DiskPlacement.placement_at` places it: at a tick
-    inside the keyframe step (K0, K1] its center is (X, Y)/(U Δ) and its
-    radius R/(U Δ), with Δ = K1 - K0, or Δ = 1 where it is clamped to a
-    keyframe.  The pair test is multiplied through by (U Δa Δb)².  The
-    report gives each time checked as a ``Fraction``, built once.
+    and radius denominators, so every time checked is a tick k/T.  The
+    ints stay a few bits wide when the times share a small LCM, as every
+    :func:`random_movie`'s do; times over many distinct denominators widen
+    every product.  Each disk walks its keyframes once over the ticks of
+    its lifespan, all live disks one tick at a time, so only one tick's
+    disks are held at once.  A disk is placed as
+    :meth:`DiskPlacement.placement_at` places it: at a tick inside the
+    keyframe step (K0, K1] its center is (X, Y)/(U Δ) and its radius
+    R/(U Δ), with Δ = K1 - K0, or Δ = 1 where it is clamped to a keyframe.
+    The pair test is multiplied through by (U Δa Δb)².  The report gives
+    each time checked as a ``Fraction``, built once.
     """
     if placements is None:
         placements = assign_disks(checked)
@@ -375,37 +379,48 @@ def embedding_certificate(
     n = max(samples, 0) + 1
     spans = [(p.born, p.died, *(kf[0] for kf in p.keyframes)) for p in placements]
     sizes = [(*c, r) for p in placements for _, c, r in p.keyframes]
-    T = n * lcm(*(t.denominator for t in grid))
-    T = lcm(T, *(t.denominator for s in spans for t in s))
+    T = n * lcm(*(t.denominator for s in (grid, *spans) for t in s))
     U = lcm(*(v.denominator for s in sizes for v in s))
     # each window's start and then its samples, window by window, and the
     # end; with samples below 1 only the grid is checked
     ends = [_on(t, T) for t in grid]
     ticks = [a + i * (b - a) // n for a, b in zip(ends, ends[1:]) for i in range(n)]
     ticks.append(ends[-1])
-    # each tick's live disks in placements order, as (label, X, Y, R, Δ)
-    live: list[list[tuple[int, ...]]] = [[] for _ in ticks]
-    for p, (born, died, *kts) in zip(placements, spans):
+
+    def walk(p, lo, kts):
+        """The disk at each tick from tick lo on, as (label, X, Y, R, Δ)."""
         ks, j = [_on(t, T) for t in kts], 1
         fs = [[_on(v, U) for v in (*c, r)] for _, c, r in p.keyframes]
-        lo, hi = bisect_left(ticks, _on(born, T)), bisect_right(ticks, _on(died, T))
-        for i, k in enumerate(ticks[lo:hi], lo):
-            # the first keyframe after the first with time >= k, if any
-            while j < len(ks) and ks[j] < k:
-                j += 1
+        for k in map(ticks.__getitem__, count(lo)):
+            # the first keyframe after the first with time >= k, or none
+            j = bisect_left(ks, k, j)
             if k <= ks[0] or j == len(ks):
-                live[i].append((p.label, *fs[0 if k <= ks[0] else -1], 1))
+                yield (p.label, *fs[0 if k <= ks[0] else -1], 1)
                 continue
             w0, w1 = ks[j] - k, k - ks[j - 1]
             xyr = [v0 * w0 + v1 * w1 for v0, v1 in zip(fs[j - 1], fs[j])]
-            live[i].append((p.label, *xyr, w0 + w1))
+            yield (p.label, *xyr, w0 + w1)
+
+    # each disk's walk as (index, end, walk), live from the first tick of its
+    # lifespan up to the tick before its end; the live disks change only at
+    # the ticks keyed here
+    starts: dict[int, list[tuple]] = {}
+    for d, (p, (born, died, *kts)) in enumerate(zip(placements, spans)):
+        lo, hi = bisect_left(ticks, _on(born, T)), bisect_right(ticks, _on(died, T))
+        starts.setdefault(lo, []).append((d, hi, walk(p, lo, kts)))
+        starts.setdefault(hi, [])
     # the participants of the event at each event tick
     exempt = {_on(t, T): labels for t, _, labels in checked.events}
     times = [Fraction(k, T) for k in ticks]
-    failures: list[CertificateFailure] = []
-    pairs_checked = 0
-    for k, t, disks in zip(ticks, times, live):
+    failures, pairs_checked = [], 0
+    live, walks = [], []  # the live disks' (index, end, walk), and their walks
+    for i, (k, t) in enumerate(zip(ticks, times)):
+        if i in starts:
+            # the indices are distinct, so sorting never compares two walks
+            live = sorted(w for w in live + starts[i] if w[1] > i)
+            walks = [w[2] for w in live]
         event = exempt.get(k, ())
+        disks = list(map(next, walks))
         for (la, xa, ya, ra, da), (lb, xb, yb, rb, db) in combinations(disks, 2):
             if la in event and lb in event:
                 continue
@@ -413,12 +428,7 @@ def embedding_certificate(
             dx, dy, rr = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
             if dx * dx + dy * dy <= rr * rr:
                 failures.append(CertificateFailure(time=t, labels=(la, lb)))
-    return CertificateReport(
-        ok=not failures,
-        times_checked=tuple(times),
-        pairs_checked=pairs_checked,
-        failures=tuple(failures),
-    )
+    return CertificateReport(not failures, tuple(times), pairs_checked, tuple(failures))
 
 
 # --------------------------------------------------------------------------
