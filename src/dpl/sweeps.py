@@ -412,15 +412,15 @@ def embedding_certificate(
     # the participants of the event at each event tick
     exempt = {_on(t, T): labels for t, _, labels in checked.events}
     times = [Fraction(k, T) for k in ticks]
-    failures, pairs_checked = [], 0
-    live, walks = [], []  # the live disks' (index, end, walk), and their walks
+    failures: list[CertificateFailure] = []
+    pairs_checked = 0
+    live: list[tuple] = []  # the live disks' (index, end, walk), in order
     for i, (k, t) in enumerate(zip(ticks, times)):
         if i in starts:
             # the indices are distinct, so sorting never compares two walks
             live = sorted(w for w in live + starts[i] if w[1] > i)
-            walks = [w[2] for w in live]
         event = exempt.get(k, ())
-        disks = list(map(next, walks))
+        disks = [next(w[2]) for w in live]
         for (la, xa, ya, ra, da), (lb, xb, yb, rb, db) in combinations(disks, 2):
             if la in event and lb in event:
                 continue
@@ -428,7 +428,12 @@ def embedding_certificate(
             dx, dy, rr = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
             if dx * dx + dy * dy <= rr * rr:
                 failures.append(CertificateFailure(time=t, labels=(la, lb)))
-    return CertificateReport(not failures, tuple(times), pairs_checked, tuple(failures))
+    return CertificateReport(
+        ok=not failures,
+        times_checked=tuple(times),
+        pairs_checked=pairs_checked,
+        failures=tuple(failures),
+    )
 
 
 # --------------------------------------------------------------------------
