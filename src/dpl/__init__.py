@@ -7,21 +7,30 @@ rotation groups acting freely on the 3-sphere, and certified disk movies
 for families of disjoint circles.
 
 The package exports every public name of its modules: each module's
-``__all__`` is the one list of its public names.
+``__all__`` is the one list of its public names.  ``import dpl`` loads none
+of them.  A name loads on its first read (PEP 562): the modules are imported
+in the order below until one lists it, and the package keeps what it found.
 """
 
-from .circle_maps import *
-from .double_points import *
-from .space_forms import *
-from .sweeps import *
-from .unfolding import *
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *circle_maps.__all__,
-    *double_points.__all__,
-    *space_forms.__all__,
-    *sweeps.__all__,
-    *unfolding.__all__,
-]
+_MODULES = ("circle_maps", "double_points", "space_forms", "sweeps", "unfolding")
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = [n for m in _MODULES for n in import_module(f"{__name__}.{m}").__all__]
+    elif name in _MODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        for m in _MODULES:
+            module = import_module(f"{__name__}.{m}")
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

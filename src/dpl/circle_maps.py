@@ -76,6 +76,14 @@ class InfeasibleParameters(ValueError):
     """No valid object exists with the requested parameters."""
 
 
+class UnfoldingBlocked(RuntimeError):
+    """No arc extension reduces the negative count; unfolding cannot proceed.
+
+    Raised and exported by :mod:`dpl.unfolding`; it lives here so that a
+    caller can catch it without importing that module.
+    """
+
+
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 

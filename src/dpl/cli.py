@@ -11,6 +11,12 @@ as indented lines; there is no separate text pipeline.  Exit codes: 0 on
 success, 1 when a checked property fails (a blocked unfolding, a failed
 certificate, selftest failures, ...), 2 on bad input, including arguments
 a subcommand's parser refuses.
+
+Each command imports the modules it runs inside its handler, so a start
+loads only those: ``analyze`` and ``hopf`` load ``circle_maps`` and
+``double_points``, ``unfold`` adds ``unfolding``, ``group`` and
+``dcover-check`` add ``space_forms``, and ``sweep`` loads ``circle_maps``
+and ``sweeps``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import __version__
 from .circle_maps import (
@@ -31,39 +36,10 @@ from .circle_maps import (
     PLCircleMap,
     PreimageClassification,
     TransverseArc,
+    UnfoldingBlocked,
     classify_preimage,
     frac,
     make_map,
-)
-from .double_points import (
-    arc_lift_check,
-    controlled_hopf,
-    double_point_curve,
-    hopf_invariant,
-    realizability_report,
-)
-from .properties import PROPERTIES
-from .space_forms import (
-    build_group,
-    cover_double_point_model,
-    cover_realizable,
-    dcover_consistency,
-    hopf_of_cover,
-    involution_count,
-    nonrealizable_map_exists,
-)
-from .sweeps import (
-    SweepMovie,
-    embedding_certificate,
-    make_event,
-    random_movie,
-    surgery_census,
-    validate_movie,
-)
-from .unfolding import (
-    UnfoldingBlocked,
-    eliminate_negative_arcs,
-    pair_count_check,
 )
 
 _DEFAULT_SEED = 2026
@@ -106,6 +82,8 @@ def _load_map(path: str) -> PLCircleMap:
 
 
 def _load_movie(path: str) -> SweepMovie:
+    from .sweeps import SweepMovie, make_event
+
     data = _load_json(path)
     if not isinstance(data, dict) or "initial" not in data or "events" not in data:
         raise ValueError("a movie file holds an object with 'initial' and 'events'")
@@ -155,6 +133,8 @@ def _map_payload(f: PLCircleMap) -> dict:
 
 
 def _curve_payload(f: PLCircleMap) -> dict:
+    from .double_points import double_point_curve, hopf_invariant
+
     curve = double_point_curve(f)
     return {
         "component_count": len(curve.components),
@@ -184,6 +164,8 @@ def _curve_payload(f: PLCircleMap) -> dict:
 
 
 def _controlled_hopf_payload(f: PLCircleMap) -> list:
+    from .double_points import controlled_hopf
+
     return [
         {"members": list(members), "bit": bit}
         for members, bit in controlled_hopf(f)
@@ -216,6 +198,8 @@ def _classification_payload(f: PLCircleMap, arc: TransverseArc) -> dict:
 
 
 def _cmd_analyze(args):
+    from .double_points import arc_lift_check, double_point_curve, realizability_report
+
     f = _load_map(args.map)
     curve = double_point_curve(f)
     report = realizability_report(f)
@@ -262,6 +246,8 @@ def _step_payload(step) -> dict:
 
 
 def _cmd_unfold(args):
+    from .unfolding import eliminate_negative_arcs, pair_count_check
+
     if args.mode == "plain" and args.value is not None:
         raise ValueError("--value needs --mode regular-value")
     if args.mode == "regular-value" and args.arc is not None:
@@ -292,6 +278,8 @@ def _cmd_unfold(args):
 
 
 def _cmd_hopf(args):
+    from .double_points import arc_lift_check, double_point_curve, hopf_invariant
+
     f = _load_map(args.map)
     curve = double_point_curve(f)
     lift = arc_lift_check(f)
@@ -307,6 +295,15 @@ def _cmd_hopf(args):
 
 
 def _cmd_group(args):
+    from .space_forms import (
+        build_group,
+        cover_double_point_model,
+        cover_realizable,
+        hopf_of_cover,
+        involution_count,
+        nonrealizable_map_exists,
+    )
+
     payload = {"command": "group", "family": args.family, "n": args.n}
     if args.family == "infinite":
         if args.n is not None:
@@ -336,6 +333,8 @@ def _cmd_group(args):
 
 
 def _cmd_dcover_check(args):
+    from .space_forms import dcover_consistency
+
     if args.degree is not None and args.upto is not None:
         raise ValueError("dcover-check takes a degree or --upto, not both")
     upto = 12 if args.upto is None else args.upto
@@ -365,6 +364,13 @@ def _cmd_dcover_check(args):
 
 
 def _cmd_sweep(args):
+    from .sweeps import (
+        embedding_certificate,
+        random_movie,
+        surgery_census,
+        validate_movie,
+    )
+
     if args.census + (args.movie is not None) + (args.random is not None) > 1:
         raise ValueError("sweep takes only one of --census, a movie file or --random")
     _at_least("--samples", args.samples, 1)
@@ -431,6 +437,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_selftest(args):
+    from .properties import PROPERTIES
+
     _at_least("--runs", args.runs, 1)
     if args.seed is not None:
         seed = args.seed
@@ -632,6 +640,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def report_schema() -> dict:
     """The JSON schema every envelope conforms to."""
+    from importlib import resources
+
     schema = resources.files("dpl").joinpath("data/report.schema.json")
     return json.loads(schema.read_text())
 

@@ -10,6 +10,9 @@ disjointness exactly on a finite sample grid.  It computes in ints, on one
 time unit and one length unit common to the movie and its disks, and returns
 its times as ``Fraction`` values.
 
+:func:`surgery_census` replays the bundled surgery sequence against the
+count parity of :func:`surgery_parity`.
+
 The layout is a slot system: disk k idles at (k, 0) with radius 2/5.
 Travel happens in horizontal lanes at y = +1 (heading to an event) and
 y = -1, -2 (dispersing after one) at radius 1/6; a lane passer and an idle
@@ -24,13 +27,11 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations, count
 from math import lcm
 from typing import Mapping, Sequence
 
 from .circle_maps import InfeasibleParameters, RationalLike, frac
-from .unfolding import surgery_parity
 
 __all__ = [
     "DanglingLabel",
@@ -47,6 +48,8 @@ __all__ = [
     "CertificateReport",
     "embedding_certificate",
     "random_movie",
+    "Infeasible",
+    "surgery_parity",
     "CensusReport",
     "surgery_census",
 ]
@@ -473,7 +476,29 @@ def random_movie(seed: int, max_events: int = 20) -> SweepMovie:
 
 
 # --------------------------------------------------------------------------
-# the bundled surgery census
+# surgery parity and the bundled surgery census
+
+
+class Infeasible(ValueError):
+    """No object with the requested counts exists."""
+
+
+def surgery_parity(c_in: int, c_out: int, n: int) -> tuple[bool, int]:
+    """Whether n surgeries can take c_in circles to c_out ones orientably.
+
+    Each surgery changes the circle count by exactly one in the orientable
+    regime, so feasibility needs n >= |c_out - c_in| with matching parity;
+    a parity mismatch forces at least one count-preserving, side-swapping
+    move.  Returns (orientable_only_feasible, minimum_nonorientable_moves).
+    """
+    if c_in < 1 or c_out < 1 or n < 0:
+        raise InfeasibleParameters("counts must be positive and n nonnegative")
+    delta = abs(c_out - c_in)
+    if n < delta:
+        raise Infeasible(f"{n} surgeries cannot change the count by {delta}")
+    if (n - delta) % 2 == 0:
+        return (True, 0)
+    return (False, 1)
 
 
 @dataclass(frozen=True)
@@ -502,6 +527,8 @@ def surgery_census(data: Mapping | None = None) -> CensusReport:
     :func:`surgery_parity` demands.  Any discrepancy lands in ``deviations``.
     """
     if data is None:
+        from importlib import resources
+
         census = resources.files("dpl").joinpath("data/surgery_census.json")
         data = json.loads(census.read_text())
     deviations: list[str] = []

@@ -1,4 +1,4 @@
-"""Arc unfolding, balanced paths, pair counting, and surgery bookkeeping.
+"""Arc unfolding, balanced paths, pair counting, and Eulerian resolutions.
 
 The centerpiece is :func:`eliminate_negative_arcs`: grow a transverse arc,
 one fold-gap at a time, until its preimage has no negative components.  Each
@@ -100,6 +100,7 @@ from .circle_maps import (
     PreimageClassification,
     RationalLike,
     TransverseArc,
+    UnfoldingBlocked,
     ZeroSlopeSegment,
     _grid_of,
     _lap_rows,
@@ -114,7 +115,6 @@ from .double_points import _chains, _glued_pieces, _groups, double_point_curve
 __all__ = [
     "NoOppositeArc",
     "PreconditionUnmet",
-    "Infeasible",
     "UnfoldingBlocked",
     "BalancedPath",
     "UnfoldStep",
@@ -136,7 +136,6 @@ __all__ = [
     "resolution_choices",
     "trace_circuits",
     "random_admissible_graph",
-    "surgery_parity",
 ]
 
 
@@ -146,14 +145,6 @@ class NoOppositeArc(ValueError):
 
 class PreconditionUnmet(ValueError):
     """The operation's entry condition does not hold for this input."""
-
-
-class Infeasible(ValueError):
-    """No object with the requested counts exists."""
-
-
-class UnfoldingBlocked(RuntimeError):
-    """No arc extension reduces the negative count; unfolding cannot proceed."""
 
 
 # --------------------------------------------------------------------------
@@ -868,31 +859,37 @@ def eulerian_resolution(g: EulerGraph, component: int = 0) -> EulerResolution:
     verts = g.components[component]
     ins, outs = g._in_out
     # Hierholzer's walk from the first vertex: ``estack`` holds the edges of
-    # the open trail and ``v`` is its head.  From a head with unused edges
-    # the walk takes the last one; at a stuck head it retires the trail's
-    # last edge e to the circuit and backs up to e's tail.
+    # the open trail and ``v`` is its head.  From a head with an unused
+    # out-edge the walk takes the unused one of higher index; at a stuck head
+    # it retires the trail's last edge e to the circuit and backs up to e's
+    # tail.  The circuit is retired back to front, so the edge retired before
+    # e is the one the circuit takes after e: ``pair[e]`` holds that pair,
+    # and the first edge retired pairs with the last.
     edges = g.edges
-    pool = {v: outs[v][:] for v in verts}
+    used = [False] * len(edges)
+    pair: list = [None] * len(edges)
     estack: list[int] = []
     circuit: list[int] = []
-    v = verts[0]
+    v, before = verts[0], -1
     while True:
-        out = pool[v]
-        if out:
-            e = out.pop()
+        early, late = outs[v]
+        e = early if used[late] else late
+        if not used[e]:
+            used[e] = True
             estack.append(e)
             v = edges[e][1]
         elif estack:
             e = estack.pop()
+            pair[e], before = (e, before), e
             circuit.append(e)
             v = edges[e][0]
         else:
             break
-    circuit.reverse()
     if len(circuit) != len(component_edges):
         raise AssertionError("component is not connected")
-    after = dict(zip(circuit, circuit[1:] + circuit[:1]))
-    pairing = tuple([(v, tuple([(e, after[e]) for e in ins[v]])) for v in verts])
+    pair[circuit[0]] = (circuit[0], before)
+    circuit.reverse()
+    pairing = tuple([(v, (pair[ins[v][0]], pair[ins[v][1]])) for v in verts])
     return EulerResolution(component=component, pairing=pairing, circuit=tuple(circuit))
 
 
@@ -946,25 +943,3 @@ def random_admissible_graph(seed: int, n_vertices: int) -> EulerGraph:
     edges = [(i, sigma[i]) for i in range(n_vertices)]
     edges += [(i, tau[i]) for i in range(n_vertices)]
     return build_euler_graph(edges)
-
-
-# --------------------------------------------------------------------------
-# surgery parity
-
-
-def surgery_parity(c_in: int, c_out: int, n: int) -> tuple[bool, int]:
-    """Whether n surgeries can take c_in circles to c_out ones orientably.
-
-    Each surgery changes the circle count by exactly one in the orientable
-    regime, so feasibility needs n >= |c_out - c_in| with matching parity;
-    a parity mismatch forces at least one count-preserving, side-swapping
-    move.  Returns (orientable_only_feasible, minimum_nonorientable_moves).
-    """
-    if c_in < 1 or c_out < 1 or n < 0:
-        raise InfeasibleParameters("counts must be positive and n nonnegative")
-    delta = abs(c_out - c_in)
-    if n < delta:
-        raise Infeasible(f"{n} surgeries cannot change the count by {delta}")
-    if (n - delta) % 2 == 0:
-        return (True, 0)
-    return (False, 1)

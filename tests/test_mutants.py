@@ -24,6 +24,7 @@ import dpl.double_points
 import dpl.properties
 import dpl.space_forms
 import dpl.sweeps
+import test_api
 import test_circle_maps
 import test_double_points
 import test_sweeps
@@ -150,6 +151,18 @@ def _off_grid_certificate_breaks_its_oracle():
 
 
 # fault name: (module or class, attribute, replacement, the check that catches it)
+def _exports_fail_before_any_read():
+    """``test_api``'s export test fails on a package that has read no name yet."""
+    kept = dict(vars(dpl))
+    for name in ("__all__", *(n for m in test_api.MODULES for n in m.__all__)):
+        vars(dpl).pop(name, None)
+    try:
+        _fails(test_api.test_package_exports_each_module_all_once)()
+    finally:
+        vars(dpl).clear()
+        vars(dpl).update(kept)
+
+
 MUTANTS = {
     "growth always blocked": (
         dpl.properties,
@@ -280,6 +293,12 @@ MUTANTS = {
             "(s.end[0] == x1)",
         ),
         _pair_counts_fail,
+    ),
+    "package loader without one module": (
+        dpl,
+        "_MODULES",
+        tuple(m for m in dpl._MODULES if m != "sweeps"),
+        _exports_fail_before_any_read,
     ),
 }
 

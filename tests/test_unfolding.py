@@ -31,9 +31,9 @@ from dpl import (
 from dpl.circle_maps import _grid_of, _lap_rows, downward_pair_count, value_gaps
 from dpl.double_points import _glued_pieces
 from dpl.properties import _sweep_free_reach
+from dpl.sweeps import Infeasible
 from dpl.unfolding import (
     EulerGraph,
-    Infeasible,
     IntervalMapPair,
     NoOppositeArc,
     PreconditionUnmet,
