@@ -34,3 +34,8 @@ def __getattr__(name: str):
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
+
+
+def __dir__():
+    # every public name, read yet or not, so that dir() and help() list them
+    return sorted({*globals(), *__getattr__("__all__")})

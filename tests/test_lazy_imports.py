@@ -76,6 +76,11 @@ def test_first_read_of_a_name_loads_up_to_its_module():
     ]
 
 
+def test_dir_lists_every_public_name_before_its_first_read():
+    code = "import dpl\nassert set(dpl.__all__) < set(dir(dpl))"
+    assert _loaded(code) == ["dpl", *(f"dpl.{m}" for m in sorted(dpl._MODULES))]
+
+
 def test_unknown_name_raises_attribute_error_naming_the_package():
     message = "module 'dpl' has no attribute 'no_such_name'"
     with pytest.raises(AttributeError, match=message):
