@@ -17,7 +17,7 @@ number of times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
@@ -81,6 +81,9 @@ class CurveComponent:
     # For arcs: the fold vertices whose diagonal points the two ends limit to,
     # in traversal order.  None for circles.
     diagonal_ends: tuple[Fraction, Fraction] | None
+    # whether the values f(x) along the component cover the whole circle;
+    # set by the curve's builder
+    _covers: bool = field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,17 @@ class QuotientComponent:
 
 def _equal_value_pieces(
     rows_x: Sequence[tuple], rows_y: Sequence[tuple], degree: int | None, grid: int
-) -> Iterator[tuple[int, int, int, Point, Point, tuple[int, int, int]]]:
+) -> Iterator[tuple]:
     """Clip {A_i(x) = B_j(y) + k} to every lap rectangle i x j, in (i, j, k) order.
 
     ``rows_x``/``rows_y``: :func:`~dpl.circle_maps._lap_rows` rows of both
     maps on one ``grid``.  ``degree``: the degree of the one circle map both
     coordinates read, for every integer k, leaving out the diagonal (i = j,
     k = 0); None for an interval pair, k = 0 only.  Yields (i, j, k, start,
-    end, after), ordered so that the x-displacement has the sign s_b of B's
-    slope and the y-displacement that of A's, s_a (the canonical
-    orientation); empty and one-point overlaps are skipped.
+    end, after, turns_x, turns_y, change), ordered so that the
+    x-displacement has the sign s_b of B's slope and the y-displacement that
+    of A's, s_a (the canonical orientation); empty and one-point overlaps
+    are skipped.
     Values are compared as ints on the grid.  Each end of a piece lies on an
     edge of its rectangle, so one of its coordinates is a lap end and only
     the other is built, as one Fraction.
@@ -126,6 +130,13 @@ def _equal_value_pieces(
     rectangle holds at most one piece, and the one entered starts where
     this one ends.  Genericity leaves corners only on the diagonal, and a
     piece ending there keys the diagonal rectangle, which holds none.
+
+    ``turns_x``/``turns_y`` are the wraps of the two lap indices, -1, 0 or
+    1 (0 on an interval pair): 1 when the piece ends on the seam x_0 + 1
+    and the next one starts at x_0, -1 the other way round.  This is the
+    only place that decides a seam crossing.  ``change`` is the value's
+    change along the piece, times ``grid``: the two ints compared last,
+    taken in the piece's direction.
     """
     n = len(rows_x)
     for i, (up_a, alo, xa_lo, ahi, xa_hi, dxa, ca, dena) in enumerate(rows_x):
@@ -157,16 +168,16 @@ def _equal_value_pieces(
                 else:
                     hi = (xa_hi, Fraction((vhi - shift) * dxb + cb, denb))
                 if up_a == up_b:
-                    start, end, on_b = lo, hi, on_b_hi
+                    start, end, on_b, change = lo, hi, on_b_hi, vhi - vlo
                 else:
-                    start, end, on_b = hi, lo, on_b_lo
+                    start, end, on_b, change = hi, lo, on_b_lo, vlo - vhi
                 ii, jj = (i, j + s_a) if on_b else (i + s_b, j)
-                kk = k
+                kk, turns_x, turns_y = k, 0, 0
                 if degree is not None:  # wrap a lap index past either end
                     turns_x, ii = divmod(ii, n)
                     turns_y, jj = divmod(jj, n)
                     kk += (turns_y - turns_x) * degree
-                yield i, j, k, start, end, (ii, jj, kk)
+                yield i, j, k, start, end, (ii, jj, kk), turns_x, turns_y, change
 
 
 def _glued_pieces(
@@ -236,22 +247,19 @@ def _groups(nodes: Iterable[Hashable], links: Iterable[tuple]) -> list[list]:
     return sorted([sorted(m) for n, m in owner.items() if m[0] == n])
 
 
-def _raw_segments(f: PLCircleMap) -> tuple[list[CurveSegment], list[int]]:
-    """Every straight piece of the curve, sorted by key, and its gluing.
+def _raw_segments(
+    f: PLCircleMap,
+) -> tuple[list[CurveSegment], list[int], list[tuple[int, int, int]]]:
+    """Every straight piece of the curve, sorted by key, its gluing and its moves.
 
     ``succ[a]`` is the index of the segment that follows segment a along the
     canonical orientation, or -1 where a's end lies on the diagonal.
+    ``moves[a]`` is segment a's (turns_x, turns_y, change) from
+    :func:`_equal_value_pieces`.
     """
     rows = f._lap_table
     pieces, succ = _glued_pieces(rows, rows, f.degree, f._grid)
-    return [CurveSegment(*piece[:5]) for piece in pieces], succ
-
-
-def _torus_key(x1: Fraction, p: Point) -> tuple[Fraction, Fraction]:
-    """The point with each coordinate equal to x1 = x_0 + 1 moved to x_0."""
-    rx = p[0] - 1 if p[0] == x1 else p[0]
-    ry = p[1] - 1 if p[1] == x1 else p[1]
-    return (rx, ry)
+    return [CurveSegment(*p[:5]) for p in pieces], succ, [p[6:] for p in pieces]
 
 
 @dataclass(frozen=True)
@@ -298,30 +306,10 @@ class DoublePointCurve:
                     members=members,
                     compact=compact,
                     cover_trivial=len(members) == 2,
-                    lifts_through_arc=not _image_covers_circle(
-                        self.map, self.components[members[0]]
-                    ),
+                    lifts_through_arc=not self.components[members[0]]._covers,
                 )
             )
         return tuple(out)
-
-
-def _image_covers_circle(f: PLCircleMap, comp: CurveComponent) -> bool:
-    """Whether the values f(x) along the component cover the whole circle.
-
-    The chain is continuous, so summing each segment's value change traces a
-    lift of its image to the line; that lift sweeps one interval, and the
-    image covers the circle exactly when the interval is at least 1 long.
-    """
-    slopes = f.slopes
-    value = low = high = 0
-    for seg in comp.segments:
-        value += (seg.end[0] - seg.start[0]) * slopes[seg.lap_x]
-        if value < low:
-            low = value
-        elif value > high:
-            high = value
-    return high - low >= 1
 
 
 # The key under which a map keeps its curve in its ``__dict__``, beside its
@@ -344,31 +332,42 @@ def double_point_curve(f: PLCircleMap) -> DoublePointCurve:
 def _build_curve(f: PLCircleMap) -> DoublePointCurve:
     """Glue the raw segments into components and read off their structure.
 
-    A closed chain's windings are counted, not summed.  Glued ends agree
-    on the torus, so in each coordinate they are equal or one is x_0 + 1
-    and the other x_0.  The first projection's winding is then the number
-    of the chain's segment ends with x = x_0 + 1 minus the number of its
-    starts there, and the second's the same on y: an integer by
-    construction, with no fractional winding left to check.
+    Everything but an arc's ends comes from the clipper's ints.  A closed
+    chain's windings are the sums of its pieces' ``turns_x`` and
+    ``turns_y``, the seam crossings counted with their signs.  A
+    component's summed value ``change`` traces a lift of its image to the
+    line; that lift sweeps one interval, and the image covers the circle
+    exactly when the interval is at least ``grid`` long.
     """
-    segs, succ = _raw_segments(f)
-    x1 = f.breakpoints[0][0] + 1
+    segs, succ, moves = _raw_segments(f)
+    grid = f._grid
     # Components are numbered by the key of their first segment (an arc's
     # diagonal start, a circle's least segment); segments are sorted by key,
     # so sorting the runs gives that order.
     components: list[CurveComponent] = []
     for index, run in enumerate(sorted(_chains(range(len(segs)), succ))):
-        chain = tuple(segs[si] for si in run)
+        chain = tuple(segs[a] for a in run)
+        p1 = p2 = value = low = high = 0
+        for a in run:
+            turns_x, turns_y, change = moves[a]
+            p1 += turns_x
+            p2 += turns_y
+            value += change
+            if value < low:
+                low = value
+            elif value > high:
+                high = value
         if succ[run[-1]] >= 0:
-            p1 = sum((s.end[0] == x1) - (s.start[0] == x1) for s in chain)
-            p2 = sum((s.end[1] == x1) - (s.start[1] == x1) for s in chain)
-            components.append(CurveComponent(index, "circle", chain, p1, p2, None))
-            continue
-        c_from, c_to = _torus_key(x1, chain[0].start), _torus_key(x1, chain[-1].end)
-        if c_from[0] != c_from[1] or c_to[0] != c_to[1]:
-            raise AssertionError(f"open piece {c_from} -> {c_to} off the diagonal")
-        ends_at = (c_from[0], c_to[0])
-        components.append(CurveComponent(index, "arc", chain, 0, 0, ends_at))
+            comp = CurveComponent(index, "circle", chain, p1, p2, None)
+        else:
+            c_from = tuple(map(f.to_fundamental, chain[0].start))
+            c_to = tuple(map(f.to_fundamental, chain[-1].end))
+            if c_from[0] != c_from[1] or c_to[0] != c_to[1]:
+                raise AssertionError(f"open piece {c_from} -> {c_to} off the diagonal")
+            comp = CurveComponent(index, "arc", chain, 0, 0, (c_from[0], c_to[0]))
+        # frozen: the derived field goes straight into the instance dict
+        comp.__dict__["_covers"] = high - low >= grid
+        components.append(comp)
 
     return DoublePointCurve(
         map=f,

@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpl
 import dpl.sweeps
@@ -284,7 +288,7 @@ def test_selftest_lists_reproducible_failing_seeds(capsys, monkeypatch):
     assert len(odd) > 5
     assert suite["failures"] == doc["result"]["total_failures"] == len(odd)
     assert suite["failing_seeds"] == odd[:5]
-    assert f"first: arc_balance seed {odd[0]}" in doc["summary"]
+    assert f"first: arc_balance seed {odd[0]} (odd seed)" in doc["summary"]
     assert all(PROPERTIES["arc_balance"](s) for s in suite["failing_seeds"])
 
 
@@ -409,6 +413,117 @@ def test_refused_input_exits_two_with_a_valid_envelope(capsys, tmp_path, argv, t
     jsonschema.validate(doc, report_schema())
     assert doc["summary"].startswith("input error")
     assert "error" in doc["result"]
+
+
+# ---------------------------------------------------------------- generated inputs
+
+# Drawn map and movie documents and argument mixes: well-formed, malformed
+# and blocking.  Each run must end in an envelope, never in a traceback.
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_FORTY_DIGITS = st.builds(
+    "{}/{}".format, st.integers(10**39, 2 * 10**40), st.integers(10**39, 10**40)
+)
+_MALFORMED = st.sampled_from(["1/0", "5e-1", "x", "", "1/2/3", "0x10", "nan", "1_0"])
+_VALUES = st.one_of(
+    _SMALL.map(str), st.integers(-3, 3), _FORTY_DIGITS, _MALFORMED,
+    st.none(), st.floats(-3, 3), st.booleans(),
+)
+
+
+def _map_text(f):
+    pairs = [[str(x), str(v)] for x, v in f.breakpoints]
+    return json.dumps({"breakpoints": pairs, "degree": f.degree})
+
+
+def _tent_text(top, height):
+    # a tent at least 2 high sweeps every level twice in a row, so it blocks
+    pairs = [["0", "0"], [str(top), str(height)]]
+    return json.dumps({"breakpoints": pairs, "degree": 0})
+
+
+def _movie_text(movie):
+    events = [
+        {"time": str(e.time), "kind": e.kind, "labels": list(e.labels)}
+        for e in movie.events
+    ]
+    return json.dumps({"initial": list(movie.initial), "events": events})
+
+
+_MAP_TEXTS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "breakpoints": st.lists(
+                st.lists(_VALUES, min_size=2, max_size=2), max_size=5
+            ),
+            "degree": st.one_of(st.integers(-5, 5), _VALUES),
+        }
+    ).map(json.dumps),
+    st.integers(0, 300).map(lambda seed: _map_text(dpl.random_map(seed, 6, 2))),
+    st.builds(
+        _tent_text,
+        st.fractions(F(1, 12), F(11, 12), max_denominator=12),
+        st.fractions(F(1, 12), 3, max_denominator=12),
+    ),
+    st.sampled_from([DEEP, "[1, 2]", "{}", "not json"]),
+)
+_LABELS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4)
+_EVENTS = st.fixed_dictionaries(
+    {
+        "time": _VALUES,
+        "kind": st.sampled_from(["birth", "death", "merge", "split", "isolated", "x"]),
+        "labels": st.one_of(_LABELS, st.lists(st.integers(0, 3), max_size=2)),
+    }
+)
+_MOVIE_TEXTS = st.one_of(
+    st.fixed_dictionaries(
+        {"initial": st.one_of(_LABELS, _VALUES), "events": st.lists(_EVENTS, max_size=6)}
+    ).map(json.dumps),
+    st.integers(0, 300).map(lambda seed: _movie_text(dpl.sweeps.random_movie(seed, 8))),
+)
+_ARGS = st.one_of(_SMALL.map(str), _FORTY_DIGITS, _MALFORMED)
+
+
+@st.composite
+def _invocations(draw):
+    """(argv with FILE standing for the input file, file text or None)."""
+    command = draw(st.sampled_from(["analyze", "hopf", "unfold", "sweep"]))
+    if command == "sweep":
+        argv, text = ["sweep"], None
+        if draw(st.booleans()):
+            argv, text = argv + ["FILE"], draw(_MOVIE_TEXTS)
+        if draw(st.booleans()):
+            argv += ["--random", str(draw(st.integers(-2, 40)))]
+        if draw(st.booleans()):
+            argv += ["--samples", draw(st.sampled_from(["-1", "0", "1", "4", "x"]))]
+        return argv, text
+    argv = [command, "FILE"]
+    if command != "hopf" and draw(st.booleans()):
+        arc = draw(st.one_of(st.tuples(_ARGS, _ARGS), st.just(("11/20", "1/20"))))
+        argv += ["--arc", *arc]
+    if command == "unfold":
+        if draw(st.booleans()):
+            argv += ["--mode", "regular-value"]
+        if draw(st.booleans()):
+            argv += ["--value", draw(_ARGS)]
+    return argv, draw(_MAP_TEXTS)
+
+
+@settings(max_examples=150, deadline=5000)
+@given(invocation=_invocations())
+def test_generated_inputs_exit_with_a_valid_envelope(tmp_path_factory, invocation):
+    argv, text = invocation
+    path = tmp_path_factory.getbasetemp() / "generated-input.json"
+    if text is not None:
+        path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(path) if a == "FILE" else a for a in argv])
+    doc = json.loads(out.getvalue())
+    assert code in (0, 1, 2)
+    jsonschema.validate(doc, report_schema())
+    if code == 2:
+        assert "error" in doc["result"]
 
 
 def test_help_and_a_missing_or_unknown_command_are_left_to_argparse(capsys):

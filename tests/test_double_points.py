@@ -251,20 +251,21 @@ def test_chains_refuses_two_pieces_continuing_into_one():
         dpl.double_points._chains(range(3), [2, 2, -1])
 
 
+def _torus(p, x1):
+    """The point with each coordinate equal to x1 = x_0 + 1 moved to x_0."""
+    return tuple(c - 1 if c == x1 else c for c in p)
+
+
 def _point_glued(segs, x1):
     """Glue by torus points: an end continues into the segment that starts
     at the same point of the torus, unless that point is on the diagonal."""
-
-    def torus(p):
-        return tuple(c - 1 if c == x1 else c for c in p)
-
     starts = {}
     for index, seg in enumerate(segs):
-        p = torus(seg.start)
+        p = _torus(seg.start, x1)
         if p[0] != p[1]:
             assert p not in starts, p
             starts[p] = index
-    return [starts.get(torus(seg.end), -1) for seg in segs]
+    return [starts.get(_torus(seg.end, x1), -1) for seg in segs]
 
 
 def test_lap_rectangle_gluing_matches_torus_point_gluing():
@@ -272,7 +273,7 @@ def test_lap_rectangle_gluing_matches_torus_point_gluing():
     for seed in range(300):
         f = random_map(seed, 12, 4)
         for g in (f, f.reflect()):
-            segs, succ = dpl.double_points._raw_segments(g)
+            segs, succ, _ = dpl.double_points._raw_segments(g)
             assert succ == _point_glued(segs, g.breakpoints[0][0] + 1), (seed, g)
             loose += succ.count(-1)
             glued += len(succ) - succ.count(-1)
@@ -342,6 +343,85 @@ def test_interval_clipper_matches_a_plain_fraction_clipper():
         assert [piece[:5] for piece in got] == _clipped_by_fractions(*laps), seed
         pairs += 1
     assert pairs > 500, pairs
+
+
+# ---------------------------------------------------------------- Fraction oracles
+
+
+def _fraction_windings(comp, x1):
+    """A chain's windings counted on its Fraction points: on each coordinate,
+    its segment ends at x1 = x_0 + 1 minus its segment starts there."""
+    p1 = sum((s.end[0] == x1) - (s.start[0] == x1) for s in comp.segments)
+    p2 = sum((s.end[1] == x1) - (s.start[1] == x1) for s in comp.segments)
+    return p1, p2
+
+
+def _fraction_diagonal_ends(comp, x1):
+    """An arc's two diagonal points, as fold vertices in [x_0, x_0 + 1)."""
+    ends = [_torus(comp.segments[0].start, x1), _torus(comp.segments[-1].end, x1)]
+    assert all(p[0] == p[1] for p in ends), ends
+    return tuple(p[0] for p in ends)
+
+
+def _fraction_covers(f, comp):
+    """Whether the values f(x) along the component cover the whole circle.
+
+    Summing each segment's value change (end.x - start.x) * slope traces a
+    lift of the image to the line; the image covers the circle exactly when
+    that lift sweeps an interval at least 1 long.
+    """
+    value = low = high = 0
+    for seg in comp.segments:
+        value += (seg.end[0] - seg.start[0]) * f.slopes[seg.lap_x]
+        low, high = min(low, value), max(high, value)
+    return high - low >= 1
+
+
+def _fraction_mismatches(f):
+    """Where the curve's windings, arc ends or lift flags differ from the
+    Fraction oracles above."""
+    x1 = f.breakpoints[0][0] + 1
+    curve = double_point_curve(f)
+    found = []
+    for c in curve.components:
+        if c.kind == "circle":
+            want = (*_fraction_windings(c, x1), None)
+        else:
+            want = (0, 0, _fraction_diagonal_ends(c, x1))
+        if (c.p1_degree, c.p2_degree, c.diagonal_ends) != want:
+            found.append((c.index, want))
+    for q in curve.quotient_components:
+        if q.lifts_through_arc == _fraction_covers(f, curve.components[q.members[0]]):
+            found.append((q.members, q.lifts_through_arc))
+    return found
+
+
+def _oracle_maps():
+    for seed in range(300):
+        f = random_map(seed, 12, 4)
+        yield from (f, f.reflect())
+    for seed in range(4):
+        f = random_map(seed, 40, 5)
+        yield from (f, f.reflect())
+    for d in range(-4, 6):
+        if d not in (0, 1):
+            yield make_map([(0, 0)], d)
+
+
+def test_curve_structure_matches_the_fraction_oracles():
+    circles = wound = arcs = lifting = covering = 0
+    for f in _oracle_maps():
+        assert _fraction_mismatches(f) == [], f
+        curve = double_point_curve(f)
+        for c in curve.components:
+            circles += c.kind == "circle"
+            wound += c.p1_degree != 0 or c.p2_degree != 0
+            arcs += c.kind == "arc"
+        for q in curve.quotient_components:
+            lifting += q.lifts_through_arc
+            covering += not q.lifts_through_arc
+    counts = (circles, wound, arcs, lifting, covering)
+    assert min(counts) > 100, counts
 
 
 # ---------------------------------------------------------------- consistency

@@ -28,7 +28,7 @@ import test_api
 import test_circle_maps
 import test_double_points
 import test_sweeps
-from dpl import Angle, PLCircleMap, TransverseArc, make_map
+from dpl import Angle, PLCircleMap, TransverseArc, make_map, random_map
 from dpl.cli import _json_default
 from dpl.properties import PROPERTIES, _regular_arc, _regular_value
 from dpl.space_forms import build_group, dcover_consistency
@@ -112,10 +112,6 @@ def _fails(test):
     return caught
 
 
-def _pair_counts_fail():
-    assert any(PROPERTIES["pair_counts"](seed) for seed in range(20))
-
-
 def _classification_breaks_the_midpoint_rule():
     def components(f, arc):
         got = dpl.circle_maps.classify_preimage(f, arc).components
@@ -150,7 +146,12 @@ def _off_grid_certificate_breaks_its_oracle():
     )
 
 
-# fault name: (module or class, attribute, replacement, the check that catches it)
+def _curve_breaks_its_fraction_oracles():
+    maps = [random_map(seed, 12, 4) for seed in range(40)]
+    mismatches = test_double_points._fraction_mismatches
+    assert any(mismatches(g) for f in maps for g in (f, f.reflect()))
+
+
 def _exports_fail_before_any_read():
     """``test_api``'s export test fails on a package that has read no name yet."""
     kept = dict(vars(dpl))
@@ -163,6 +164,7 @@ def _exports_fail_before_any_read():
         vars(dpl).update(kept)
 
 
+# fault name: (module or class, attribute, replacement, the check that catches it)
 MUTANTS = {
     "growth always blocked": (
         dpl.properties,
@@ -287,12 +289,23 @@ MUTANTS = {
     "ends-only windings": (
         dpl.double_points,
         "_build_curve",
-        _rewritten(
-            dpl.double_points._build_curve,
-            "(s.end[0] == x1) - (s.start[0] == x1)",
-            "(s.end[0] == x1)",
-        ),
-        _pair_counts_fail,
+        # counts the pieces ending on the seam x_0 + 1, but no longer
+        # subtracts those starting on it
+        _rewritten(dpl.double_points._build_curve, "p1 += turns_x", "p1 += turns_x == 1"),
+        _curve_breaks_its_fraction_oracles,
+    ),
+    "value change with the wrong sign": (
+        dpl.double_points,
+        "_equal_value_pieces",
+        # pieces along two laps of one slope direction run down, not up
+        _rewritten(dpl.double_points._equal_value_pieces, "vhi - vlo", "vlo - vhi"),
+        _curve_breaks_its_fraction_oracles,
+    ),
+    "one-sided image cover": (
+        dpl.double_points,
+        "_build_curve",
+        _rewritten(dpl.double_points._build_curve, "high - low >= grid", "high >= grid"),
+        _curve_breaks_its_fraction_oracles,
     ),
     "package loader without one module": (
         dpl,

@@ -148,6 +148,13 @@ def test_disks_realize_the_movie():
         p = by_label[i]
         assert (p.born, p.died) == (checked.born[i], checked.died[i])
         assert p.placement_at(p.born - F(1, 1000)) is None or p.born == 0
+        # the two ends of a lifespan take the first and the last keyframe;
+        # the first lies at the birth, the last at or before the death
+        (t0, *first), (t1, *last) = p.keyframes[0], p.keyframes[-1]
+        assert t0 == p.born and t1 <= p.died
+        assert p.placement_at(p.born) == tuple(first)
+        assert p.placement_at(p.died) == tuple(last)
+        assert p.placement_at(p.died + F(1, 1000)) is None
     # disks idle at their integer homes with the standard radius
     a = by_label[0].placement_at(F(1, 100))
     assert a is not None and a[1] == F(2, 5)
