@@ -6,9 +6,11 @@ combinatorics and assigns canonical integer labels in birth order;
 :func:`assign_disks` realizes every circle as a moving round disk in the
 plane so that disks are pairwise disjoint at all times, touching only at
 their own event's moment; :func:`embedding_certificate` verifies that
-disjointness exactly on a finite sample grid.  It computes in ints, on one
-time unit and one length unit common to the movie and its disks, and returns
-its times as ``Fraction`` values.
+disjointness exactly on a finite sample grid.  Both compute in ints and
+return their times as ``Fraction`` values: the layout on one time unit in
+which every window's eighth is whole, the certificate on one time unit and
+one length unit common to the movie and its disks, pair by pair over the
+pieces of time on which both disks move linearly.
 
 :func:`surgery_census` replays the bundled surgery sequence against the
 count parity of :func:`surgery_parity`.
@@ -27,7 +29,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -255,78 +257,98 @@ def assign_disks(checked: CheckedMovie) -> tuple[DiskPlacement, ...]:
     with the two parents externally tangent and the child covering them in
     internal tangency; a split starts its children as radius-zero points on
     the parent's boundary.
-    """
-    grid = _grid(checked)
-    frames: dict[int, list[Keyframe]] = {i: [] for i in range(checked.circle_count)}
 
-    def home(i: int) -> Point:
-        return (Fraction(i), Fraction(0))
+    The schedule runs in ints on one time unit 1/W, W = 8 times the LCM of
+    the event-time denominators, on which every window's eighth is an int.
+    Each tick that holds a keyframe becomes one ``Fraction`` at the end, and
+    the homes, the lane heights and 0 are built once per layout.
+    """
+    # lcm's arguments and the keyframe tuples are built from lists, not
+    # generators: CPython resizes a tuple built from a generator, and a
+    # resized short tuple joins its length's free list when freed; with few
+    # objects per layout the collector seldom empties those lists, so over
+    # many layouts they fill and pin memory
+    W = 8 * lcm(*[t.denominator for t, _, _ in checked.events])
+    ends = [_on(t, W) for t in _grid(checked)]
+    eighths = [(b - a) // 8 for a, b in zip(ends, ends[1:])]
+    zero, up = Fraction(0), Fraction(1)
+    lanes = {-1: Fraction(-1), -2: Fraction(-2)}
+    homes = [(Fraction(i), zero) for i in range(checked.circle_count)]
+    frames: list[list[tuple[int, Point, Fraction]]] = [[] for _ in homes]
 
     def spawn_travel(
-        i: int, t0: Fraction, d: Fraction, pos: Point, r: Fraction, lane: int
+        i: int, k: int, d: int, pos: Point, r: Fraction, lane: int
     ) -> None:
-        """Born at pos/r at time t0; descend to the lane, slide home, settle,
+        """Born at pos/r at tick k; descend to the lane, slide home, settle,
         one step d per move."""
-        hx, hy = home(i)
-        frames[i].append((t0, pos, r))
-        frames[i].append((t0 + d, (pos[0], Fraction(lane)), _LANE_R))
-        frames[i].append((t0 + 2 * d, (hx, Fraction(lane)), _LANE_R))
-        frames[i].append((t0 + 3 * d, (hx, hy), _LANE_R))
-        frames[i].append((t0 + 4 * d, (hx, hy), _HOME_R))
+        (hx, _), y = homes[i], lanes[lane]
+        frames[i] += [
+            (k, pos, r),
+            (k + d, (pos[0], y), _LANE_R),
+            (k + 2 * d, (hx, y), _LANE_R),
+            (k + 3 * d, homes[i], _LANE_R),
+            (k + 4 * d, homes[i], _HOME_R),
+        ]
 
-    for i in range(checked.circle_count):
-        if checked.born[i] == 0:
-            frames[i].append((Fraction(0), home(i), _HOME_R))
+    for i, born in enumerate(checked.born):
+        if born == 0:
+            frames[i].append((0, homes[i], _HOME_R))
 
-    for e, (t, kind, labels) in enumerate(checked.events):
-        # an eighth of the window before and after the event, which is grid[e + 1]
-        d, after = (t - grid[e]) / 8, (grid[e + 2] - t) / 8
+    for e, (_, kind, labels) in enumerate(checked.events):
+        # the event's tick, and an eighth of the window before and after it
+        k, d, after = ends[e + 1], eighths[e], eighths[e + 1]
         if kind == "birth":
             (i,) = labels
-            frames[i].append((t, home(i), Fraction(0)))
-            frames[i].append((t + after, home(i), _HOME_R))
+            frames[i] += [(k, homes[i], zero), (k + after, homes[i], _HOME_R)]
         elif kind == "death":
             (i,) = labels
-            frames[i].append((t - d, home(i), _HOME_R))
-            frames[i].append((t, home(i), Fraction(0)))
+            frames[i] += [(k - d, homes[i], _HOME_R), (k, homes[i], zero)]
         elif kind == "isolated":
             (i,) = labels
-            frames[i].append((t, home(i), Fraction(0)))
+            frames[i].append((k, homes[i], zero))
         elif kind == "merge":
             ia, ib, ic = labels
-            ax = home(ia)[0]
+            ax, bx = homes[ia][0], homes[ib][0]
             # the first parent stays and shrinks in place
-            frames[ia].append((t - 3 * d, home(ia), _HOME_R))
-            frames[ia].append((t - d, home(ia), _LANE_R))
-            frames[ia].append((t, home(ia), _LANE_R))
+            frames[ia] += [
+                (k - 3 * d, homes[ia], _HOME_R),
+                (k - d, homes[ia], _LANE_R),
+                (k, homes[ia], _LANE_R),
+            ]
             # the second parent travels along the +1 lane and lands tangent
-            meet = (ax + 2 * _LANE_R, Fraction(0))
-            frames[ib].append((t - 3 * d, home(ib), _HOME_R))
-            frames[ib].append((t - 2 * d, (home(ib)[0], Fraction(1)), _LANE_R))
-            frames[ib].append((t - d, (meet[0], Fraction(1)), _LANE_R))
-            frames[ib].append((t, meet, _LANE_R))
+            meet = ax + 2 * _LANE_R
+            frames[ib] += [
+                (k - 3 * d, homes[ib], _HOME_R),
+                (k - 2 * d, (bx, up), _LANE_R),
+                (k - d, (meet, up), _LANE_R),
+                (k, (meet, zero), _LANE_R),
+            ]
             # the child covers both parents in internal tangency, then leaves
-            spawn_travel(ic, t, after, (ax + _LANE_R, Fraction(0)), 2 * _LANE_R, -1)
+            spawn_travel(ic, k, after, (ax + _LANE_R, zero), 2 * _LANE_R, -1)
         else:  # split
             ic, ia, ib = labels
-            cx = home(ic)[0]
-            frames[ic].append((t, home(ic), _HOME_R))
-            spawn_travel(ia, t, after, (cx - _HOME_R, Fraction(0)), Fraction(0), -1)
-            spawn_travel(ib, t, after, (cx + _HOME_R, Fraction(0)), Fraction(0), -2)
+            cx = homes[ic][0]
+            frames[ic].append((k, homes[ic], _HOME_R))
+            spawn_travel(ia, k, after, (cx - _HOME_R, zero), zero, -1)
+            spawn_travel(ib, k, after, (cx + _HOME_R, zero), zero, -2)
 
+    times = {k: Fraction(k, W) for k in {k for fs in frames for k, _, _ in fs}}
     out = []
-    for i in range(checked.circle_count):
-        ordered = sorted(frames[i], key=lambda kf: kf[0])
-        for (t0, _, _), (t1, _, _) in zip(ordered, ordered[1:]):
-            if t0 == t1:
-                raise AssertionError(f"conflicting keyframes for disk {i} at {t0}")
+    for i, fs in enumerate(frames):
+        # every window's moves fit inside it, so the keyframes arrive in
+        # time order
+        for (k0, _, _), (k1, _, _) in zip(fs, fs[1:]):
+            if k0 >= k1:
+                raise AssertionError(
+                    f"conflicting keyframes for disk {i} at {times[k1]}"
+                )
         out.append(
             DiskPlacement(
                 label=i,
                 name=checked.names[i],
                 born=checked.born[i],
                 died=checked.died[i],
-                keyframes=tuple(ordered),
+                keyframes=tuple([(times[k], c, r) for k, c, r in fs]),
             )
         )
     return tuple(out)
@@ -367,14 +389,25 @@ def embedding_certificate(
     and radius denominators, so every time checked is a tick k/T.  The
     ints stay a few bits wide when the times share a small LCM, as every
     :func:`random_movie`'s do; times over many distinct denominators widen
-    every product.  Each disk walks its keyframes once over the ticks of
-    its lifespan, all live disks one tick at a time, so only one tick's
-    disks are held at once.  A disk is placed as
-    :meth:`DiskPlacement.placement_at` places it: at a tick inside the
-    keyframe step (K0, K1] its center is (X, Y)/(U Δ) and its radius
-    R/(U Δ), with Δ = K1 - K0, or Δ = 1 where it is clamped to a keyframe.
-    The pair test is multiplied through by (U Δa Δb)².  The report gives
-    each time checked as a ``Fraction``, built once.
+    every product.  A disk is placed as :meth:`DiskPlacement.placement_at`
+    places it, from keyframes in time order: it is clamped to its first
+    keyframe up to that keyframe's tick, then moves linearly over each
+    keyframe step (K0, K1], then is clamped to its last keyframe.  On each
+    such piece its center is ((X1 k + X0)/Δ, (Y1 k + Y0)/Δ)/U at tick k and
+    its radius (R1 k + R0)/(U Δ), with Δ = K1 - K0, or Δ = 1 where it is
+    clamped.
+
+    The pairs of disks alive at a common tick come from one sweep over the
+    disks in order of their first ticks.  On a piece the two disks share,
+    their separation D(k) = dx² + dy² - (ra + rb)², multiplied through by
+    (U Δa Δb)², is a quadratic A k² + B k + C in ints, so its least value
+    over the piece's ticks lies at the first or last tick or, when A > 0,
+    at the ticks either side of the vertex -B/2A.  When that least value is
+    positive the whole piece passes; otherwise, or when the piece holds
+    the tick of an event that both disks take part in, its ticks are
+    checked one by one.  The report gives each time checked as a
+    ``Fraction``, built once, and the failures in time order, each pair
+    in the order the placements are given.
     """
     if placements is None:
         placements = assign_disks(checked)
@@ -382,60 +415,119 @@ def embedding_certificate(
     n = max(samples, 0) + 1
     spans = [(p.born, p.died, *(kf[0] for kf in p.keyframes)) for p in placements]
     sizes = [(*c, r) for p in placements for _, c, r in p.keyframes]
-    T = n * lcm(*(t.denominator for s in (grid, *spans) for t in s))
-    U = lcm(*(v.denominator for s in sizes for v in s))
+    # lcm's arguments come from lists, as in assign_disks
+    T = n * lcm(*[t.denominator for s in (grid, *spans) for t in s])
+    U = lcm(*[v.denominator for s in sizes for v in s])
     # each window's start and then its samples, window by window, and the
     # end; with samples below 1 only the grid is checked
     ends = [_on(t, T) for t in grid]
     ticks = [a + i * (b - a) // n for a, b in zip(ends, ends[1:]) for i in range(n)]
     ticks.append(ends[-1])
 
-    def walk(p, lo, kts):
-        """The disk at each tick from tick lo on, as (label, X, Y, R, Δ)."""
-        ks, j = [_on(t, T) for t in kts], 1
-        fs = [[_on(v, U) for v in (*c, r)] for _, c, r in p.keyframes]
-        for k in map(ticks.__getitem__, count(lo)):
-            # the first keyframe after the first with time >= k, or none
-            j = bisect_left(ks, k, j)
-            if k <= ks[0] or j == len(ks):
-                yield (p.label, *fs[0 if k <= ks[0] else -1], 1)
-                continue
-            w0, w1 = ks[j] - k, k - ks[j - 1]
-            xyr = [v0 * w0 + v1 * w1 for v0, v1 in zip(fs[j - 1], fs[j])]
-            yield (p.label, *xyr, w0 + w1)
+    def pieces(p, lo, hi):
+        """The first tick index of each of the disk's pieces over the tick
+        indices [lo, hi), then hi; and each piece's (X1, X0, Y1, Y0, R1, R0, Δ)."""
+        ks = [_on(t, T) for t, _, _ in p.keyframes]
+        fs = [(_on(x, U), _on(y, U), _on(r, U)) for _, (x, y), r in p.keyframes]
+        (x, y, r), (xl, yl, rl) = fs[0], fs[-1]
+        # a piece that starts where a later one starts holds no tick, and
+        # the later one replaces it
+        by_start = {lo: (0, x, 0, y, 0, r, 1)}
+        for k0, k1, (x0, y0, r0), (x1, y1, r1) in zip(ks, ks[1:], fs, fs[1:]):
+            by_start[bisect_right(ticks, k0, lo, hi)] = (
+                x1 - x0,
+                x0 * k1 - x1 * k0,
+                y1 - y0,
+                y0 * k1 - y1 * k0,
+                r1 - r0,
+                r0 * k1 - r1 * k0,
+                k1 - k0,
+            )
+        by_start[bisect_right(ticks, ks[-1], lo, hi)] = (0, xl, 0, yl, 0, rl, 1)
+        by_start.pop(hi, None)
+        return [*by_start, hi], list(by_start.values())
 
-    # each disk's walk as (index, end, walk), live from the first tick of its
-    # lifespan up to the tick before its end; the live disks change only at
-    # the ticks keyed here
-    starts: dict[int, list[tuple]] = {}
-    for d, (p, (born, died, *kts)) in enumerate(zip(placements, spans)):
-        lo, hi = bisect_left(ticks, _on(born, T)), bisect_right(ticks, _on(died, T))
-        starts.setdefault(lo, []).append((d, hi, walk(p, lo, kts)))
-        starts.setdefault(hi, [])
-    # the participants of the event at each event tick
-    exempt = {_on(t, T): labels for t, _, labels in checked.events}
-    times = [Fraction(k, T) for k in ticks]
-    failures: list[CertificateFailure] = []
+    # the tick index of each event and its participants
+    moments = [
+        (bisect_left(ticks, _on(t, T)), labels) for t, _, labels in checked.events
+    ]
+    at = [i for i, _ in moments]
+    failures: list[tuple[int, int, int]] = []  # (tick index, index a, index b)
+
+    def check_pair(one, other, lo):
+        """Check two disks, each as (placement index, end, piece starts,
+        pieces), from tick index lo up to the first end; the pair tests made."""
+        if one[0] > other[0]:
+            one, other = other, one
+        (a, ha, sa, pa), (b, hb, sb, pb) = one, other
+        la, lb, hi = placements[a].label, placements[b].label, min(ha, hb)
+        # the ticks of the events that both disks take part in
+        exempt = [
+            i
+            for i, event in moments[bisect_left(at, lo) : bisect_left(at, hi)]
+            if la in event and lb in event
+        ]
+        ia, ib = bisect_right(sa, lo) - 1, bisect_right(sb, lo) - 1
+        tests, s = 0, lo
+        while s < hi:
+            e = min(sa[ia + 1], sb[ib + 1])
+            xa1, xa0, ya1, ya0, ra1, ra0, da = pa[ia]
+            xb1, xb0, yb1, yb0, rb1, rb0, db = pb[ib]
+            x1, x0 = xa1 * db - xb1 * da, xa0 * db - xb0 * da
+            y1, y0 = ya1 * db - yb1 * da, ya0 * db - yb0 * da
+            r1, r0 = ra1 * db + rb1 * da, ra0 * db + rb0 * da
+            A = x1 * x1 + y1 * y1 - r1 * r1
+            B = 2 * (x1 * x0 + y1 * y0 - r1 * r0)
+            C = x0 * x0 + y0 * y0 - r0 * r0
+            # D's least value over the piece's ticks: at its first or last
+            # tick or, when A > 0, at a tick either side of the vertex
+            k, m = ticks[s], ticks[e - 1]
+            low = min((A * k + B) * k + C, (A * m + B) * m + C)
+            if A > 0 and low > 0:
+                j = bisect_right(ticks, -B // (2 * A), s, e)
+                if s < j < e:
+                    k, m = ticks[j - 1], ticks[j]
+                    low = min(low, (A * k + B) * k + C, (A * m + B) * m + C)
+            if low > 0 and not (exempt and any(s <= i < e for i in exempt)):
+                tests += e - s
+            else:
+                for i in range(s, e):
+                    if i in exempt:
+                        continue
+                    tests += 1
+                    k = ticks[i]
+                    if (A * k + B) * k + C <= 0:
+                        failures.append((i, a, b))
+            s = e
+            ia += sa[ia + 1] == e
+            ib += sb[ib + 1] == e
+        return tests
+
+    # each disk alive at some tick as (first tick index, end, placement index)
+    order = []
+    for d, p in enumerate(placements):
+        lo, hi = bisect_left(ticks, _on(p.born, T)), bisect_right(ticks, _on(p.died, T))
+        if lo < hi:
+            order.append((lo, hi, d))
+    # the disks in order of their first ticks, each paired with those still
+    # alive at its first tick; a disk's pieces are held only while it lives
     pairs_checked = 0
-    live: list[tuple] = []  # the live disks' (index, end, walk), in order
-    for i, (k, t) in enumerate(zip(ticks, times)):
-        if i in starts:
-            # the indices are distinct, so sorting never compares two walks
-            live = sorted(w for w in live + starts[i] if w[1] > i)
-        event = exempt.get(k, ())
-        disks = [next(w[2]) for w in live]
-        for (la, xa, ya, ra, da), (lb, xb, yb, rb, db) in combinations(disks, 2):
-            if la in event and lb in event:
-                continue
-            pairs_checked += 1
-            dx, dy, rr = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
-            if dx * dx + dy * dy <= rr * rr:
-                failures.append(CertificateFailure(time=t, labels=(la, lb)))
+    live: list[tuple] = []
+    for lo, hi, d in sorted(order):
+        live = [w for w in live if w[1] > lo]
+        disk = (d, hi, *pieces(placements[d], lo, hi))
+        for w in live:
+            pairs_checked += check_pair(w, disk, lo)
+        live.append(disk)
+    times = [Fraction(k, T) for k in ticks]
     return CertificateReport(
         ok=not failures,
         times_checked=tuple(times),
         pairs_checked=pairs_checked,
-        failures=tuple(failures),
+        failures=tuple(
+            CertificateFailure(times[i], (placements[a].label, placements[b].label))
+            for i, a, b in sorted(failures)
+        ),
     )
 
 

@@ -90,13 +90,17 @@ def _rewritten(function, old, new):
     """``function`` compiled again from its source, with ``old`` replaced by ``new``.
 
     ``old`` must occur exactly once.  The copy reads the globals of the
-    function's module, so every other name means what it means there.
+    function's module, so every other name means what it means there, and
+    keeps the function's line numbers in its file, so that a line trace
+    counts the lines a fault reaches where they stand.
     """
-    source = textwrap.dedent(inspect.getsource(function))
+    lines, first = inspect.getsourcelines(function)
+    source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1, (function.__qualname__, old)
     flags = __future__.annotations.compiler_flag
     path = inspect.getsourcefile(function)
-    code = compile(source.replace(old, new), path, "exec", flags, dont_inherit=True)
+    source = "\n" * (first - 1) + source.replace(old, new)
+    code = compile(source, path, "exec", flags, dont_inherit=True)
     scope = {}
     exec(code, function.__globals__, scope)
     return scope[function.__name__]
@@ -146,6 +150,13 @@ def _off_grid_certificate_breaks_its_oracle():
     )
 
 
+def _death_keyframes_conflict():
+    # little_movie's disk 6 dies at 7/8
+    checked = validate_movie(test_sweeps.little_movie())
+    with pytest.raises(AssertionError, match="conflicting keyframes for disk 6 at 7/8"):
+        dpl.sweeps.assign_disks(checked)
+
+
 def _curve_breaks_its_fraction_oracles():
     maps = [random_map(seed, 12, 4) for seed in range(40)]
     mismatches = test_double_points._fraction_mismatches
@@ -164,7 +175,9 @@ def _exports_fail_before_any_read():
         vars(dpl).update(kept)
 
 
-# fault name: (module or class, attribute, replacement, the check that catches it)
+# fault name: (module or class, attribute, replacement, the check that catches it);
+# a fault checked by a test of test_sweeps is bound there, where that test
+# reads the public name
 MUTANTS = {
     "growth always blocked": (
         dpl.properties,
@@ -283,8 +296,49 @@ MUTANTS = {
     "swapped interpolation weights": (
         dpl.sweeps,
         "embedding_certificate",
-        _rewritten(dpl.sweeps.embedding_certificate, "w0, w1 = ", "w1, w0 = "),
+        # each keyframe step weighs its first keyframe by the time since it
+        _rewritten(
+            dpl.sweeps.embedding_certificate,
+            "(x0, y0, r0), (x1, y1, r1) in zip",
+            "(x1, y1, r1), (x0, y0, r0) in zip",
+        ),
         _off_grid_certificate_breaks_its_oracle,
+    ),
+    "vertex ticks dropped": (
+        test_sweeps,
+        "embedding_certificate",
+        # a piece's least value taken at its first and last ticks only
+        _rewritten(dpl.sweeps.embedding_certificate, "if A > 0 and low > 0:", "if False:"),
+        _fails(test_sweeps.test_certificate_finds_a_crossing_inside_one_piece),
+    ),
+    "pieces split with bisect_left": (
+        test_sweeps,
+        "embedding_certificate",
+        # a keyframe step starts at its first keyframe's tick, so at a jump
+        # that tick takes the later keyframe
+        _rewritten(
+            dpl.sweeps.embedding_certificate,
+            "by_start[bisect_right(ticks, k0, lo, hi)]",
+            "by_start[bisect_left(ticks, k0, lo, hi)]",
+        ),
+        _fails(test_sweeps.test_certificate_takes_a_jump_from_the_left),
+    ),
+    "a layout's eighth taken as a quarter": (
+        test_sweeps,
+        "assign_disks",
+        _rewritten(dpl.sweeps.assign_disks, "(b - a) // 8", "(b - a) // 4"),
+        _fails(test_sweeps.test_layout_matches_the_fraction_layout),
+    ),
+    "death keyframe at its event": (
+        dpl.sweeps,
+        "assign_disks",
+        # the shrinking starts at the event, where the disk already ends
+        _rewritten(
+            dpl.sweeps.assign_disks,
+            "(k - d, homes[i], _HOME_R)",
+            "(k, homes[i], _HOME_R)",
+        ),
+        _death_keyframes_conflict,
     ),
     "ends-only windings": (
         dpl.double_points,

@@ -1,6 +1,10 @@
 import dataclasses
-from bisect import bisect_left
+import functools
+import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from itertools import combinations, count
+from math import lcm
 
 import pytest
 
@@ -16,6 +20,8 @@ from dpl import (
     validate_movie,
 )
 from dpl.sweeps import (
+    CertificateFailure,
+    CertificateReport,
     DanglingLabel,
     DiskPlacement,
     DoubleBirth,
@@ -317,6 +323,233 @@ def test_certificate_handles_the_empty_movie():
     assert checked.circle_count == 0
     report = embedding_certificate(checked)
     assert report.ok and report.pairs_checked == 0
+
+
+def _hand_built_failures(placements, samples):
+    """The failures of a hand-built two-disk movie with no events, after
+    checking the whole report against the set-and-sort oracle."""
+    checked = validate_movie(SweepMovie(initial=("a", "b"), events=()))
+    report = embedding_certificate(checked, placements, samples=samples)
+    got = (
+        list(report.times_checked),
+        report.pairs_checked,
+        [(fl.time, fl.labels) for fl in report.failures],
+    )
+    assert got == _oracle_certificate(checked, placements, samples)
+    return got[2]
+
+
+def test_certificate_finds_a_crossing_inside_one_piece():
+    # disk 1 slides through disk 0 along one keyframe step: the step's first
+    # and last ticks are clear, so only the ticks either side of the vertex
+    # of the pair's quadratic find the overlap
+    frames = ((F(0), (F(-10), F(0)), F(1)), (F(1), (F(10), F(0)), F(1)))
+    placements = [
+        DiskPlacement(0, "a", F(0), F(1), ((F(0), (F(0), F(1, 3)), F(1)),)),
+        DiskPlacement(1, "b", F(0), F(1), frames),
+    ]
+    failures = _hand_built_failures(placements, samples=10)
+    assert failures == [(F(5, 11), (0, 1)), (F(6, 11), (0, 1))]
+
+
+def test_certificate_takes_a_jump_from_the_left():
+    # two keyframes of disk 1 at t = 1/2, a tick at samples = 1: there it
+    # still sits at the earlier keyframe, as placement_at places it
+    far, near, r = (F(5), F(0)), (F(1, 2), F(0)), F(1, 3)
+    frames = ((F(0), far, r), (F(1, 2), far, r), (F(1, 2), near, r), (F(1), near, r))
+    placements = [
+        DiskPlacement(0, "a", F(0), F(1), ((F(0), (F(0), F(0)), r),)),
+        DiskPlacement(1, "b", F(0), F(1), frames),
+    ]
+    assert placements[1].placement_at(F(1, 2)) == (far, r)
+    assert _hand_built_failures(placements, samples=1) == [(F(1), (0, 1))]
+
+
+# ---------------------------------------------------------------- earlier designs
+# The layout in Fractions and the certificate that walked every live disk tick
+# by tick, as they were before both moved onto one int time unit and linear
+# pieces.  They share no helper with dpl.sweeps; the movies below are too long
+# for the set-and-sort oracle.
+
+_OLD_HOME_R, _OLD_LANE_R = F(2, 5), F(1, 6)
+
+
+def _fraction_layout(checked):
+    """The layout computed in Fractions, keyframe by keyframe."""
+    grid = [F(0), *(t for t, _, _ in checked.events), F(1)]
+    frames = {i: [] for i in range(checked.circle_count)}
+
+    def home(i):
+        return (F(i), F(0))
+
+    def spawn_travel(i, t0, d, pos, r, lane):
+        hx, hy = home(i)
+        frames[i].append((t0, pos, r))
+        frames[i].append((t0 + d, (pos[0], F(lane)), _OLD_LANE_R))
+        frames[i].append((t0 + 2 * d, (hx, F(lane)), _OLD_LANE_R))
+        frames[i].append((t0 + 3 * d, (hx, hy), _OLD_LANE_R))
+        frames[i].append((t0 + 4 * d, (hx, hy), _OLD_HOME_R))
+
+    for i in range(checked.circle_count):
+        if checked.born[i] == 0:
+            frames[i].append((F(0), home(i), _OLD_HOME_R))
+    for e, (t, kind, labels) in enumerate(checked.events):
+        d, after = (t - grid[e]) / 8, (grid[e + 2] - t) / 8
+        if kind == "birth":
+            (i,) = labels
+            frames[i].append((t, home(i), F(0)))
+            frames[i].append((t + after, home(i), _OLD_HOME_R))
+        elif kind == "death":
+            (i,) = labels
+            frames[i].append((t - d, home(i), _OLD_HOME_R))
+            frames[i].append((t, home(i), F(0)))
+        elif kind == "isolated":
+            (i,) = labels
+            frames[i].append((t, home(i), F(0)))
+        elif kind == "merge":
+            ia, ib, ic = labels
+            ax = home(ia)[0]
+            frames[ia].append((t - 3 * d, home(ia), _OLD_HOME_R))
+            frames[ia].append((t - d, home(ia), _OLD_LANE_R))
+            frames[ia].append((t, home(ia), _OLD_LANE_R))
+            meet = (ax + 2 * _OLD_LANE_R, F(0))
+            frames[ib].append((t - 3 * d, home(ib), _OLD_HOME_R))
+            frames[ib].append((t - 2 * d, (home(ib)[0], F(1)), _OLD_LANE_R))
+            frames[ib].append((t - d, (meet[0], F(1)), _OLD_LANE_R))
+            frames[ib].append((t, meet, _OLD_LANE_R))
+            spawn_travel(ic, t, after, (ax + _OLD_LANE_R, F(0)), 2 * _OLD_LANE_R, -1)
+        else:
+            ic, ia, ib = labels
+            cx = home(ic)[0]
+            frames[ic].append((t, home(ic), _OLD_HOME_R))
+            spawn_travel(ia, t, after, (cx - _OLD_HOME_R, F(0)), F(0), -1)
+            spawn_travel(ib, t, after, (cx + _OLD_HOME_R, F(0)), F(0), -2)
+    return tuple(
+        DiskPlacement(
+            label=i,
+            name=checked.names[i],
+            born=checked.born[i],
+            died=checked.died[i],
+            keyframes=tuple(sorted(frames[i], key=lambda kf: kf[0])),
+        )
+        for i in range(checked.circle_count)
+    )
+
+
+def _tick_walk_certificate(checked, placements, samples):
+    """The certificate in ints on one tick grid, every live disk walked over
+    its keyframes tick by tick and every live pair tested at every tick."""
+
+    def on(v, unit):
+        return v.numerator * (unit // v.denominator)
+
+    grid = [F(0), *(t for t, _, _ in checked.events), F(1)]
+    n = max(samples, 0) + 1
+    spans = [(p.born, p.died, *(kf[0] for kf in p.keyframes)) for p in placements]
+    sizes = [(*c, r) for p in placements for _, c, r in p.keyframes]
+    T = n * lcm(*(t.denominator for s in (grid, *spans) for t in s))
+    U = lcm(*(v.denominator for s in sizes for v in s))
+    ends = [on(t, T) for t in grid]
+    ticks = [a + i * (b - a) // n for a, b in zip(ends, ends[1:]) for i in range(n)]
+    ticks.append(ends[-1])
+
+    def walk(p, lo, kts):
+        ks, j = [on(t, T) for t in kts], 1
+        fs = [[on(v, U) for v in (*c, r)] for _, c, r in p.keyframes]
+        for k in map(ticks.__getitem__, count(lo)):
+            j = bisect_left(ks, k, j)
+            if k <= ks[0] or j == len(ks):
+                yield (p.label, *fs[0 if k <= ks[0] else -1], 1)
+                continue
+            w0, w1 = ks[j] - k, k - ks[j - 1]
+            xyr = [v0 * w0 + v1 * w1 for v0, v1 in zip(fs[j - 1], fs[j])]
+            yield (p.label, *xyr, w0 + w1)
+
+    starts = {}
+    for d, (p, (born, died, *kts)) in enumerate(zip(placements, spans)):
+        lo, hi = bisect_left(ticks, on(born, T)), bisect_right(ticks, on(died, T))
+        starts.setdefault(lo, []).append((d, hi, walk(p, lo, kts)))
+        starts.setdefault(hi, [])
+    exempt = {on(t, T): labels for t, _, labels in checked.events}
+    times = [F(k, T) for k in ticks]
+    failures, pairs_checked, live = [], 0, []
+    for i, (k, t) in enumerate(zip(ticks, times)):
+        if i in starts:
+            live = sorted(w for w in live + starts[i] if w[1] > i)
+        event = exempt.get(k, ())
+        disks = [next(w[2]) for w in live]
+        for (la, xa, ya, ra, da), (lb, xb, yb, rb, db) in combinations(disks, 2):
+            if la in event and lb in event:
+                continue
+            pairs_checked += 1
+            dx, dy, rr = xa * db - xb * da, ya * db - yb * da, ra * db + rb * da
+            if dx * dx + dy * dy <= rr * rr:
+                failures.append(CertificateFailure(time=t, labels=(la, lb)))
+    return CertificateReport(
+        ok=not failures,
+        times_checked=tuple(times),
+        pairs_checked=pairs_checked,
+        failures=tuple(failures),
+    )
+
+
+@functools.cache
+def _long_movies():
+    """``random_movie(seed, max_events=200)`` validated, for a few seeds."""
+    return [validate_movie(random_movie(seed, max_events=200)) for seed in (0, 3, 9)]
+
+
+def test_layout_matches_the_fraction_layout():
+    movies = [validate_movie(random_movie(seed)) for seed in range(40)]
+    for checked in [validate_movie(little_movie()), *movies, *_long_movies()]:
+        assert assign_disks(checked) == _fraction_layout(checked)
+
+
+@pytest.mark.parametrize("samples", [1, 4, 10])
+def test_certificate_matches_the_tick_walk(samples):
+    for checked in _long_movies():
+        placements = list(assign_disks(checked))
+        # park disk 1 on top of disk 0 for the whole movie
+        parked = list(placements)
+        parked[1] = dataclasses.replace(parked[1], keyframes=parked[0].keyframes)
+        for variant in (placements, parked):
+            report = embedding_certificate(checked, variant, samples=samples)
+            assert report == _tick_walk_certificate(checked, variant, samples)
+            assert report.ok == (variant is placements)
+
+
+def _random_disks(checked, rng):
+    """Disks with random keyframes over halves, thirds, sevenths and ninths:
+    some keyframes lie outside the disk's lifespan, some disks jump (two
+    keyframes at one time), and some share label 0."""
+
+    def q(lo, hi):
+        d = rng.choice((2, 3, 7, 9))
+        return F(rng.randint(lo * d, hi * d), d)
+
+    disks = []
+    for i in range(checked.circle_count):
+        times = sorted(q(-1, 2) / 2 for _ in range(rng.randint(1, 4)))
+        if len(times) > 1 and rng.random() < 0.3:
+            times[1] = times[0]
+        frames = tuple((t, (q(-2, 2), q(-2, 2)), q(0, 1)) for t in times)
+        label = i if rng.random() < 0.9 else 0
+        born, died = checked.born[i], checked.died[i]
+        disks.append(DiskPlacement(label, checked.names[i], born, died, frames))
+    return disks
+
+
+def test_certificate_matches_the_tick_walk_on_random_disks():
+    rng, failing = random.Random(0), 0
+    for seed in range(150):
+        checked = validate_movie(random_movie(seed, max_events=4))
+        placements = _random_disks(checked, rng)
+        for samples in (0, 1, 4):
+            report = embedding_certificate(checked, placements, samples=samples)
+            expected = _tick_walk_certificate(checked, placements, samples)
+            assert report == expected, (seed, samples)
+            failing += not report.ok
+    assert failing > 100, failing
 
 
 def test_random_movie_is_deterministic():
