@@ -64,7 +64,10 @@ def _digest_args(payload: dict) -> str:
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to read") from None
 
 
 def _load_map(path: str) -> PLCircleMap:
@@ -373,7 +376,6 @@ def _cmd_sweep(args):
 
     if args.census + (args.movie is not None) + (args.random is not None) > 1:
         raise ValueError("sweep takes only one of --census, a movie file or --random")
-    _at_least("--samples", args.samples, 1)
     if args.census:
         report = surgery_census()
         result = {
@@ -397,7 +399,7 @@ def _cmd_sweep(args):
         return _digest_args({"command": "sweep", "census": True}), result, summary, (
             0 if report.ok else 1
         )
-    if args.movie:
+    if args.movie is not None:
         movie = _load_movie(args.movie)
         digest = _digest_file(args.movie)
     else:
@@ -406,7 +408,7 @@ def _cmd_sweep(args):
     checked = validate_movie(movie)
     if not checked.circle_count:
         raise ValueError("the movie has no circles, so there is nothing to check")
-    certificate = embedding_certificate(checked, samples=args.samples)
+    certificate = embedding_certificate(checked)
     result = {
         "circles": checked.circle_count,
         "events": len(checked.events),
@@ -578,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("movie", nargs="?", default=None, help="movie JSON file")
     p.add_argument("--random", type=int, default=None, metavar="SEED")
-    p.add_argument("--samples", type=int, default=10)
     p.add_argument("--census", action="store_true", help="check the bundled census")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -605,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         _, extra = build_parser().parse_known_args(argv, args)
         if extra:
             raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
-        if args.out:
+        if args.out is not None:
             stream = open(args.out, "w")
         digest, result, summary, code = args.fn(args)
     except (UnfoldingBlocked, ValueError, OSError, KeyError) as exc:

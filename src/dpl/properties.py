@@ -213,7 +213,7 @@ def cover_consistency(seed: int) -> list[str]:
 
 def movie_certificates(seed: int) -> list[str]:
     checked = validate_movie(random_movie(seed, max_events=10))
-    report = embedding_certificate(checked, samples=4)
+    report = embedding_certificate(checked)
     return _failed((report.ok, f"the disks stay disjoint: {report.failures}"))
 
 

@@ -6,11 +6,13 @@ combinatorics and assigns canonical integer labels in birth order;
 :func:`assign_disks` realizes every circle as a moving round disk in the
 plane so that disks are pairwise disjoint at all times, touching only at
 their own event's moment; :func:`embedding_certificate` verifies that
-disjointness exactly on a finite sample grid.  Both compute in ints and
-return their times as ``Fraction`` values: the layout on one time unit in
-which every window's eighth is whole, the certificate on one time unit and
-one length unit common to the movie and its disks, pair by pair over the
-pieces of time on which both disks move linearly.
+disjointness exactly at every moment, and names a time of overlap for each
+piece of time on which it fails.  Both compute in ints and return their
+times as ``Fraction`` values: the layout on one time unit in which every
+window's eighth is whole, the certificate on one time unit and one length
+unit common to the movie and its disks, pair by pair over the pieces of
+time on which both disks move linearly, where a pair's separation is a
+quadratic in time.
 
 :func:`surgery_census` replays the bundled surgery sequence against the
 count parity of :func:`surgery_parity`.
@@ -30,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import inf, lcm
 from typing import Mapping, Sequence
 
 from .circle_maps import InfeasibleParameters, RationalLike, frac
@@ -372,161 +374,180 @@ class CertificateReport:
     failures: tuple[CertificateFailure, ...]
 
 
-def embedding_certificate(
-    checked: CheckedMovie,
-    placements: Sequence[DiskPlacement] | None = None,
-    samples: int = 10,
-) -> CertificateReport:
-    """Exact disjointness check on window samples and event times.
+def _open_end_overlap(
+    A: int, B: int, C: int, c0: int, c1: int, ends: list[int]
+) -> Fraction | None:
+    """A tick inside (c0, c1) at which D(k) = A k² + B k + C is at most 0, or
+    None when D is at least 0 at each of ``ends`` and rises into the piece
+    from each end where it is 0.
 
-    Every pair of disks alive at a sampled time must be strictly disjoint,
+    The tick is halved from the piece's middle toward the first end that
+    fails until D is at most 0 there; it stops, since D is at most 0 just
+    inside that end.
+    """
+    for end in ends:
+        d = (A * end + B) * end + C
+        slope = (2 * A * end + B) * (1 if end == c0 else -1)
+        if d < 0 or d == 0 and (slope < 0 or slope == 0 and A <= 0):
+            k = Fraction(c0 + c1, 2)
+            while (A * k + B) * k + C > 0:
+                k = (k + end) / 2
+            return k
+    return None
+
+
+def embedding_certificate(
+    checked: CheckedMovie, placements: Sequence[DiskPlacement] | None = None
+) -> CertificateReport:
+    """Exact disjointness check at every moment.
+
+    Every two disks alive at a common moment must be strictly disjoint then,
     except that the participants of an event may touch or overlap each other
     at exactly that event's time.
 
     The check runs in ints on one time unit 1/T and one length unit 1/U:
-    T is samples + 1 times the LCM of every grid denominator and every
-    time in the placements given, U the LCM of their keyframe coordinate
-    and radius denominators, so every time checked is a tick k/T.  The
-    ints stay a few bits wide when the times share a small LCM, as every
+    T is the LCM of every grid denominator and every time in the placements
+    given, U the LCM of their keyframe coordinate and radius denominators.
+    The ints stay a few bits wide when the times share a small LCM, as every
     :func:`random_movie`'s do; times over many distinct denominators widen
     every product.  A disk is placed as :meth:`DiskPlacement.placement_at`
     places it, from keyframes in time order: it is clamped to its first
     keyframe up to that keyframe's tick, then moves linearly over each
-    keyframe step (K0, K1], then is clamped to its last keyframe.  On each
-    such piece its center is ((X1 k + X0)/Δ, (Y1 k + Y0)/Δ)/U at tick k and
-    its radius (R1 k + R0)/(U Δ), with Δ = K1 - K0, or Δ = 1 where it is
-    clamped.
+    keyframe step (K0, K1], then is clamped to its last keyframe.  A step
+    owns its end tick, so at a jump (two keyframes at one time) the earlier
+    keyframe holds there.  On each such piece the disk's center is
+    ((X1 k + X0)/Δ, (Y1 k + Y0)/Δ)/U at tick k and its radius
+    (R1 k + R0)/(U Δ), with Δ = K1 - K0, or Δ = 1 where it is clamped.
 
     The pairs of disks alive at a common tick come from one sweep over the
-    disks in order of their first ticks.  On a piece the two disks share,
-    their separation D(k) = dx² + dy² - (ra + rb)², multiplied through by
-    (U Δa Δb)², is a quadratic A k² + B k + C in ints, so its least value
-    over the piece's ticks lies at the first or last tick or, when A > 0,
-    at the ticks either side of the vertex -B/2A.  When that least value is
-    positive the whole piece passes; otherwise, or when the piece holds
-    the tick of an event that both disks take part in, its ticks are
-    checked one by one.  The report gives each time checked as a
-    ``Fraction``, built once, and the failures in time order, each pair
-    in the order the placements are given.
+    disks in order of their first ticks.  A pair's common lifespan [lo, hi]
+    is cut at both disks' piece ends and at the ticks of the events that
+    both disks take part in, which are exempt.  The moment lo is checked
+    with the pieces that own it, and then each piece (c0, c1] in turn.  On
+    it the pair's separation D(k) = dx² + dy² - (ra + rb)², multiplied
+    through by (U Δa Δb)², is a quadratic A k² + B k + C in ints, and D > 0
+    on the piece exactly when
+
+    - D(c1) > 0, unless c1 is exempt;
+    - B² < 4AC, when A > 0 and the vertex -B/2A lies inside the piece;
+    - D >= 0 at each open end, and D rises into the piece where it is 0.
+      The open ends are c0 when it is exempt or a disk jumps there, and c1
+      when it is exempt; at any other c0, D is the value already checked
+      at the end of the piece before.
+
+    A failing piece is reported once, with a witness time at which the two
+    disks overlap: c1 when D(c1) <= 0 there, else the vertex -B/(2AT), else
+    a time halved toward the failing open end (:func:`_open_end_overlap`).
+    The failures come in time order, each pair in the order the placements
+    are given.  ``pairs_checked`` counts the pieces tested, and
+    ``times_checked`` lists the piece ends 0, the event times, the keyframe
+    times inside [0, 1] and 1, as the ``Fraction`` values given.
     """
     if placements is None:
         placements = assign_disks(checked)
     grid = _grid(checked)
-    n = max(samples, 0) + 1
     spans = [(p.born, p.died, *(kf[0] for kf in p.keyframes)) for p in placements]
     sizes = [(*c, r) for p in placements for _, c, r in p.keyframes]
     # lcm's arguments come from lists, as in assign_disks
-    T = n * lcm(*[t.denominator for s in (grid, *spans) for t in s])
+    T = lcm(*[t.denominator for s in (grid, *spans) for t in s])
     U = lcm(*[v.denominator for s in sizes for v in s])
-    # each window's start and then its samples, window by window, and the
-    # end; with samples below 1 only the grid is checked
-    ends = [_on(t, T) for t in grid]
-    ticks = [a + i * (b - a) // n for a, b in zip(ends, ends[1:]) for i in range(n)]
-    ticks.append(ends[-1])
+    stamps = {_on(t, T): t for t in grid}
 
-    def pieces(p, lo, hi):
-        """The first tick index of each of the disk's pieces over the tick
-        indices [lo, hi), then hi; and each piece's (X1, X0, Y1, Y0, R1, R0, Δ)."""
+    def pieces(p):
+        """The end tick of each of the disk's pieces, the last one endless,
+        and each piece as (X1, X0, Y1, Y0, R1, R0, Δ, the tick at which the
+        disk jumps to the piece, or None); a piece owns the ticks after the
+        end of the piece before it up to its own end."""
         ks = [_on(t, T) for t, _, _ in p.keyframes]
+        stamps.update(zip(ks, [t for t, _, _ in p.keyframes]))
         fs = [(_on(x, U), _on(y, U), _on(r, U)) for _, (x, y), r in p.keyframes]
         (x, y, r), (xl, yl, rl) = fs[0], fs[-1]
-        # a piece that starts where a later one starts holds no tick, and
-        # the later one replaces it
-        by_start = {lo: (0, x, 0, y, 0, r, 1)}
+        ends, out, jump = [ks[0]], [(0, x, 0, y, 0, r, 1, None)], None
         for k0, k1, (x0, y0, r0), (x1, y1, r1) in zip(ks, ks[1:], fs, fs[1:]):
-            by_start[bisect_right(ticks, k0, lo, hi)] = (
-                x1 - x0,
-                x0 * k1 - x1 * k0,
-                y1 - y0,
-                y0 * k1 - y1 * k0,
-                r1 - r0,
-                r0 * k1 - r1 * k0,
-                k1 - k0,
-            )
-        by_start[bisect_right(ticks, ks[-1], lo, hi)] = (0, xl, 0, yl, 0, rl, 1)
-        by_start.pop(hi, None)
-        return [*by_start, hi], list(by_start.values())
+            if k0 < k1:
+                ends.append(k1)
+                out.append((x1 - x0, x0 * k1 - x1 * k0, y1 - y0, y0 * k1 - y1 * k0,
+                            r1 - r0, r0 * k1 - r1 * k0, k1 - k0, jump))
+            # a step of no length is a jump to the start of the next one
+            jump = k1 if k0 == k1 else None
+        ends.append(inf)
+        out.append((0, xl, 0, yl, 0, rl, 1, jump))
+        return ends, out
 
-    # the tick index of each event and its participants
-    moments = [
-        (bisect_left(ticks, _on(t, T)), labels) for t, _, labels in checked.events
-    ]
-    at = [i for i, _ in moments]
-    failures: list[tuple[int, int, int]] = []  # (tick index, index a, index b)
+    # the tick of each event and its participants
+    moments = [(_on(t, T), labels) for t, _, labels in checked.events]
+    at = [k for k, _ in moments]
+    failures: list[tuple[int | Fraction, int, int]] = []  # (witness tick, a, b)
 
     def check_pair(one, other, lo):
-        """Check two disks, each as (placement index, end, piece starts,
-        pieces), from tick index lo up to the first end; the pair tests made."""
-        if one[0] > other[0]:
-            one, other = other, one
-        (a, ha, sa, pa), (b, hb, sb, pb) = one, other
+        """Check two disks, each as (placement index, last tick, piece ends,
+        pieces), from tick lo up to the first last tick; the pieces tested."""
+        (a, ha, ea, pa), (b, hb, eb, pb) = one, other
         la, lb, hi = placements[a].label, placements[b].label, min(ha, hb)
         # the ticks of the events that both disks take part in
-        exempt = [
-            i
-            for i, event in moments[bisect_left(at, lo) : bisect_left(at, hi)]
-            if la in event and lb in event
-        ]
-        ia, ib = bisect_right(sa, lo) - 1, bisect_right(sb, lo) - 1
-        tests, s = 0, lo
-        while s < hi:
-            e = min(sa[ia + 1], sb[ib + 1])
-            xa1, xa0, ya1, ya0, ra1, ra0, da = pa[ia]
-            xb1, xb0, yb1, yb0, rb1, rb0, db = pb[ib]
+        span = moments[bisect_left(at, lo) : bisect_right(at, hi)]
+        exempt = [k for k, event in span if la in event and lb in event]
+        stops = [k for k in exempt if k > lo] + [hi]
+        ia, ib, j, tests = bisect_left(ea, lo), bisect_left(eb, lo), 0, 0
+        # the first piece is the moment lo alone
+        c0 = c1 = lo
+        while True:
+            xa1, xa0, ya1, ya0, ra1, ra0, da, ja = pa[ia]
+            xb1, xb0, yb1, yb0, rb1, rb0, db, jb = pb[ib]
             x1, x0 = xa1 * db - xb1 * da, xa0 * db - xb0 * da
             y1, y0 = ya1 * db - yb1 * da, ya0 * db - yb0 * da
             r1, r0 = ra1 * db + rb1 * da, ra0 * db + rb0 * da
             A = x1 * x1 + y1 * y1 - r1 * r1
             B = 2 * (x1 * x0 + y1 * y0 - r1 * r0)
             C = x0 * x0 + y0 * y0 - r0 * r0
-            # D's least value over the piece's ticks: at its first or last
-            # tick or, when A > 0, at a tick either side of the vertex
-            k, m = ticks[s], ticks[e - 1]
-            low = min((A * k + B) * k + C, (A * m + B) * m + C)
-            if A > 0 and low > 0:
-                j = bisect_right(ticks, -B // (2 * A), s, e)
-                if s < j < e:
-                    k, m = ticks[j - 1], ticks[j]
-                    low = min(low, (A * k + B) * k + C, (A * m + B) * m + C)
-            if low > 0 and not (exempt and any(s <= i < e for i in exempt)):
-                tests += e - s
-            else:
-                for i in range(s, e):
-                    if i in exempt:
-                        continue
-                    tests += 1
-                    k = ticks[i]
-                    if (A * k + B) * k + C <= 0:
-                        failures.append((i, a, b))
-            s = e
-            ia += sa[ia + 1] == e
-            ib += sb[ib + 1] == e
-        return tests
+            opens = ()
+            if exempt or ja == c0 or jb == c0:
+                opens = [k for k in (c0, c1) if k in exempt or k in (ja, jb)]
+            # an exempt moment lo alone has nothing to test
+            if c0 < c1 or not opens:
+                tests += 1
+                k = None
+                if c1 not in opens and (A * c1 + B) * c1 + C <= 0:
+                    k = c1
+                elif A > 0 and 2 * A * c0 < -B < 2 * A * c1 and B * B >= 4 * A * C:
+                    k = Fraction(-B, 2 * A)
+                elif opens:
+                    k = _open_end_overlap(A, B, C, c0, c1, opens)
+                if k is not None:
+                    failures.append((k, min(a, b), max(a, b)))
+            if c1 == hi:
+                return tests
+            c0 = c1
+            ia += ea[ia] == c0
+            ib += eb[ib] == c0
+            c1 = min(ea[ia], eb[ib], stops[j])
+            j += stops[j] == c1
 
-    # each disk alive at some tick as (first tick index, end, placement index)
+    # each disk alive at some tick as (first tick, last tick, placement index)
     order = []
     for d, p in enumerate(placements):
-        lo, hi = bisect_left(ticks, _on(p.born, T)), bisect_right(ticks, _on(p.died, T))
-        if lo < hi:
+        lo, hi = _on(p.born, T), _on(p.died, T)
+        if lo <= hi:
             order.append((lo, hi, d))
     # the disks in order of their first ticks, each paired with those still
     # alive at its first tick; a disk's pieces are held only while it lives
     pairs_checked = 0
     live: list[tuple] = []
     for lo, hi, d in sorted(order):
-        live = [w for w in live if w[1] > lo]
-        disk = (d, hi, *pieces(placements[d], lo, hi))
+        live = [w for w in live if w[1] >= lo]
+        disk = (d, hi, *pieces(placements[d]))
         for w in live:
             pairs_checked += check_pair(w, disk, lo)
         live.append(disk)
-    times = [Fraction(k, T) for k in ticks]
     return CertificateReport(
         ok=not failures,
-        times_checked=tuple(times),
+        times_checked=tuple([stamps[k] for k in sorted(stamps) if 0 <= k <= T]),
         pairs_checked=pairs_checked,
         failures=tuple(
-            CertificateFailure(times[i], (placements[a].label, placements[b].label))
-            for i, a, b in sorted(failures)
+            CertificateFailure(
+                Fraction(k, T), (placements[a].label, placements[b].label)
+            )
+            for k, a, b in sorted(failures)
         ),
     )
 

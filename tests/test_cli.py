@@ -11,7 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dpl
 import dpl.sweeps
@@ -356,9 +356,8 @@ REFUSED = [
     ("dcover degree 0", ["dcover-check", "0"], None),
     ("dcover upto 1", ["dcover-check", "--upto", "1"], None),
     ("dcover upto 0", ["dcover-check", "--upto", "0"], None),
-    ("sweep samples 0", ["sweep", "--random", "5", "--samples", "0"], None),
-    ("sweep samples -3", ["sweep", "--samples", "-3"], None),
-    ("sweep census samples 0", ["sweep", "--census", "--samples", "0"], None),
+    ("sweep empty movie path", ["sweep", ""], None),
+    ("sweep census empty out path", ["sweep", "--census", "--out", ""], None),
     ("sweep census and movie", ["sweep", "--census", "FILE"], _movie_with()),
     ("sweep census and random", ["sweep", "--census", "--random", "5"], None),
     ("sweep movie and random", ["sweep", "FILE", "--random", "5"], _movie_with()),
@@ -373,6 +372,7 @@ REFUSED = [
     ("breakpoints scalar", ["analyze", "FILE"], _map_with(breakpoints=5)),
     ("breakpoint triple", ["analyze", "FILE"], _map_with(breakpoints=[["0", "0", "0"]])),
     ("map not an object", ["analyze", "FILE"], "[1, 2]"),
+    ("map nested too deeply", ["analyze", "FILE"], "[" * 100_000 + "]" * 100_000),
     ("arc exponent", ["unfold", "FILE", "--arc", "25e-2", "3/8"], TENT),
     ("initial string", ["sweep", "FILE"], _movie_with(initial="ab", events=[])),
     ("initial numbers", ["sweep", "FILE"], _movie_with(initial=[1], events=[])),
@@ -382,12 +382,12 @@ REFUSED = [
     ("event labels string", ["sweep", "FILE"], _movie_with(event={"labels": "abc"})),
     ("events scalar", ["sweep", "FILE"], _movie_with(events=5)),
     ("movie not an object", ["sweep", "FILE"], "[1, 2]"),
+    ("movie nested too deeply", ["sweep", "FILE"], "[" * 100_000 + "]" * 100_000),
     ("movie empty object", ["sweep", "FILE"], "{}"),
     ("movie without events", ["sweep", "FILE"], '{"initial": ["a"]}'),
     ("movie without circles", ["sweep", "FILE"], '{"initial": [], "events": []}'),
     ("mode open-subset", ["unfold", "FILE", "--mode", "open-subset"], TENT),
     ("group n not an int", ["group", "cyclic", "x"], None),
-    ("sweep samples not an int", ["sweep", "--samples", "x"], None),
     ("dcover upto not an int", ["dcover-check", "--upto", "x"], None),
     ("analyze without a map", ["analyze"], None),
     ("group extra argument", ["group", "cyclic", "4", "5"], None),
@@ -450,6 +450,16 @@ def _movie_text(movie):
     return json.dumps({"initial": list(movie.initial), "events": events})
 
 
+def _nested_text(depth, brackets):
+    """A JSON document ``depth`` arrays or objects deep."""
+    if brackets == "[]":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "0" + "}" * depth
+
+
+_NESTED = st.builds(
+    _nested_text, st.sampled_from([2, 900, 1000, 100_000]), st.sampled_from(["[]", "{}"])
+)
 _MAP_TEXTS = st.one_of(
     st.fixed_dictionaries(
         {
@@ -466,6 +476,7 @@ _MAP_TEXTS = st.one_of(
         st.fractions(F(1, 12), 3, max_denominator=12),
     ),
     st.sampled_from([DEEP, "[1, 2]", "{}", "not json"]),
+    _NESTED,
 )
 _LABELS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4)
 _EVENTS = st.fixed_dictionaries(
@@ -480,24 +491,26 @@ _MOVIE_TEXTS = st.one_of(
         {"initial": st.one_of(_LABELS, _VALUES), "events": st.lists(_EVENTS, max_size=6)}
     ).map(json.dumps),
     st.integers(0, 300).map(lambda seed: _movie_text(dpl.sweeps.random_movie(seed, 8))),
+    _NESTED,
 )
 _ARGS = st.one_of(_SMALL.map(str), _FORTY_DIGITS, _MALFORMED)
+# an input path: mostly the file, sometimes the empty path
+_PATHS = st.sampled_from(["FILE", "FILE", "FILE", ""])
 
 
 @st.composite
 def _invocations(draw):
     """(argv with FILE standing for the input file, file text or None)."""
     command = draw(st.sampled_from(["analyze", "hopf", "unfold", "sweep"]))
+    argv = [] if draw(st.integers(0, 9)) else ["--out", ""]
     if command == "sweep":
-        argv, text = ["sweep"], None
+        argv, text = ["sweep", *argv], None
         if draw(st.booleans()):
-            argv, text = argv + ["FILE"], draw(_MOVIE_TEXTS)
+            argv, text = argv + [draw(_PATHS)], draw(_MOVIE_TEXTS)
         if draw(st.booleans()):
             argv += ["--random", str(draw(st.integers(-2, 40)))]
-        if draw(st.booleans()):
-            argv += ["--samples", draw(st.sampled_from(["-1", "0", "1", "4", "x"]))]
         return argv, text
-    argv = [command, "FILE"]
+    argv = [command, draw(_PATHS), *argv]
     if command != "hopf" and draw(st.booleans()):
         arc = draw(st.one_of(st.tuples(_ARGS, _ARGS), st.just(("11/20", "1/20"))))
         argv += ["--arc", *arc]
@@ -511,6 +524,9 @@ def _invocations(draw):
 
 @settings(max_examples=150, deadline=5000)
 @given(invocation=_invocations())
+# draws that reach an empty path on its own are rare, so two are always run
+@example(invocation=(["sweep", ""], None))
+@example(invocation=(["sweep", "--out", "", "--census"], None))
 def test_generated_inputs_exit_with_a_valid_envelope(tmp_path_factory, invocation):
     argv, text = invocation
     path = tmp_path_factory.getbasetemp() / "generated-input.json"
@@ -524,6 +540,9 @@ def test_generated_inputs_exit_with_a_valid_envelope(tmp_path_factory, invocatio
     jsonschema.validate(doc, report_schema())
     if code == 2:
         assert "error" in doc["result"]
+    # an empty path, like an empty number, is refused, never replaced
+    if "" in argv:
+        assert code == 2
 
 
 def test_help_and_a_missing_or_unknown_command_are_left_to_argparse(capsys):

@@ -32,7 +32,7 @@ from dpl import Angle, PLCircleMap, TransverseArc, make_map, random_map
 from dpl.cli import _json_default
 from dpl.properties import PROPERTIES, _regular_arc, _regular_value
 from dpl.space_forms import build_group, dcover_consistency
-from dpl.sweeps import assign_disks, random_movie, validate_movie
+from dpl.sweeps import validate_movie
 from dpl.unfolding import UnfoldingBlocked
 
 _model = dpl.space_forms.cover_double_point_model
@@ -126,28 +126,19 @@ def _classification_breaks_the_midpoint_rule():
     assert any(components(f, arc) != oracle(f, arc) for f, arc in cases)
 
 
-def _certificate_report(checked, placements, samples):
-    got = dpl.sweeps.embedding_certificate(checked, placements, samples=samples)
-    failed = [(fl.time, fl.labels) for fl in got.failures]
-    return list(got.times_checked), got.pairs_checked, failed
-
-
 def _certificate_breaks_its_oracle():
-    oracle = test_sweeps._oracle_certificate
-    movies = [validate_movie(random_movie(seed)) for seed in range(40)]
-    assert any(
-        _certificate_report(m, assign_disks(m), 4) != oracle(m, assign_disks(m), 4)
-        for m in movies
-    )
+    """``test_sweeps``' exact checks fail on a movie of seeds 0-39, with the
+    library's layout or its parked one."""
 
+    def breaks(checked, placements):
+        try:
+            test_sweeps._checked_exactly(checked, placements)
+        except AssertionError:
+            return True
+        return False
 
-def _off_grid_certificate_breaks_its_oracle():
-    checked, placements = test_sweeps._off_grid_movie()
-    oracle = test_sweeps._oracle_certificate
-    assert any(
-        _certificate_report(checked, placements, s) != oracle(checked, placements, s)
-        for s in (1, 4, 10)
-    )
+    variants = test_sweeps._variants(test_sweeps._seeded(range(40)))
+    assert any(breaks(checked, placements) for checked, placements in variants)
 
 
 def _death_keyframes_conflict():
@@ -272,7 +263,7 @@ MUTANTS = {
         _fails(test_circle_maps.test_fiber_at_each_critical_value_keeps_its_fold_once),
     ),
     "or for and in the exemption": (
-        dpl.sweeps,
+        test_sweeps,
         "embedding_certificate",
         _rewritten(
             dpl.sweeps.embedding_certificate,
@@ -282,19 +273,14 @@ MUTANTS = {
         _certificate_breaks_its_oracle,
     ),
     "dropped end time": (
-        dpl.sweeps,
+        test_sweeps,
         "embedding_certificate",
-        _rewritten(dpl.sweeps.embedding_certificate, "ticks.append(ends[-1])", "pass"),
-        _certificate_breaks_its_oracle,
-    ),
-    "time unit without the samples + 1 factor": (
-        dpl.sweeps,
-        "embedding_certificate",
-        _rewritten(dpl.sweeps.embedding_certificate, "T = n * lcm", "T = lcm"),
-        _certificate_breaks_its_oracle,
+        # the times checked lose 1
+        _rewritten(dpl.sweeps.embedding_certificate, "0 <= k <= T", "0 <= k < T"),
+        _fails(test_sweeps.test_certificate_accepts_the_assignment),
     ),
     "swapped interpolation weights": (
-        dpl.sweeps,
+        test_sweeps,
         "embedding_certificate",
         # each keyframe step weighs its first keyframe by the time since it
         _rewritten(
@@ -302,26 +288,47 @@ MUTANTS = {
             "(x0, y0, r0), (x1, y1, r1) in zip",
             "(x1, y1, r1), (x0, y0, r0) in zip",
         ),
-        _off_grid_certificate_breaks_its_oracle,
+        _fails(test_sweeps.test_certificate_matches_the_oracle_off_the_movie_grid),
     ),
     "vertex ticks dropped": (
         test_sweeps,
         "embedding_certificate",
-        # a piece's least value taken at its first and last ticks only
-        _rewritten(dpl.sweeps.embedding_certificate, "if A > 0 and low > 0:", "if False:"),
+        # a piece tested at its ends only, not at the vertex tick -B/2A
+        _rewritten(dpl.sweeps.embedding_certificate, "elif A > 0 and", "elif False and"),
         _fails(test_sweeps.test_certificate_finds_a_crossing_inside_one_piece),
     ),
-    "pieces split with bisect_left": (
+    "first moment found with bisect_right": (
         test_sweeps,
         "embedding_certificate",
-        # a keyframe step starts at its first keyframe's tick, so at a jump
-        # that tick takes the later keyframe
+        # the moment lo taken by the piece after it, so at a jump there by
+        # the later keyframe
         _rewritten(
             dpl.sweeps.embedding_certificate,
-            "by_start[bisect_right(ticks, k0, lo, hi)]",
-            "by_start[bisect_left(ticks, k0, lo, hi)]",
+            "bisect_left(ea, lo), bisect_left(eb, lo)",
+            "bisect_right(ea, lo), bisect_right(eb, lo)",
         ),
         _fails(test_sweeps.test_certificate_takes_a_jump_from_the_left),
+    ),
+    "exempt end checked as closed": (
+        test_sweeps,
+        "embedding_certificate",
+        # a merge's parents touch at its tick, which ends their lifespans
+        _rewritten(
+            dpl.sweeps.embedding_certificate,
+            "if c1 not in opens and (A * c1 + B)",
+            "if (A * c1 + B)",
+        ),
+        _fails(test_sweeps.test_certificate_accepts_the_assignment),
+    ),
+    "open start after a jump taken as closed": (
+        test_sweeps,
+        "embedding_certificate",
+        _rewritten(
+            dpl.sweeps.embedding_certificate,
+            "if exempt or ja == c0 or jb == c0:",
+            "if exempt:",
+        ),
+        _fails(test_sweeps.test_certificate_checks_the_open_start_after_a_jump),
     ),
     "a layout's eighth taken as a quarter": (
         test_sweeps,

@@ -168,22 +168,26 @@ def test_disks_realize_the_movie():
 
 def test_certificate_accepts_the_assignment():
     checked = validate_movie(little_movie())
-    report = embedding_certificate(checked, samples=10)
+    report = embedding_certificate(checked)
     assert report.ok
     assert report.failures == ()
     assert report.pairs_checked > 0
-    event_times = {t for t, _, _ in checked.events}
-    assert event_times <= set(report.times_checked)
+    # the piece ends: 0, the event times, the keyframe times and 1
+    keyframe_times = {t for p in assign_disks(checked) for t, _, _ in p.keyframes}
+    ends = {F(0), F(1), *(t for t, _, _ in checked.events), *keyframe_times}
+    assert list(report.times_checked) == sorted(ends)
+
+
+def _parked(placements):
+    """The placements with disk 1 parked on top of disk 0 for the whole movie."""
+    parked = list(placements)
+    parked[1] = dataclasses.replace(parked[1], keyframes=parked[0].keyframes)
+    return parked
 
 
 def test_certificate_flags_a_corrupted_assignment():
     checked = validate_movie(little_movie())
-    placements = list(assign_disks(checked))
-    # park disk 1 on top of disk 0 for the whole movie
-    placements[1] = dataclasses.replace(
-        placements[1], keyframes=placements[0].keyframes
-    )
-    report = embedding_certificate(checked, placements)
+    report = embedding_certificate(checked, _parked(assign_disks(checked)))
     assert not report.ok
     assert any(set(f.labels) == {0, 1} for f in report.failures)
 
@@ -202,8 +206,8 @@ def _oracle_position(p, t):
 
 
 def _oracle_certificate(checked, placements, samples):
-    """The certificate as first written: grid and sample times by set and
-    sort, the exemptions as frozenset pairs of each event's participants."""
+    """The sampled certificate as first written: grid and sample times by set
+    and sort, the exemptions as frozenset pairs of each event's participants."""
     grid = sorted({F(0), F(1)} | {t for t, _, _ in checked.events})
     times = set(grid)
     for t0, t1 in zip(grid, grid[1:]):
@@ -228,28 +232,135 @@ def _oracle_certificate(checked, placements, samples):
     return sorted(times), pairs_checked, failures
 
 
+def _separation(pa, pb, t):
+    """dx² + dy² - (ra + rb)² of two placements at t, by placement_at."""
+    (ca, ra), (cb, rb) = pa.placement_at(t), pb.placement_at(t)
+    dx, dy, rr = ca[0] - cb[0], ca[1] - cb[1], ra + rb
+    return dx * dx + dy * dy - rr * rr
+
+
+def _exempt(checked, pa, pb, t):
+    """Whether both placements' labels take part in an event at t."""
+    return any(
+        te == t and pa.label in labels and pb.label in labels
+        for te, _, labels in checked.events
+    )
+
+
+def _fraction_oracle(checked, placements):
+    """The label pairs of the placements that overlap at a moment at which no
+    event exempts them, in Fractions through placement_at.
+
+    Each pair's common lifespan is cut at both placements' keyframe times and
+    at its exempt event times.  On each piece (t0, t1] the separation is the
+    quadratic q through its values at three inner points; a placement owns
+    the end of each keyframe step, so q(t1) is the separation at t1, while at
+    t0 it may jump.  Over the open piece, q's least value lies at t0, at t1
+    or at its vertex, and q is at most 0 somewhere inside exactly when that
+    least value is below 0, or is 0 at the vertex or at the middle.
+    """
+    flagged = set()
+    for pa, pb in combinations(placements, 2):
+        lo, hi = max(pa.born, pb.born), min(pa.died, pb.died)
+        if lo > hi:
+            continue
+        inside = [t for p in (pa, pb) for t, _, _ in p.keyframes]
+        inside += [t for t, _, _ in checked.events if _exempt(checked, pa, pb, t)]
+        cuts = sorted({lo, hi, *[t for t in inside if lo < t < hi]})
+        bad = not _exempt(checked, pa, pb, lo) and _separation(pa, pb, lo) <= 0
+        for t0, t1 in zip(cuts, cuts[1:]):
+            h = (t1 - t0) / 4
+            d1, d2, d3 = (_separation(pa, pb, t0 + i * h) for i in (1, 2, 3))
+            # q(t0 + u h) = d2 + s1 (u - 2) + s2 (u - 2)²
+            s1, s2 = (d3 - d1) / 2, (d3 - 2 * d2 + d1) / 2
+            start, end = d2 - 2 * s1 + 4 * s2, d2 + 2 * s1 + 4 * s2
+            least = d2
+            if s2 > 0 and abs(s1) < 4 * s2:
+                least = min(least, d2 - s1 * s1 / (4 * s2))
+            bad |= least <= 0 or min(start, end) < 0
+            bad |= end <= 0 and not _exempt(checked, pa, pb, t1)
+        if bad:
+            flagged.add((pa.label, pb.label))
+    return flagged
+
+
+def _checked_exactly(checked, placements, *sampled, oracle=True):
+    """The certificate's report, after checking that each failure's time is a
+    real overlap under placement_at at a moment no event exempts, that the
+    failures come in time order and include every pair flagged in each of
+    the ``sampled`` pair sets, and (with ``oracle``) that the failing pairs
+    are those of the Fraction oracle."""
+    report = embedding_certificate(checked, placements)
+    flagged = {fl.labels for fl in report.failures}
+    assert report.ok == (not flagged)
+    for fl in report.failures:
+        assert any(
+            (pa.label, pb.label) == fl.labels
+            and None not in (pa.placement_at(fl.time), pb.placement_at(fl.time))
+            and not _exempt(checked, pa, pb, fl.time)
+            and _separation(pa, pb, fl.time) <= 0
+            for pa, pb in combinations(placements, 2)
+        ), fl
+    times = [fl.time for fl in report.failures]
+    assert times == sorted(times)
+    for pairs in sampled:
+        assert pairs <= flagged, pairs - flagged
+    if oracle:
+        assert flagged == _fraction_oracle(checked, placements)
+    return report
+
+
+def _sampled_pairs(checked, placements, samples):
+    """The pairs that the set-and-sort oracle flags at ``samples``."""
+    return {labels for _, labels in _oracle_certificate(checked, placements, samples)[2]}
+
+
+def _walked_pairs(checked, placements, samples):
+    """The pairs that the tick walk flags at ``samples``."""
+    walk = _tick_walk_certificate(checked, placements, samples)
+    return {fl.labels for fl in walk.failures}
+
+
+def _variants(movies):
+    """Each checked movie with the library's layout and, when it has two
+    disks or more, with its parked layout."""
+    for checked in movies:
+        placements = assign_disks(checked)
+        yield checked, placements
+        if len(placements) > 1:
+            yield checked, _parked(placements)
+
+
+def _seeded(seeds):
+    return [validate_movie(random_movie(seed)) for seed in seeds]
+
+
+def test_certificate_matches_the_fraction_oracle():
+    failing = 0
+    for checked, variant in _variants(_seeded(range(40))):
+        failing += not _checked_exactly(checked, variant).ok
+    assert failing > 10, failing
+
+
 @pytest.mark.parametrize("samples", [1, 4, 10])
 def test_certificate_matches_the_set_and_sort_oracle(samples):
-    failing = 0
-    for seed in range(40):
-        checked = validate_movie(random_movie(seed))
-        placements = list(assign_disks(checked))
-        variants = [placements]
-        if len(placements) > 1:
-            # park disk 1 on top of disk 0 for the whole movie
-            parked = list(placements)
-            parked[1] = dataclasses.replace(parked[1], keyframes=parked[0].keyframes)
-            variants.append(parked)
-        for variant in variants:
-            report = embedding_certificate(checked, variant, samples=samples)
-            got = (
-                list(report.times_checked),
-                report.pairs_checked,
-                [(fl.time, fl.labels) for fl in report.failures],
-            )
-            assert got == _oracle_certificate(checked, variant, samples), seed
-            failing += not report.ok
-    assert failing > 10, failing
+    # the exact failures cover every pair the samples flag, each at a real
+    # overlap
+    for checked, variant in _variants(_seeded(range(40))):
+        pairs = _sampled_pairs(checked, variant, samples)
+        _checked_exactly(checked, variant, pairs, oracle=False)
+
+
+def test_certificate_finds_an_overlap_the_samples_miss():
+    # with disk 1 parked on disk 0's keyframes, disks 1 and 2 of movie 86
+    # overlap only on the open interval (1/144, 11/1152), just after a split
+    checked = validate_movie(random_movie(86))
+    placements = _parked(assign_disks(checked))
+    report = _checked_exactly(checked, placements)
+    ((t, labels),) = [(fl.time, fl.labels) for fl in report.failures]
+    assert labels == (1, 2) and F(1, 144) < t < F(11, 1152)
+    for samples in (10, 100):
+        assert _tick_walk_certificate(checked, placements, samples).ok
 
 
 def _off_grid_movie():
@@ -306,16 +417,16 @@ def test_certificate_matches_the_oracle_off_the_movie_grid():
     checked, placements = _off_grid_movie()
     (ca, ra), (cb, rb) = (p.placement_at(F(1, 7)) for p in placements[:2])
     assert (ca[0] - cb[0]) ** 2 + (ca[1] - cb[1]) ** 2 == (ra + rb) ** 2
-    for samples in (1, 4, 10):
-        report = embedding_certificate(checked, placements, samples=samples)
-        got = (
-            list(report.times_checked),
-            report.pairs_checked,
-            [(fl.time, fl.labels) for fl in report.failures],
-        )
-        assert got == _oracle_certificate(checked, placements, samples), samples
-        # 1/7 is the middle of the first window, sampled at samples = 1
-        assert ((F(1, 7), (0, 1)) in got[2]) == (samples == 1)
+    sampled = [_sampled_pairs(checked, placements, s) for s in (1, 4, 10)]
+    sampled += [_walked_pairs(checked, placements, s) for s in (1, 4, 10)]
+    report = _checked_exactly(checked, placements, *sampled)
+    # disk 1 slides through disk 0, tangent at 1/7 and deepest at the vertex
+    assert [(fl.time, fl.labels) for fl in report.failures] == [
+        (F(493, 3150), (0, 1)),
+        (F(3, 7), (2, 3)),
+        (F(4, 9), (2, 3)),
+        (F(162379663, 332892846), (2, 3)),
+    ]
 
 
 def test_certificate_handles_the_empty_movie():
@@ -325,36 +436,28 @@ def test_certificate_handles_the_empty_movie():
     assert report.ok and report.pairs_checked == 0
 
 
-def _hand_built_failures(placements, samples):
+def _hand_built_failures(placements):
     """The failures of a hand-built two-disk movie with no events, after
-    checking the whole report against the set-and-sort oracle."""
+    checking the report against the Fraction oracle."""
     checked = validate_movie(SweepMovie(initial=("a", "b"), events=()))
-    report = embedding_certificate(checked, placements, samples=samples)
-    got = (
-        list(report.times_checked),
-        report.pairs_checked,
-        [(fl.time, fl.labels) for fl in report.failures],
-    )
-    assert got == _oracle_certificate(checked, placements, samples)
-    return got[2]
+    report = _checked_exactly(checked, placements)
+    return [(fl.time, fl.labels) for fl in report.failures]
 
 
 def test_certificate_finds_a_crossing_inside_one_piece():
-    # disk 1 slides through disk 0 along one keyframe step: the step's first
-    # and last ticks are clear, so only the ticks either side of the vertex
-    # of the pair's quadratic find the overlap
+    # disk 1 slides through disk 0 along one keyframe step: the step's ends
+    # are clear, so only the vertex of the pair's quadratic finds the overlap
     frames = ((F(0), (F(-10), F(0)), F(1)), (F(1), (F(10), F(0)), F(1)))
     placements = [
         DiskPlacement(0, "a", F(0), F(1), ((F(0), (F(0), F(1, 3)), F(1)),)),
         DiskPlacement(1, "b", F(0), F(1), frames),
     ]
-    failures = _hand_built_failures(placements, samples=10)
-    assert failures == [(F(5, 11), (0, 1)), (F(6, 11), (0, 1))]
+    assert _hand_built_failures(placements) == [(F(1, 2), (0, 1))]
 
 
 def test_certificate_takes_a_jump_from_the_left():
-    # two keyframes of disk 1 at t = 1/2, a tick at samples = 1: there it
-    # still sits at the earlier keyframe, as placement_at places it
+    # two keyframes of disk 1 at t = 1/2: there it still sits at the earlier
+    # keyframe, as placement_at places it
     far, near, r = (F(5), F(0)), (F(1, 2), F(0)), F(1, 3)
     frames = ((F(0), far, r), (F(1, 2), far, r), (F(1, 2), near, r), (F(1), near, r))
     placements = [
@@ -362,7 +465,24 @@ def test_certificate_takes_a_jump_from_the_left():
         DiskPlacement(1, "b", F(0), F(1), frames),
     ]
     assert placements[1].placement_at(F(1, 2)) == (far, r)
-    assert _hand_built_failures(placements, samples=1) == [(F(1), (0, 1))]
+    assert _hand_built_failures(placements) == [(F(1), (0, 1))]
+    # the same at the first moment of the pair's common lifespan
+    frames = ((F(0), near, r), (F(0), far, r), (F(1), far, r))
+    placements[1] = DiskPlacement(1, "b", F(0), F(1), frames)
+    assert _hand_built_failures(placements) == [(F(0), (0, 1))]
+
+
+def test_certificate_checks_the_open_start_after_a_jump():
+    # disk 1 jumps onto disk 0 at t = 1/2 and slides off before t = 1: the
+    # overlap holds just after the jump, found by halving toward it
+    far, near, r = (F(5), F(0)), (F(1, 2), F(0)), F(1, 3)
+    frames = ((F(0), far, r), (F(1, 2), far, r), (F(1, 2), near, r), (F(1), far, r))
+    placements = [
+        DiskPlacement(0, "a", F(0), F(1), ((F(0), (F(0), F(0)), r),)),
+        DiskPlacement(1, "b", F(0), F(1), frames),
+    ]
+    assert _separation(*placements, F(1)) > 0
+    assert _hand_built_failures(placements) == [(F(33, 64), (0, 1))]
 
 
 # ---------------------------------------------------------------- earlier designs
@@ -507,15 +627,10 @@ def test_layout_matches_the_fraction_layout():
 
 @pytest.mark.parametrize("samples", [1, 4, 10])
 def test_certificate_matches_the_tick_walk(samples):
-    for checked in _long_movies():
-        placements = list(assign_disks(checked))
-        # park disk 1 on top of disk 0 for the whole movie
-        parked = list(placements)
-        parked[1] = dataclasses.replace(parked[1], keyframes=parked[0].keyframes)
-        for variant in (placements, parked):
-            report = embedding_certificate(checked, variant, samples=samples)
-            assert report == _tick_walk_certificate(checked, variant, samples)
-            assert report.ok == (variant is placements)
+    # as against the set-and-sort oracle, over more and longer movies
+    for checked, variant in _variants([*_seeded(range(300)), *_long_movies()]):
+        pairs = _walked_pairs(checked, variant, samples)
+        _checked_exactly(checked, variant, pairs, oracle=False)
 
 
 def _random_disks(checked, rng):
@@ -544,12 +659,9 @@ def test_certificate_matches_the_tick_walk_on_random_disks():
     for seed in range(150):
         checked = validate_movie(random_movie(seed, max_events=4))
         placements = _random_disks(checked, rng)
-        for samples in (0, 1, 4):
-            report = embedding_certificate(checked, placements, samples=samples)
-            expected = _tick_walk_certificate(checked, placements, samples)
-            assert report == expected, (seed, samples)
-            failing += not report.ok
-    assert failing > 100, failing
+        pairs = [_walked_pairs(checked, placements, s) for s in (1, 4, 10)]
+        failing += not _checked_exactly(checked, placements, *pairs).ok
+    assert failing > 60, failing
 
 
 def test_random_movie_is_deterministic():
