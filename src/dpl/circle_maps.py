@@ -7,9 +7,14 @@ increasing in [0, 1) and l_i the lift value at x_i, closed up by
 lift(x + 1) = lift(x) + degree.
 
 Inside, the hot paths run in ints on the map's grid (1/D)Z, D the LCM of
-every breakpoint denominator: each lap is a row of ints (:func:`_lap_rows`),
-a level's preimages are int numerators over per-lap denominators
-(``PLCircleMap._level_cuts``), and a Fraction is built only where a caller
+every breakpoint denominator: construction validates the vertices as ints
+x_i D and l_i D, and each map keeps them (``PLCircleMap._ints``); each lap
+is a row of ints (:func:`_lap_rows`); the critical levels are int residues
+on the grid (``PLCircleMap._level_table``), into which a level p/q is
+bisected at the floor or ceiling of pD/q; a value of the lift is one int
+numerator over one denominator (``PLCircleMap.lift_evaluate``), a level's
+preimages are int numerators over per-lap denominators
+(``PLCircleMap._level_cuts``); and a Fraction is built only where a caller
 receives one.
 
 Construction normalizes the breakpoint list so that every interior vertex is
@@ -30,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "Angle",
@@ -185,32 +190,33 @@ class TransverseArc:
 
 
 class _LevelTable(NamedTuple):
-    """A map's critical levels and their sweep counts, computed once per map.
+    """A map's value gaps and their sweep counts on its grid D, computed once per map.
 
-    Gap i of ``gaps`` runs from ``residues[i]`` to the next residue; the
-    last one wraps past 0.  ``sweeps[i]`` is gap i's downward-pair count
-    (see :func:`downward_pair_count`), counted for every gap in one pass
-    over the map's :class:`_LapIndex`.
+    Gap i runs from ``residues[i] / D`` for ``widths[i] / D``; the last one
+    wraps past 0.  A folded map's residues are its critical levels; a
+    fold-free map has one gap, the whole circle from 0.  ``sweeps[i]`` is
+    gap i's downward-pair count (see :func:`downward_pair_count`), counted
+    for every gap in one pass over the map's :class:`_LapIndex`.
     """
 
-    residues: tuple[Fraction, ...]
-    gaps: tuple[tuple[Fraction, Fraction], ...]
+    residues: tuple[int, ...]
+    widths: tuple[int, ...]
     sweeps: tuple[int, ...]
 
 
 class _LapIndex(NamedTuple):
     """Each lap's lowest and highest value, as integers, computed once per map.
 
-    ``residues`` are the lap ends' values mod 1, sorted: a folded map's
-    critical levels, a fold-free map's anchor value.  Row j of ``ends`` is
-    (m_lo, a, m_hi, b): lap j runs from m_lo + residues[a] up to
-    m_hi + residues[b].  For a level y in [0, 1), let k be the index of
-    the last residue <= y (-1 below residues[0]).  At a regular y the lap
-    then takes the value y + m_lo + [a > k] first, and meets the level
-    m_hi - m_lo + 1 - [b <= k] - [a > k] times in all, one turn apart.
+    ``residues`` are the lap ends' values mod 1 on the grid D, sorted ints:
+    a folded map's critical levels, a fold-free map's anchor value.  Row j
+    of ``ends`` is (m_lo, a, m_hi, b): lap j runs from m_lo + residues[a] / D
+    up to m_hi + residues[b] / D.  For a level y in [0, 1), let k be the
+    index of the last residue <= yD (-1 below residues[0]).  At a regular y
+    the lap then takes the value y + m_lo + [a > k] first, and meets the
+    level m_hi - m_lo + 1 - [b <= k] - [a > k] times in all, one turn apart.
     """
 
-    residues: tuple[Fraction, ...]
+    residues: tuple[int, ...]
     ends: tuple[tuple[int, int, int, int], ...]
 
 
@@ -219,19 +225,39 @@ def _grid_of(points: Iterable[tuple[Fraction, Fraction]]) -> int:
     return math.lcm(*(v.denominator for point in points for v in point))
 
 
-def _lap_rows(m, count: int, grid: int) -> list[tuple]:
+def _scaled(
+    points: Sequence[tuple[Fraction, Fraction]], grid: int
+) -> tuple[list[int], list[int]]:
+    """Each point's coordinates times ``grid``, as two lists of ints.
+
+    ``grid`` must be a multiple of every coordinate's denominator.
+    """
+    xs = [x.numerator * (grid // x.denominator) for x, _ in points]
+    return xs, [l.numerator * (grid // l.denominator) for _, l in points]
+
+
+def _closed(
+    points: Sequence[tuple[Fraction, Fraction]], degree: int, grid: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vertices' ints on ``grid``, closed up one turn on by vertex 0."""
+    xs, ls = _scaled(points, grid)
+    return (*xs, xs[0] + grid), (*ls, ls[0] + degree * grid)
+
+
+def _lap_rows(
+    xs: Sequence[Fraction], X: Sequence[int], L: Sequence[int], grid: int
+) -> list[tuple]:
     """Each lap of a circle or interval map on the grid (1/grid)Z, read once.
 
-    A row is (rising, V_lo, x_lo, V_hi, x_hi, dX, c, den): the lap's lowest
-    and highest values are V_lo / grid and V_hi / grid, taken at x_lo and
-    x_hi, and it takes the value V / grid at x = (V * dX + c) / den, with
-    den > 0.  All but x_lo and x_hi are ints; ``grid`` must be a multiple of
-    every breakpoint denominator.
+    Lap j runs from vertex j to vertex j + 1: from x = xs[j] = X[j] / grid,
+    at the value L[j] / grid, to the next.  A row is (rising, V_lo, x_lo,
+    V_hi, x_hi, dX, c, den): the lap's lowest and highest values are
+    V_lo / grid and V_hi / grid, taken at x_lo and x_hi, and it takes the
+    value V / grid at x = (V * dX + c) / den, with den > 0.  All but x_lo
+    and x_hi are ints.
     """
     rows = []
-    for j in range(count):
-        lap = xlo, xhi, _, _ = m.lap(j)
-        x0, x1, v0, v1 = (v.numerator * (grid // v.denominator) for v in lap)
+    for xlo, xhi, x0, x1, v0, v1 in zip(xs, xs[1:], X, X[1:], L, L[1:]):
         g = math.gcd(x1 - x0, v1 - v0)
         dx, dv = (x1 - x0) // g, (v1 - v0) // g
         if dv < 0:
@@ -297,27 +323,45 @@ class PLCircleMap:
         return frozenset(v for _, v in self.folds)
 
     @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The vertices on the grid D: X_i = x_i D and L_i = l_i D for i = 0..n.
+
+        Vertex n closes the circle: X_n = X_0 + D and L_n = L_0 + degree D.
+        :func:`make_map` stores the ints it validated; this builds them for a
+        map made directly.
+        """
+        return _closed(self.breakpoints, self.degree, self._grid)
+
+    @cached_property
     def _level_table(self) -> _LevelTable:
-        residues = () if self.fold_free else self._lap_index.residues
-        if not residues:
-            gaps = ((Fraction(0), Fraction(1)),)
-        else:
-            ends = residues[1:] + (residues[0] + 1,)
-            gaps = tuple((r, nxt - r) for r, nxt in zip(residues, ends))
-        return _LevelTable(residues, gaps, self._gap_sweeps())
+        residues = (0,) if self.fold_free else self._lap_index.residues
+        ends = residues[1:] + (residues[0] + self._grid,)
+        widths = tuple(nxt - r for r, nxt in zip(residues, ends))
+        return _LevelTable(residues, widths, self._gap_sweeps())
+
+    def _gap(self, k: int) -> tuple[Fraction, Fraction]:
+        """Value gap k of the level table, as (start, width)."""
+        residues, widths, _ = self._level_table
+        return Fraction(residues[k], self._grid), Fraction(widths[k], self._grid)
+
+    @cached_property
+    def _gaps(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(map(self._gap, range(len(self._level_table.widths))))
+
+    def _step(self, v: Fraction) -> int:
+        """floor(vD), the numerator of the last grid point at or below v."""
+        return v.numerator * self._grid // v.denominator
 
     @cached_property
     def _lap_index(self) -> _LapIndex:
-        n, ls = self.lap_count, self._ls
-        floors = [math.floor(l) for l in ls[:n]]
-        rests = [l - m for l, m in zip(ls, floors)]
+        n, grid, ls = self.lap_count, self._grid, self._ints[1]
+        # vertex n is vertex 0 one turn on: degree more, at the same residue
+        floors, rests = zip(*[divmod(l, grid) for l in ls])
         order = sorted(range(n), key=rests.__getitem__)
-        rank = [0] * n
+        rank = [0] * (n + 1)
         for k, i in enumerate(order):
             rank[i] = k
-        # vertex n is vertex 0 one turn on
-        floors.append(floors[0] + self.degree)
-        rank.append(rank[0])
+        rank[n] = rank[0]
         ends = []
         for j in range(n):
             lo, hi = (j, j + 1) if ls[j] < ls[j + 1] else (j + 1, j)
@@ -336,7 +380,7 @@ class PLCircleMap:
         one from those whose top is there.
         """
         residues, ends = self._lap_index
-        ls = self._ls
+        ls = self._ints[1]
         falling = bytes(ls[j] > ls[j + 1] for j in range(self.lap_count))
         bottoms: list[list[int]] = [[] for _ in residues]
         tops: list[list[int]] = [[] for _ in residues]
@@ -369,7 +413,7 @@ class PLCircleMap:
     @cached_property
     def _lap_table(self) -> tuple[tuple, ...]:
         """One :func:`_lap_rows` row per lap, on the map's grid, built once per map."""
-        return tuple(_lap_rows(self, self.lap_count, self._grid))
+        return tuple(_lap_rows(self._xs, *self._ints, self._grid))
 
     def to_fundamental(self, x: RationalLike) -> Fraction:
         """Translate x by an integer into [x_0, x_0 + 1)."""
@@ -383,12 +427,17 @@ class PLCircleMap:
 
     def lift_evaluate(self, x: RationalLike) -> Fraction:
         x = frac(x)
-        k = math.floor(x - self._xs[0])
-        base = x - k
-        j = bisect_right(self._xs, base) - 1
-        xs, ls = self._xs, self._ls
-        val = ls[j] + (base - xs[j]) * (ls[j + 1] - ls[j]) / (xs[j + 1] - xs[j])
-        return val + k * self.degree
+        q, grid, (xs, ls) = x.denominator, self._grid, self._ints
+        # x = t / one with one = grid q; on turn k, x - k = base / one is in
+        # [x_0, x_0 + 1)
+        t, one = x.numerator * grid, grid * q
+        k = (t - xs[0] * q) // one
+        base = t - k * one
+        j = bisect_right(xs, base // q) - 1
+        dx, dl = xs[j + 1] - xs[j], ls[j + 1] - ls[j]
+        # lift = (L_j + k degree grid + (base / q - X_j) dl / dx) / grid
+        value = (ls[j] + k * self.degree * grid) * q * dx + (base - xs[j] * q) * dl
+        return Fraction(value, one * dx)
 
     def evaluate(self, x: Union[RationalLike, Angle]) -> Angle:
         if isinstance(x, Angle):
@@ -396,10 +445,13 @@ class PLCircleMap:
         return Angle(self.lift_evaluate(x))
 
     def is_regular_value(self, y: Union[RationalLike, Angle]) -> bool:
-        # a folded map's critical values are its sorted vertex residues
-        residues = () if self.fold_free else self._lap_index.residues
-        k = bisect_left(residues, v := _as_angle(y).value)
-        return residues[k : k + 1] != (v,)
+        # a folded map's critical values are its sorted vertex residues; a
+        # level off the grid is none of them
+        v = _as_angle(y).value
+        t, off = divmod(v.numerator * self._grid, v.denominator)
+        residues = () if off or self.fold_free else self._lap_index.residues
+        k = bisect_left(residues, t)
+        return residues[k : k + 1] != (t,)
 
     @cached_property
     def _cut_memo(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
@@ -418,8 +470,9 @@ class PLCircleMap:
         The :class:`_LapIndex` gives each lap's first and last value on
         yv's level; laps that miss the level cost nothing.  At a critical
         level a lap also meets the level at an end that lies on it, so its
-        top is ranked against the residues below the level (``bisect_left``)
-        and its bottom against those at or below it.  With yv = p/q, lap j
+        top is ranked against the residues below the level, those below the
+        ceiling of pD/q for yv = p/q, and its bottom against those at or
+        below it, at or below the floor of pD/q.  Lap j
         takes the value yv + m at ((p + m q) D dX + c q) / (q den), from its
         :func:`_lap_rows` row on the grid D.  Cuts are kept per map, keyed
         by (p, q).
@@ -429,8 +482,9 @@ class PLCircleMap:
         if cuts is not None:
             return cuts
         residues, ends = self._lap_index
-        at_or_below = bisect_right(residues, yv) - 1
-        below = bisect_left(residues, yv) - 1
+        t = p * self._grid
+        at_or_below = bisect_right(residues, t // q) - 1
+        below = bisect_left(residues, -(-t // q)) - 1
         # the residue on the level, if the level passes through a vertex
         vertex = at_or_below if below < at_or_below else None
         grid, found = self._grid, []
@@ -493,28 +547,29 @@ def make_map(
     if not pts:
         raise NonIncreasingDomain("need at least one breakpoint")
     d = operator.index(degree)
-    xs = [x for x, _ in pts]
-    if any(not (0 <= x < 1) for x in xs):
+    # every check runs in ints, on the grid D of all the points given
+    m, grid = len(pts), _grid_of(pts)
+    xs, ls = _closed(pts, d, grid)
+    if any(not (0 <= x < grid) for x in xs[:m]):
         raise NonIncreasingDomain("breakpoint x-coordinates must lie in [0, 1)")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if any(b <= a for a, b in zip(xs, xs[1:m])):
         raise NonIncreasingDomain("breakpoint x-coordinates must strictly increase")
-    vals = [mod1(l) for _, l in pts]
-    if len(set(vals)) != len(vals):
+    if len({l % grid for l in ls[:m]}) != m:
         raise DuplicateVertexValue(
             "vertex values must be pairwise distinct on the target circle"
         )
-    m = len(pts)
-    lifts = [l for _, l in pts] + [pts[0][1] + d]
-    signs = []
+    rising = []
     for i in range(m):
-        dl = lifts[i + 1] - lifts[i]
-        if dl == 0:
-            raise ZeroSlopeSegment(f"segment starting at x={xs[i]} has zero slope")
-        signs.append(1 if dl > 0 else -1)
-    keep = [i for i in range(m) if signs[i - 1] != signs[i]]
-    if not keep:
-        keep = [0]
-    return PLCircleMap(breakpoints=tuple(pts[i] for i in keep), degree=d)
+        if ls[i + 1] == ls[i]:
+            raise ZeroSlopeSegment(f"segment starting at x={pts[i][0]} has zero slope")
+        rising.append(ls[i + 1] > ls[i])
+    keep = [i for i in range(m) if rising[i - 1] != rising[i]] or [0]
+    f = PLCircleMap(breakpoints=tuple(pts[i] for i in keep), degree=d)
+    if len(keep) == m:
+        # the map keeps the grid and ints just checked; a straightened map,
+        # whose grid may be coarser, builds its own
+        f.__dict__.update(_grid=grid, _ints=(xs, ls))
+    return f
 
 
 @dataclass(frozen=True)
@@ -645,7 +700,7 @@ def downward_pair_count(f: PLCircleMap, y: Union[RationalLike, Angle]) -> int:
         raise EndpointNotRegular(f"{ya} is a critical value")
     residues, _, sweeps = f._level_table
     # below residues[0] is the wrap-around gap, the last one
-    return sweeps[(bisect_right(residues, ya.value) - 1) % len(sweeps)]
+    return sweeps[(bisect_right(residues, f._step(ya.value)) - 1) % len(sweeps)]
 
 
 def value_gaps(f: PLCircleMap) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -653,18 +708,15 @@ def value_gaps(f: PLCircleMap) -> tuple[tuple[Fraction, Fraction], ...]:
 
     The crossing word is constant on each gap, so one interior probe decides
     properties of the whole gap.  A fold-free map yields the full circle.
-    Each map computes its gaps once and keeps them in its level table.
+    Each map computes its gaps once, from the ints of its level table.
     """
-    return f._level_table.gaps
+    return f._gaps
 
 
 def _sweep_free_gap(f: PLCircleMap) -> tuple[Fraction, Fraction] | None:
     """The first value gap without a full downward sweep, or None."""
-    _, gaps, sweeps = f._level_table
-    for gap, count in zip(gaps, sweeps):
-        if count == 0:
-            return gap
-    return None
+    sweeps = f._level_table.sweeps
+    return f._gap(sweeps.index(0)) if 0 in sweeps else None
 
 
 def random_map(seed: int, max_folds: int, max_degree: int) -> PLCircleMap:

@@ -102,9 +102,15 @@ def _load_movie(path: str) -> SweepMovie:
             and isinstance(ev.get("kind"), str)
             and _is_str_list(ev.get("labels"))
         ):
-            raise ValueError(f"an event needs a 'kind' and string 'labels': {ev!r}")
+            raise ValueError(f"an event needs a 'kind' and string 'labels': {_echo(ev)}")
         decoded.append(make_event(ev.get("time"), ev["kind"], *ev["labels"]))
     return SweepMovie(initial=tuple(initial), events=tuple(decoded))
+
+
+def _echo(value, limit: int = 80) -> str:
+    """``repr(value)``, cut to at most ``limit`` characters for a message."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def _is_str_list(x) -> bool:

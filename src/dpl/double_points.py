@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .circle_maps import PLCircleMap, RationalLike, frac
@@ -139,6 +139,10 @@ def _equal_value_pieces(
     taken in the piece's direction.
     """
     n = len(rows_x)
+    # A glued point ends one piece and starts the next, which builds the
+    # same coordinate from the same ints: each is built once, then kept.
+    point = cache(Fraction)
+
     for i, (up_a, alo, xa_lo, ahi, xa_hi, dxa, ca, dena) in enumerate(rows_x):
         s_a = 1 if up_a else -1
         for j, (up_b, blo, yb_lo, bhi, yb_hi, dxb, cb, denb) in enumerate(rows_y):
@@ -160,13 +164,13 @@ def _equal_value_pieces(
                 if vlo >= vhi:
                     continue
                 if on_b_lo:
-                    lo = (Fraction(vlo * dxa + ca, dena), yb_lo)
+                    lo = (point(vlo * dxa + ca, dena), yb_lo)
                 else:
-                    lo = (xa_lo, Fraction((vlo - shift) * dxb + cb, denb))
+                    lo = (xa_lo, point((vlo - shift) * dxb + cb, denb))
                 if on_b_hi:
-                    hi = (Fraction(vhi * dxa + ca, dena), yb_hi)
+                    hi = (point(vhi * dxa + ca, dena), yb_hi)
                 else:
-                    hi = (xa_hi, Fraction((vhi - shift) * dxb + cb, denb))
+                    hi = (xa_hi, point((vhi - shift) * dxb + cb, denb))
                 if up_a == up_b:
                     start, end, on_b, change = lo, hi, on_b_hi, vhi - vlo
                 else:

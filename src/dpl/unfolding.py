@@ -87,7 +87,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .circle_maps import (
@@ -104,6 +103,7 @@ from .circle_maps import (
     ZeroSlopeSegment,
     _grid_of,
     _lap_rows,
+    _scaled,
     _sweep_free_gap,
     classify_preimage,
     frac,
@@ -177,17 +177,23 @@ def _lift_extrema(
     f: PLCircleMap, lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Exact min and max of the lift over [lo, hi]."""
-    xs, ls, n, d = f._xs, f._ls, f.lap_count, f.degree
-    values = [f.lift_evaluate(lo), f.lift_evaluate(hi)]
-    # vertex i of turn k sits at xs[i] + k; the first one above lo
-    turn = math.floor(lo - xs[0])
-    i, top = bisect_right(xs, lo - turn), hi - turn
+    (xs, ls), n, grid = f._ints, f.lap_count, f._grid
+    low, high = sorted((f.lift_evaluate(lo), f.lift_evaluate(hi)))
+    # vertex i of turn k sits at X_i + k D on the grid; those strictly
+    # between lo D and hi D lie above its floor and below its ceiling
+    bottom, top = f._step(lo), -f._step(-hi)
+    turn = (bottom - xs[0]) // grid
+    i, top = bisect_right(xs, bottom - turn * grid), top - turn * grid
+    values = []
     while xs[i] < top:
-        values.append(ls[i] + turn * d)
+        values.append(ls[i] + turn * f.degree * grid)
         i += 1
-        if i > n:  # xs[n] is xs[0] one turn on
-            i, turn, top = 1, turn + 1, top - 1
-    return min(values), max(values)
+        if i > n:  # X_n is X_0 one turn on
+            i, turn, top = 1, turn + 1, top - grid
+    if values:
+        low = min(low, Fraction(min(values), grid))
+        high = max(high, Fraction(max(values), grid))
+    return low, high
 
 
 def _try_direction(
@@ -335,26 +341,30 @@ def _growth_candidates(
     fold value at or below the floor of the start's gap.
     """
     a, b = arc.ccw_start.value, arc.ccw_end.value
-    w = arc.width
-    gaps = value_gaps(f)
-    n = len(gaps)
+    residues, widths, _ = f._level_table
+    n, grid = len(residues), f._grid
+    # The arc's grid Q holds both ends and every residue; a new point, half
+    # a gap from its residue, lies on the grid 2Q.
+    Q = math.lcm(grid, a.denominator, b.denominator)
+    A, B = a.numerator * Q // a.denominator, b.numerator * Q // b.denominator
+    s, w, two = Q // grid, (B - A) % Q, 2 * Q
     grow_end = side == "end"
     # the residue just below the endpoint that moves
-    below = bisect_right(gaps, b if grow_end else a, key=itemgetter(0)) - 1
+    below = bisect_right(residues, (B if grow_end else A) // s) - 1
     for step in range(n):
         k = (below + 1 + step if grow_end else below - step) % n
-        r = gaps[k][0]
+        r = residues[k] * s
         if grow_end:
-            reach = mod1(r - a)
-            delta = min(gaps[k][1], 1 - reach) / 2
-            point = mod1(r + delta)
+            reach = (r - A) % Q
+            delta = min(widths[k] * s, Q - reach)
+            point = 2 * r + delta
         else:
-            reach = mod1(b - r)
-            delta = min(gaps[k - 1][1], 1 - reach) / 2
-            point = mod1(r - delta)
+            reach = (B - r) % Q
+            delta = min(widths[k - 1] * s, Q - reach)
+            point = 2 * r - delta
         if reach < w:  # the residue lies inside the arc
             return
-        yield reach + delta, side, point
+        yield Fraction(2 * reach + delta, two), side, Fraction(point % two, two)
 
 
 def _candidate_order(
@@ -401,8 +411,8 @@ def _sweep_free_end_reachable(f: PLCircleMap, arc: TransverseArc) -> bool:
     # The crossing word is constant on a gap, so the part of b's own gap
     # above b is swept like b; the gaps of the residues passed on the way
     # to a are entered at their low ends.
-    above = bisect_right(residues, b)
-    passed = bisect_right(residues, a) - above + (len(residues) if a < b else 0)
+    above = bisect_right(residues, f._step(b))
+    passed = bisect_right(residues, f._step(a)) - above + (a < b) * len(residues)
     return any(sweeps[(above + i) % len(sweeps)] == 0 for i in range(-1, passed))
 
 
@@ -659,9 +669,10 @@ class IntervalPLMap:
     def interior_fold_values(self) -> frozenset[Fraction]:
         return frozenset(v for _, v in self.breakpoints[1:-1])
 
-    def lap(self, j: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        (xa, la), (xb, lb) = self.breakpoints[j], self.breakpoints[j + 1]
-        return xa, xb, la, lb
+    def _rows(self, grid: int) -> list[tuple]:
+        """:func:`~dpl.circle_maps._lap_rows` on a grid that holds every breakpoint."""
+        xs = [x for x, _ in self.breakpoints]
+        return _lap_rows(xs, *_scaled(self.breakpoints, grid), grid)
 
 
 def make_interval_map(
@@ -737,9 +748,7 @@ def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
 
     # one grid for both maps, so that their values compare as ints
     grid = _grid_of(fa.breakpoints + fb.breakpoints)
-    rows_a = _lap_rows(fa, len(fa.breakpoints) - 1, grid)
-    rows_b = _lap_rows(fb, len(fb.breakpoints) - 1, grid)
-    pieces, succ = _glued_pieces(rows_a, rows_b, None, grid)
+    pieces, succ = _glued_pieces(fa._rows(grid), fb._rows(grid), None, grid)
     runs = _chains(range(len(pieces)), succ)
     # Both first laps rise from the corner (lo, lo), so the first piece
     # starts there, has no predecessor and begins the first run.

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -103,6 +104,94 @@ def test_make_map_refuses_a_vertex_outside_the_unit_interval(x):
         make_map([(0, 0), (x, F(1, 2))], 0)
 
 
+def _fraction_make_map(breakpoints, degree):
+    """make_map's checks and straightening as first written, in Fractions:
+    the kept breakpoints and the degree, or the refusal's class and message."""
+    pts = [(frac(x), frac(l)) for x, l in breakpoints]
+    if not pts:
+        return NonIncreasingDomain, "need at least one breakpoint"
+    xs = [x for x, _ in pts]
+    if any(not (0 <= x < 1) for x in xs):
+        return NonIncreasingDomain, "breakpoint x-coordinates must lie in [0, 1)"
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        return NonIncreasingDomain, "breakpoint x-coordinates must strictly increase"
+    vals = [mod1(l) for _, l in pts]
+    if len(set(vals)) != len(vals):
+        message = "vertex values must be pairwise distinct on the target circle"
+        return DuplicateVertexValue, message
+    lifts = [l for _, l in pts] + [pts[0][1] + degree]
+    signs = []
+    for i in range(len(pts)):
+        dl = lifts[i + 1] - lifts[i]
+        if dl == 0:
+            return ZeroSlopeSegment, f"segment starting at x={xs[i]} has zero slope"
+        signs.append(1 if dl > 0 else -1)
+    keep = [i for i in range(len(pts)) if signs[i - 1] != signs[i]] or [0]
+    return tuple(pts[i] for i in keep), degree
+
+
+def _made(breakpoints, degree):
+    """make_map's answer in the oracle's terms.  A map's grid and vertex
+    ints are checked against its Fractions, and so are those of a copy
+    made directly, which builds its own."""
+    try:
+        f = make_map(breakpoints, degree)
+    except ValueError as refusal:
+        return type(refusal), str(refusal)
+    grid = math.lcm(*(v.denominator for point in f.breakpoints for v in point))
+    ints = tuple(tuple(v * grid for v in vs) for vs in (f._xs, f._ls))
+    for g in (f, PLCircleMap(f.breakpoints, f.degree)):
+        assert (g._grid, g._ints) == (grid, ints), f
+    return f.breakpoints, f.degree
+
+
+def _presentations():
+    """Valid and broken breakpoint lists, drawn without make_map: random
+    points of denominators up to 97 or of 40 digits, then copies with two
+    points swapped, a point moved out of [0, 1), a value repeated one turn
+    on, a point added inside a lap (straightened away) and, for one-point
+    maps of degree 0, a flat lap."""
+    rng = random.Random("presentations")
+    cases = [([], 2), ([(0, 0)], 0), ([(F(1, 3), F(2, 7)), (F(1, 2), F(9, 7))], 0)]
+    for seed in range(80):
+        q = rng.randrange(10**40, 10**41) if seed % 2 else rng.randint(1, 97)
+        xs = sorted({rng.randrange(q) for _ in range(rng.randint(1, 12))})
+        pts = [(F(x, q), F(rng.randrange(-4 * q, 4 * q), q)) for x in xs]
+        n, d = len(pts), rng.randint(-5, 5)
+        i = rng.randrange(n)
+        (x, l), (nx, nl) = pts[i], pts[(i + 1) % n]
+        nx += i + 1 == n
+        cases += [
+            (pts, d),
+            (pts[:i] + pts[i + 1 :] + pts[i : i + 1], d),
+            (pts[:i] + [(x - 1 if i % 2 else x + 1, l)] + pts[i + 1 :], d),
+            (pts[:i] + [(x, nl + 1)] + pts[i + 1 :], d),
+            (pts[: i + 1] + [((x + nx) / 2, (l + nl) / 2)] + pts[i + 1 :], d),
+            ([(x, l)], 0),
+            ([(str(x), str(l)) for x, l in pts], d),
+        ]
+    return cases
+
+
+def test_make_map_matches_its_fraction_oracle():
+    seen = set()
+    for case in _presentations():
+        got = _made(*case)
+        assert got == _fraction_make_map(*case), case
+        # a refusal's message up to its x, or whether a map was straightened
+        refused = isinstance(got[0], type)
+        seen.add(got[1].partition("=")[0] if refused else len(got[0]) < len(case[0]))
+    assert seen == {
+        "need at least one breakpoint",
+        "breakpoint x-coordinates must lie in [0, 1)",
+        "breakpoint x-coordinates must strictly increase",
+        "vertex values must be pairwise distinct on the target circle",
+        "segment starting at x",
+        True,
+        False,
+    }, seen
+
+
 def test_tent_basic_shape():
     f = tent()
     assert f.degree == 0
@@ -159,7 +248,7 @@ def test_fiber_laps_match_the_laps_solved_one_by_one(monkeypatch):
     monkeypatch.setattr(
         circle_maps,
         "_lap_rows",
-        lambda m, count, grid: built.append(m) or rows(m, count, grid),
+        lambda xs, *ints: built.append(xs) or rows(xs, *ints),
     )
     for f in maps:
         f = make_map(f.breakpoints, f.degree)
@@ -173,7 +262,56 @@ def test_fiber_laps_match_the_laps_solved_one_by_one(monkeypatch):
         for j, (x, v) in enumerate(f.folds):
             assert f._fiber_laps(v)[x] == (j or f.lap_count - 1)
         double_point_curve(f)
-        assert [g for g in built if g is f] == [f]
+        assert [xs for xs in built if xs is f._xs] == [f._xs]
+
+
+# random_map(s, 40, 5) and its reflection, built at import, so that a
+# mutant of the lift (tests/test_mutants.py) meets maps built without it
+_FORTY_FOLD = [random_map(seed, 40, 5) for seed in range(30)]
+_FORTY_FOLD += [f.reflect() for f in _FORTY_FOLD]
+
+
+def _fraction_lift(f, x):
+    """The lift at x, evaluated in Fractions as first written."""
+    xs, ls = f._xs, f._ls
+    k = math.floor(x - xs[0])
+    base = x - k
+    j = bisect_right(xs, base) - 1
+    slope = (ls[j + 1] - ls[j]) / (xs[j + 1] - xs[j])
+    return ls[j] + (base - xs[j]) * slope + k * f.degree
+
+
+def _off_grid(rng, count, turns=7):
+    """Points p/q with q in 1-97, up to ``turns`` turns either side of 0."""
+    qs = [rng.randint(1, 97) for _ in range(count)]
+    return [F(rng.randrange(-turns * q, turns * q), q) for q in qs]
+
+
+def test_lift_matches_its_fraction_oracle():
+    rng = random.Random("lift oracle")
+    for f in _FORTY_FOLD:
+        # every vertex a few turns on, and points off the grid
+        points = [x + k for x in f._xs for k in (-3, 0, 2)]
+        for x in points + _off_grid(rng, 40):
+            assert f.lift_evaluate(x) == _fraction_lift(f, x), (f, x)
+
+
+def test_levels_off_the_grid_match_the_solved_fibers():
+    """A third of a grid step either side of each critical value, and at
+    levels p/q with q up to 97, regularity and the fiber, both read on the
+    grid, agree with the critical values and the fibers solved lap by lap."""
+    rng = random.Random("off the grid")
+    maps = [random_map(seed, 12, 4) for seed in range(20)]
+    maps += [random_map(seed, 40, 5) for seed in range(4)]
+    for f in maps:
+        for g in (f, f.reflect()):
+            step = F(1, 3 * g._grid)
+            critical = {v.value for v in g.critical_values}
+            levels = [mod1(v + e) for v in critical for e in (step, -step)]
+            for y in levels + [mod1(y) for y in _off_grid(rng, 20, 1)]:
+                assert g.is_regular_value(y) == (y not in critical), (g, y)
+                want = sorted(_solved_fiber(g, y).items())
+                assert list(g._fiber_laps(y).items()) == want, (g, y)
 
 
 def test_fiber_at_each_critical_value_keeps_its_fold_once():

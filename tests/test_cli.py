@@ -240,6 +240,20 @@ def test_sweep_rejects_bad_movie(capsys, tmp_path):
     assert doc["result"]["error"]["type"] == "DanglingLabel"
 
 
+def test_sweep_cuts_a_long_bad_event_short(capsys, tmp_path):
+    # an event of about a megabyte whose labels hold a number
+    path = tmp_path / "movie.json"
+    event = {"time": "1/2", "kind": "split", "labels": ["a" * 1_000_000, 5]}
+    path.write_text(json.dumps({"initial": ["a"], "events": [event]}))
+    code, out = run(capsys, "sweep", path)
+    assert code == 2 and len(out) < 1_000
+    doc = json.loads(out)
+    jsonschema.validate(doc, report_schema())
+    message = doc["result"]["error"]["message"]
+    assert message.startswith("an event needs a 'kind' and string 'labels': {'time'")
+    assert message.endswith("...")
+
+
 def test_sweep_reports_certificate_failures(capsys, monkeypatch):
     layout = dpl.sweeps.assign_disks
 

@@ -20,7 +20,7 @@ from dpl import (
     realizability_report,
     TransverseArc,
 )
-from dpl.circle_maps import _grid_of, _lap_rows
+from dpl.circle_maps import _grid_of
 
 from test_unfolding import corner_pairs
 
@@ -338,7 +338,7 @@ def test_interval_clipper_matches_a_plain_fraction_clipper():
     for seed, first, second in corner_pairs():
         laps = [list(zip(m.breakpoints, m.breakpoints[1:])) for m in (first, second)]
         grid = _grid_of(first.breakpoints + second.breakpoints)
-        rows = [_lap_rows(m, len(m.breakpoints) - 1, grid) for m in (first, second)]
+        rows = [m._rows(grid) for m in (first, second)]
         got = dpl.double_points._equal_value_pieces(*rows, None, grid)
         assert [piece[:5] for piece in got] == _clipped_by_fractions(*laps), seed
         pairs += 1

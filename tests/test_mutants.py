@@ -24,10 +24,12 @@ import dpl.double_points
 import dpl.properties
 import dpl.space_forms
 import dpl.sweeps
+import dpl.unfolding
 import test_api
 import test_circle_maps
 import test_double_points
 import test_sweeps
+import test_unfolding
 from dpl import Angle, PLCircleMap, TransverseArc, make_map, random_map
 from dpl.cli import _json_default
 from dpl.properties import PROPERTIES, _regular_arc, _regular_value
@@ -167,8 +169,8 @@ def _exports_fail_before_any_read():
 
 
 # fault name: (module or class, attribute, replacement, the check that catches it);
-# a fault checked by a test of test_sweeps is bound there, where that test
-# reads the public name
+# a fault checked by a test of test_sweeps or test_unfolding is bound there,
+# where that test reads the name it imported
 MUTANTS = {
     "growth always blocked": (
         dpl.properties,
@@ -237,7 +239,28 @@ MUTANTS = {
         dpl.circle_maps,
         "_grid_of",
         _rewritten(dpl.circle_maps._grid_of, "for v in point", "for v in point[1:]"),
-        _fails(test_double_points.test_clipper_matches_a_plain_fraction_clipper),
+        _fails(test_circle_maps.test_make_map_matches_its_fraction_oracle),
+    ),
+    "lift bisected one turn off": (
+        PLCircleMap,
+        "lift_evaluate",
+        # the turn of x, not of x - x_0, so below x_0 the base is a turn low
+        _rewritten(PLCircleMap.lift_evaluate, "(t - xs[0] * q) // one", "t // one"),
+        _fails(test_circle_maps.test_lift_matches_its_fraction_oracle),
+    ),
+    "regular test without its off-grid remainder": (
+        PLCircleMap,
+        "is_regular_value",
+        # a level just above a residue bisects onto it
+        _rewritten(PLCircleMap.is_regular_value, "off or self", "self"),
+        _fails(test_circle_maps.test_levels_off_the_grid_match_the_solved_fibers),
+    ),
+    "level cuts' below at the floor": (
+        PLCircleMap,
+        "_level_cuts",
+        # a level just above a residue sees a vertex on it
+        _rewritten(PLCircleMap._level_cuts, "-(-t // q)", "t // q"),
+        _fails(test_circle_maps.test_levels_off_the_grid_match_the_solved_fibers),
     ),
     "fold-free anchor not wrapped to x_0": (
         PLCircleMap,
@@ -329,6 +352,12 @@ MUTANTS = {
             "if exempt:",
         ),
         _fails(test_sweeps.test_certificate_checks_the_open_start_after_a_jump),
+    ),
+    "growth stopped at a residue on the far end": (
+        test_unfolding,
+        "_growth_candidates",
+        _rewritten(dpl.unfolding._growth_candidates, "if reach < w:", "if reach <= w:"),
+        _fails(test_unfolding.test_growth_candidates_match_their_fraction_oracle),
     ),
     "a layout's eighth taken as a quarter": (
         test_sweeps,

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from dpl import (
     surgery_parity,
     trace_circuits,
 )
-from dpl.circle_maps import _grid_of, _lap_rows, downward_pair_count, value_gaps
+from dpl.circle_maps import _grid_of, downward_pair_count, mod1, value_gaps
 from dpl.double_points import _glued_pieces
 from dpl.properties import _sweep_free_reach
 from dpl.sweeps import Infeasible
@@ -49,6 +51,7 @@ from dpl.unfolding import (
 )
 
 from test_acceptance import _balanced_graphs
+from test_circle_maps import _off_grid
 from test_golden import _random_interval_breakpoints
 
 
@@ -176,6 +179,34 @@ def test_lift_extrema_match_the_scan_over_every_breakpoint():
     assert pairs > 2000
 
 
+def _fraction_extrema(f, lo, hi):
+    """_lift_extrema as first written, walking the vertices in Fractions."""
+    xs, ls, n, d = f._xs, f._ls, f.lap_count, f.degree
+    values = [f.lift_evaluate(lo), f.lift_evaluate(hi)]
+    turn = math.floor(lo - xs[0])
+    i, top = bisect_right(xs, lo - turn), hi - turn
+    while xs[i] < top:
+        values.append(ls[i] + turn * d)
+        i += 1
+        if i > n:
+            i, turn, top = 1, turn + 1, top - 1
+    return min(values), max(values)
+
+
+def _oracle_maps():
+    maps = [random_map(seed, 40, 5) for seed in range(30)]
+    maps += [make_map([(F(3, 5), F(-7, 4))], d) for d in (-2, 1, 3)]
+    return [g for f in maps for g in (f, f.reflect())]
+
+
+def test_lift_extrema_match_their_fraction_oracle():
+    rng = random.Random("extrema oracle")
+    for f in _oracle_maps():
+        for _ in range(30):
+            lo, hi = sorted(_off_grid(rng, 2))
+            assert _lift_extrema(f, lo, hi) == _fraction_extrema(f, lo, hi), (f, lo, hi)
+
+
 # ---------------------------------------------------------------- unfolding
 
 
@@ -241,6 +272,47 @@ def _sorted_candidates(f, arc):
         if w < from_start:
             out.append((from_start + half, "end", (r + half) % 1))
     return sorted(out)
+
+
+def _fraction_candidates(f, arc, side):
+    """_growth_candidates as first written, on the Fraction value gaps."""
+    a, b = arc.ccw_start.value, arc.ccw_end.value
+    w = arc.width
+    gaps = value_gaps(f)
+    n = len(gaps)
+    grow_end = side == "end"
+    below = bisect_right(gaps, b if grow_end else a, key=itemgetter(0)) - 1
+    for step in range(n):
+        k = (below + 1 + step if grow_end else below - step) % n
+        r = gaps[k][0]
+        if grow_end:
+            reach = mod1(r - a)
+            delta = min(gaps[k][1], 1 - reach) / 2
+            point = mod1(r + delta)
+        else:
+            reach = mod1(b - r)
+            delta = min(gaps[k - 1][1], 1 - reach) / 2
+            point = mod1(r - delta)
+        if reach < w:
+            return
+        yield reach + delta, side, point
+
+
+def test_growth_candidates_match_their_fraction_oracle():
+    """On arcs with ends off the grid, and with one end on a fold value."""
+    rng = random.Random("candidate oracle")
+    for f in _oracle_maps():
+        folds = [r for r, _ in value_gaps(f)]
+        for _ in range(10):
+            a, b = map(Angle, _off_grid(rng, 2))
+            r = Angle(rng.choice(folds))
+            for ends in ((a, b), (r, b), (a, r)):
+                if ends[0] == ends[1]:
+                    continue
+                arc = TransverseArc(*ends)
+                for side in ("start", "end"):
+                    want = list(_fraction_candidates(f, arc, side))
+                    assert list(_growth_candidates(f, arc, side)) == want, (f, arc)
 
 
 def test_growth_candidates_come_in_width_order():
@@ -638,7 +710,7 @@ def test_corner_gluing_matches_point_gluing():
     for seed, first, second in corner_pairs():
         collared += first.breakpoints[0][0] < 0  # a collar starts at -1/4
         grid = _grid_of(first.breakpoints + second.breakpoints)
-        rows = [_lap_rows(m, len(m.breakpoints) - 1, grid) for m in (first, second)]
+        rows = [m._rows(grid) for m in (first, second)]
         pieces, succ = _glued_pieces(*rows, None, grid)
         starts = {piece[3]: index for index, piece in enumerate(pieces)}
         assert len(starts) == len(pieces)
