@@ -131,7 +131,7 @@ class Angle:
 
     def ccw_to(self, other: "Angle") -> Fraction:
         """Counterclockwise distance from self to other, in [0, 1)."""
-        return mod1(Angle(other).value - self.value)
+        return mod1(_as_angle(other).value - self.value)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -502,23 +502,14 @@ class PLCircleMap:
         cuts = self._cut_memo[p, q] = tuple(found)
         return cuts
 
-    def _fiber_laps(self, y: Union[RationalLike, Angle]) -> dict[Fraction, int]:
-        """Each preimage of y inside [x_0, x_0 + 1), in domain order, keyed to its lap.
+    def fiber(self, y: Union[RationalLike, Angle]) -> tuple[Fraction, ...]:
+        """All preimages of the target point y, inside [x_0, x_0 + 1), sorted.
 
-        A preimage of a regular value lies inside one lap (on a fold-free
-        map the anchor is no fold, and both ends of its one lap are lap 0).
-        At a critical value a fold vertex is kept once, with the later of its
-        laps in lap order: x_0 with the last lap, which ends at x_0 + 1.
+        They are the points of y's :meth:`_level_cuts`, one per preimage, in
+        domain order from x_0; a fold vertex on y is listed once.
         """
         cuts = self._level_cuts(_as_angle(y).value)
-        found = {Fraction(n, den): j for j, _, n, den in cuts}
-        if self._xs[0] in found:
-            found[self._xs[0]] = self.lap_count - 1
-        return found
-
-    def fiber(self, y: Union[RationalLike, Angle]) -> tuple[Fraction, ...]:
-        """All preimages of the target point y, inside [x_0, x_0 + 1), sorted."""
-        return tuple(self._fiber_laps(y))
+        return tuple([Fraction(n, den) for _, _, n, den in cuts])
 
     def signed_fiber_count(self, y: Union[RationalLike, Angle]) -> int:
         """Sum of lap-slope signs over the fiber of a regular value; equals degree."""

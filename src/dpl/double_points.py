@@ -272,12 +272,12 @@ class DoublePointCurve:
 
     ``swap_pairing[i]`` is the component index of the coordinate-swapped copy
     of component i; swap-invariant components are fixed points.  Closure and
-    quotient data are derived views of the same pieces.
+    quotient data are derived views of the components, each built on first
+    read and kept.
     """
 
     map: PLCircleMap
     components: tuple[CurveComponent, ...]
-    closure_components: tuple[ClosureComponent, ...]
 
     @cached_property
     def _component_by_key(self) -> dict[tuple[int, int, int], int]:
@@ -311,6 +311,36 @@ class DoublePointCurve:
                     compact=compact,
                     cover_trivial=len(members) == 2,
                     lifts_through_arc=not self.components[members[0]]._covers,
+                )
+            )
+        return tuple(out)
+
+    @cached_property
+    def closure_components(self) -> tuple[ClosureComponent, ...]:
+        arcs = [c for c in self.components if c.kind == "arc"]
+        # Each diagonal point receives exactly two arc-ends; record their types.
+        point_ends: dict[Fraction, list[tuple[int, str]]] = {}
+        for comp in arcs:
+            c_from, c_to = comp.diagonal_ends  # type: ignore[misc]
+            point_ends.setdefault(c_from, []).append((comp.index, "outgoing"))
+            point_ends.setdefault(c_to, []).append((comp.index, "incoming"))
+        for c, lst in point_ends.items():
+            if len(lst) != 2:
+                raise AssertionError(f"diagonal point {c} has {len(lst)} arc-ends")
+
+        glued = [(a, b) for (a, _), (b, _) in point_ends.values()]
+        out = []
+        for members in _groups((c.index for c in arcs), glued):
+            pts = sorted(c for c, lst in point_ends.items() if lst[0][0] in members)
+            # A passage flips orientation when both ends point the same way
+            # (both outgoing at a value maximum, both incoming at a minimum).
+            flips = sum(1 for c in pts if point_ends[c][0][1] == point_ends[c][1][1])
+            out.append(
+                ClosureComponent(
+                    arcs=tuple(members),
+                    diagonal_points=tuple(pts),
+                    flips=flips,
+                    orientable=flips % 2 == 0,
                 )
             )
         return tuple(out)
@@ -373,43 +403,7 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
         comp.__dict__["_covers"] = high - low >= grid
         components.append(comp)
 
-    return DoublePointCurve(
-        map=f,
-        components=tuple(components),
-        closure_components=_closure_components(components),
-    )
-
-
-def _closure_components(
-    components: Sequence[CurveComponent],
-) -> tuple[ClosureComponent, ...]:
-    arcs = [c for c in components if c.kind == "arc"]
-    # Each diagonal point receives exactly two arc-ends; record their types.
-    point_ends: dict[Fraction, list[tuple[int, str]]] = {}
-    for comp in arcs:
-        c_from, c_to = comp.diagonal_ends  # type: ignore[misc]
-        point_ends.setdefault(c_from, []).append((comp.index, "outgoing"))
-        point_ends.setdefault(c_to, []).append((comp.index, "incoming"))
-    for c, lst in point_ends.items():
-        if len(lst) != 2:
-            raise AssertionError(f"diagonal point {c} has {len(lst)} arc-ends")
-
-    glued = [(a, b) for (a, _), (b, _) in point_ends.values()]
-    out = []
-    for members in _groups((c.index for c in arcs), glued):
-        pts = sorted(c for c, lst in point_ends.items() if lst[0][0] in members)
-        # A passage flips orientation when both ends point the same way
-        # (both outgoing at a value maximum, both incoming at a minimum).
-        flips = sum(1 for c in pts if point_ends[c][0][1] == point_ends[c][1][1])
-        out.append(
-            ClosureComponent(
-                arcs=tuple(members),
-                diagonal_points=tuple(pts),
-                flips=flips,
-                orientable=flips % 2 == 0,
-            )
-        )
-    return tuple(out)
+    return DoublePointCurve(map=f, components=tuple(components))
 
 
 def closure_orientability(f: PLCircleMap, component: int) -> bool:

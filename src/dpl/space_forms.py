@@ -218,6 +218,11 @@ _EXCEPTIONAL = {
 }
 
 
+def _is_order(n: object) -> bool:
+    """Whether n is a positive int; a bool or a float is none, as in ``frac``."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
 def build_group(family: str, n: int | None = None) -> FiniteSubgroupS3:
     """A catalog group as a verified table.
 
@@ -227,8 +232,8 @@ def build_group(family: str, n: int | None = None) -> FiniteSubgroupS3:
     if family not in CATALOG:
         raise BadParameter(f"unknown family {family!r}; choose from {CATALOG}")
     if family in ("cyclic", "binary_dihedral"):
-        if n is None or n < 1:
-            raise BadParameter(f"{family} needs a parameter n >= 1")
+        if not _is_order(n):
+            raise BadParameter(f"{family} needs an int parameter n >= 1, not {n!r}")
         if family == "cyclic":
             return from_table(_cyclic(n), name=f"cyclic({n})")
         return from_table(_binary_dihedral(n), name=f"binary_dihedral({n})")
@@ -305,10 +310,9 @@ def nonrealizable_map_exists(pi1: Union[FiniteSubgroupS3, int, str]) -> bool:
         raise BadParameter(f"expected a group, an order, or 'infinite': {pi1!r}")
     if isinstance(pi1, FiniteSubgroupS3):
         return pi1.order % 2 == 0
-    order = int(pi1)
-    if order < 1:
-        raise BadParameter("a group order must be positive")
-    return order % 2 == 0
+    if not _is_order(pi1):
+        raise BadParameter(f"a group order must be a positive int, not {pi1!r}")
+    return pi1 % 2 == 0
 
 
 # --------------------------------------------------------------------------

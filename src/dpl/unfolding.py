@@ -84,7 +84,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -101,6 +101,7 @@ from .circle_maps import (
     TransverseArc,
     UnfoldingBlocked,
     ZeroSlopeSegment,
+    _as_angle,
     _grid_of,
     _lap_rows,
     _scaled,
@@ -255,11 +256,13 @@ def find_balanced_path(
 
     Scans counterclockwise first, then clockwise.  For a negative component
     of a map with nonnegative degree the counterclockwise scan always
-    succeeds (Lemma B in the module docstring).
+    succeeds (Lemma B in the module docstring).  ``classification`` is used
+    only if it was made for the arc traversed counterclockwise; otherwise
+    the arc is classified again.
     """
     canonical = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classification
-    if cls is None or cls.arc.orientation != 1:
+    if cls is None or cls.arc != canonical:
         cls = classify_preimage(f, canonical)
     comp = cls.components[start_index]
     if comp.kind not in ("positive", "negative"):
@@ -536,7 +539,7 @@ def eliminate_negative_arcs(
     if mode == "regular-value":
         if value is None:
             raise InfeasibleParameters("regular-value mode needs a value")
-        z = Angle(value) if not isinstance(value, Angle) else value
+        z = _as_angle(value)
         cur, steps, cls = _plain_eliminate(f, _arc_around(f, z))
         # A neutral component enters and leaves the arc over one endpoint,
         # so it holds a local extremum of the lift, which is a fold: there
@@ -774,45 +777,41 @@ class EulerGraph:
 
     ``free_loops`` counts circles carrying no vertex at all; each is its own
     component with the empty resolution.  Vertices, each vertex's in/out
-    edges and the components are tabulated at construction.
+    edges and the components are derived from ``edges`` on first read and
+    kept.
     """
 
     edges: tuple[tuple[int, int], ...]
     free_loops: int = 0
-    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # each vertex's incoming and outgoing edge indices, in index order
-    _in_out: tuple[dict[int, list[int]], dict[int, list[int]]] = field(
-        init=False, repr=False, compare=False
-    )
-    components: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # each component's edge indices, in index order; () for each free loop
-    _edges_by_component: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        edges = self.edges
-        vertices = tuple(sorted(set(itertools.chain.from_iterable(edges))))
-        ins: dict[int, list[int]] = {v: [] for v in vertices}
-        outs: dict[int, list[int]] = {v: [] for v in vertices}
-        for i, (a, b) in enumerate(edges):
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(set(itertools.chain.from_iterable(self.edges))))
+
+    @cached_property
+    def _in_out(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """Each vertex's incoming and outgoing edge indices, in index order."""
+        ins: dict[int, list[int]] = {v: [] for v in self.vertices}
+        outs: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for i, (a, b) in enumerate(self.edges):
             outs[a].append(i)
             ins[b].append(i)
-        components = tuple(map(tuple, _groups(vertices, edges)))
+        return ins, outs
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _groups(self.vertices, self.edges)))
+
+    @cached_property
+    def _edges_by_component(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's edge indices, in index order; () for each free loop."""
+        outs = self._in_out[1]
         # an edge belongs to its tail's component
         by_component = [
             tuple(sorted(itertools.chain.from_iterable(map(outs.__getitem__, c))))
-            for c in components
+            for c in self.components
         ]
-        # frozen: the derived fields go straight into the instance dict
-        self.__dict__.update(
-            vertices=vertices,
-            _in_out=(ins, outs),
-            components=components,
-            _edges_by_component=tuple(by_component + [()] * self.free_loops),
-        )
+        return tuple(by_component + [()] * self.free_loops)
 
     @property
     def component_count(self) -> int:

@@ -54,7 +54,7 @@ def test_mod1_wraps_into_unit_interval():
 def test_angle_normalizes_and_orders():
     a = Angle(F(5, 4))
     assert a.value == F(1, 4)
-    assert a == Angle("1/4")
+    assert a == Angle("1/4") == Angle(a)
     assert a.plus(F(7, 8)) == Angle(F(1, 8))
     assert Angle(0).ccw_to(Angle(F(3, 4))) == F(3, 4)
     assert Angle(F(3, 4)).ccw_to(Angle(0)) == F(1, 4)
@@ -224,18 +224,24 @@ def test_fiber_is_sorted_within_one_period():
 
 
 def _solved_fiber(f, y):
-    """Each preimage of y, solved lap by lap from the lap's end points and
-    reduced into [x_0, x_0 + 1), keyed to its lap; a later lap overwrites."""
-    x0 = f.breakpoints[0][0]
-    found = {}
+    """Each preimage of y as (x, lap), solved lap by lap from the lap's end
+    points, in domain order; lap j holds [x_j, x_{j+1}), so a vertex on the
+    level goes to the lap that starts there, x_0 to lap 0."""
+    found = []
     for j in range(f.lap_count):
         xlo, xhi, llo, lhi = f.lap(j)
         lo, hi = sorted((llo, lhi))
         for k in range(math.floor(lo - y), math.ceil(hi - y) + 1):
             if lo <= y + k <= hi:
                 x = xlo + (y + k - llo) / (lhi - llo) * (xhi - xlo)
-                found[x - math.floor(x - x0)] = j
-    return found
+                if x != xhi:
+                    found.append((x, j))
+    return sorted(found)
+
+
+def _cut_laps(f, y):
+    """Each of ``_level_cuts``' preimages of y as (x, lap), in its order."""
+    return [(F(n, den), j) for j, _, n, den in f._level_cuts(mod1(y))]
 
 
 def test_fiber_laps_match_the_laps_solved_one_by_one(monkeypatch):
@@ -255,12 +261,12 @@ def test_fiber_laps_match_the_laps_solved_one_by_one(monkeypatch):
         levels = [v.value for v in f.critical_values] + [f.breakpoints[0][1] % 1]
         levels += [lo + gw / k for lo, gw in value_gaps(f) for k in (2, 3)]
         for y in levels:
-            got = f._fiber_laps(y)
-            assert list(got.items()) == sorted(_solved_fiber(f, y).items()), (f, y)
-        # a fold vertex is kept with the lap that starts there, x_0 with
-        # the last lap, which ends at x_0 + 1
+            want = _solved_fiber(f, y)
+            assert f.fiber(y) == tuple(x for x, _ in want), (f, y)
+            assert _cut_laps(f, y) == want, (f, y)
+        # a fold vertex is kept with the lap that starts there
         for j, (x, v) in enumerate(f.folds):
-            assert f._fiber_laps(v)[x] == (j or f.lap_count - 1)
+            assert (x, j) in _cut_laps(f, v.value)
         double_point_curve(f)
         assert [xs for xs in built if xs is f._xs] == [f._xs]
 
@@ -310,8 +316,9 @@ def test_levels_off_the_grid_match_the_solved_fibers():
             levels = [mod1(v + e) for v in critical for e in (step, -step)]
             for y in levels + [mod1(y) for y in _off_grid(rng, 20, 1)]:
                 assert g.is_regular_value(y) == (y not in critical), (g, y)
-                want = sorted(_solved_fiber(g, y).items())
-                assert list(g._fiber_laps(y).items()) == want, (g, y)
+                want = _solved_fiber(g, y)
+                assert g.fiber(y) == tuple(x for x, _ in want), (g, y)
+                assert _cut_laps(g, y) == want, (g, y)
 
 
 def test_fiber_at_each_critical_value_keeps_its_fold_once():
@@ -641,6 +648,14 @@ def test_random_map_validates_bounds():
         random_map(0, -1, 2)
     with pytest.raises(InfeasibleParameters):
         random_map(0, 0, 0)  # no folds and degree 0 is impossible
+
+
+def test_random_map_redraws_a_degree_that_leaves_no_fold_count():
+    # one fold allowed leaves degree 0 no even fold count: seed 0 draws
+    # degree 0 first, then a fold-free map of degree -1
+    assert random.Random(0).randint(-1, 1) == 0
+    f = random_map(0, 1, 1)
+    assert (f.fold_free, f.degree) == (True, -1)
 
 
 def test_random_map_output_is_generic():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -12,8 +13,10 @@ from dpl import (
     closure_orientability,
     controlled_hopf,
     double_point_curve,
+    eliminate_negative_arcs,
     hopf_invariant,
     make_map,
+    pair_count_check,
     planar_curve_hopf,
     planar_self_crossings,
     random_map,
@@ -21,6 +24,7 @@ from dpl import (
     TransverseArc,
 )
 from dpl.circle_maps import _grid_of
+from dpl.double_points import DoublePointCurve
 
 from test_unfolding import corner_pairs
 
@@ -476,6 +480,22 @@ def test_verdicts_reuse_the_cached_curve(monkeypatch):
     assert builds == []
     double_point_curve(f.reflect())
     assert len(builds) == 1
+
+
+def test_closures_are_built_on_first_read_and_kept():
+    fields = [field.name for field in dataclasses.fields(DoublePointCurve)]
+    assert fields == ["map", "components"]
+    f = four_fold_deg2()
+    hopf_invariant(f)
+    realizability_report(f)
+    arc_lift_check(f)
+    arc, _ = eliminate_negative_arcs(f)
+    pair_count_check(f, arc)
+    curve = double_point_curve(f)
+    assert "closure_components" not in vars(curve)
+    closures = curve.closure_components
+    assert closures and vars(curve)["closure_components"] is closures
+    assert curve.closure_components is closures
 
 
 def test_equal_maps_get_their_own_equal_curves():

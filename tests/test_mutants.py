@@ -285,6 +285,16 @@ MUTANTS = {
         _rewritten(PLCircleMap._level_cuts, "bisect_left(", "bisect_right("),
         _fails(test_circle_maps.test_fiber_at_each_critical_value_keeps_its_fold_once),
     ),
+    "another arc's classification trusted": (
+        test_unfolding,
+        "find_balanced_path",
+        _rewritten(
+            dpl.unfolding.find_balanced_path,
+            "cls.arc != canonical",
+            "cls.arc.orientation != 1",
+        ),
+        _fails(test_unfolding.test_balanced_path_ignores_another_arcs_classification),
+    ),
     "or for and in the exemption": (
         test_sweeps,
         "embedding_certificate",

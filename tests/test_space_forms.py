@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -43,6 +44,10 @@ def test_build_group_rejects_bad_input():
         build_group("cyclic", 0)
     with pytest.raises(BadParameter):
         build_group("binary_tetrahedral", 7)  # no parameter allowed
+    # an order is an int, never a bool or a float
+    for n in (True, 2.0, 2.5, F(7, 2)):
+        with pytest.raises(BadParameter, match=r"^cyclic needs an int parameter"):
+            build_group("cyclic", n)
 
 
 def test_group_tables_are_groups():
@@ -203,6 +208,9 @@ def test_nonrealizable_map_exists_dispatch():
         nonrealizable_map_exists("free product")
     with pytest.raises(BadParameter):
         nonrealizable_map_exists(0)
+    for order in (2.5, True, F(7, 2)):
+        with pytest.raises(BadParameter, match=r"^a group order must be a positive int"):
+            nonrealizable_map_exists(order)
 
 
 # ---------------------------------------------------------------- cross-check

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -125,6 +126,16 @@ def test_balanced_path_classifies_the_arc_when_not_given_a_classification():
     # a clockwise traversal's classification is replaced by the arc's own
     reverse = classify_preimage(f, TransverseArc(arc.end, arc.start, -1))
     assert find_balanced_path(f, arc, 0, reverse) == path
+
+
+def test_balanced_path_ignores_another_arcs_classification():
+    f = tent()
+    arc = TransverseArc(Angle(F(1, 4)), Angle(F(3, 8)))
+    foreign = classify_preimage(f, TransverseArc(Angle(F(1, 8)), Angle(F(5, 8))))
+    path = find_balanced_path(f, arc, 0)
+    assert find_balanced_path(f, arc, 0, foreign) == path
+    # the foreign arc's positive component would start at 5/12, on 5/8
+    assert (path.start_point, path.level) == (F(1, 4), F(3, 8))
 
 
 def test_clockwise_scan_lists_the_arcs_it_passes():
@@ -814,6 +825,23 @@ def test_euler_graph_equality_hash_repr_and_components():
     assert g.component_count == 4
     assert [g.component_edges(c) for c in range(4)] == [(2, 3, 4, 5), (0, 1), (), ()]
     assert build_euler_graph([]).component_count == 0
+
+
+def test_euler_graph_derives_its_tables_on_first_read():
+    assert [f.name for f in dataclasses.fields(EulerGraph)] == ["edges", "free_loops"]
+    assert "__post_init__" not in vars(EulerGraph)
+    derived = ("vertices", "_in_out", "components", "_edges_by_component")
+    for seed in range(120):  # test_golden's GRAPH_SEEDS
+        g = random_admissible_graph(seed, seed % 9)
+        fresh = EulerGraph(edges=g.edges, free_loops=g.free_loops)
+        assert not any(name in vars(fresh) for name in derived)
+        for c in range(g.component_count):
+            g.component_edges(c)
+        # equality, hash and repr read the two fields only
+        fields = (g.edges, g.free_loops)
+        assert g == fresh and hash(g) == hash(fresh) == hash(fields)
+        assert repr(g) == repr(fresh) == "EulerGraph(edges=%r, free_loops=%r)" % fields
+        assert all(name in vars(g) for name in derived)
 
 
 def test_two_vertex_graph_resolves_to_one_circuit():
