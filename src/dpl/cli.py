@@ -117,10 +117,19 @@ def _is_str_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(v, str) for v in x)
 
 
-def _at_least(name: str, value: int, low: int) -> None:
-    """Refuse a count that would make the run empty or meaningless."""
+# The largest ``dcover-check --upto`` and ``selftest --runs``: 0.06 s and
+# 0.3 s at their limits on 2 vCPU with CPython 3.11.7, and 0.5 s and 2-4 s
+# under a line tracer, inside the generated-input test's 5 s deadline.
+_MAX_UPTO = 50
+_MAX_RUNS = 25
+
+
+def _in_range(name: str, value: int, low: int, high: int) -> None:
+    """Refuse a count that would make the run empty, or longer than its limit."""
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
 
 
 def _arc_from(args) -> TransverseArc | None:
@@ -349,7 +358,7 @@ def _cmd_dcover_check(args):
     upto = 12 if args.upto is None else args.upto
     payload = {"command": "dcover-check", "degree": args.degree, "upto": upto}
     if args.degree is None:
-        _at_least("--upto", upto, 2)
+        _in_range("--upto", upto, 2, _MAX_UPTO)
         degrees = list(range(2, upto + 1))
     else:
         degrees = [args.degree]  # dcover_consistency refuses degrees below 1
@@ -447,7 +456,7 @@ def _cmd_sweep(args):
 def _cmd_selftest(args):
     from .properties import PROPERTIES
 
-    _at_least("--runs", args.runs, 1)
+    _in_range("--runs", args.runs, 1, _MAX_RUNS)
     if args.seed is not None:
         seed = args.seed
     else:
@@ -567,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="catalog groups and their cover models",
     )
     p.add_argument("family")
-    p.add_argument("n", nargs="?", type=int, default=None)
+    p.add_argument("n", nargs="?", type=int, default=None, help="order at most 300")
     p.set_defaults(fn=_cmd_group)
 
     p = sub.add_parser(
@@ -575,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="match circle covers against the group model",
     )
-    p.add_argument("degree", nargs="?", type=int, default=None)
-    p.add_argument("--upto", type=int, default=None, help="default 12")
+    p.add_argument("degree", nargs="?", type=int, default=None, help="at most 300")
+    p.add_argument("--upto", type=int, default=None, help="default 12, at most 50")
     p.set_defaults(fn=_cmd_dcover_check)
 
     p = sub.add_parser(
@@ -595,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the property suites",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--runs", type=int, default=25)
+    p.add_argument("--runs", type=int, default=25, help="default and at most 25")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -251,21 +251,6 @@ def _groups(nodes: Iterable[Hashable], links: Iterable[tuple]) -> list[list]:
     return sorted([sorted(m) for n, m in owner.items() if m[0] == n])
 
 
-def _raw_segments(
-    f: PLCircleMap,
-) -> tuple[list[CurveSegment], list[int], list[tuple[int, int, int]]]:
-    """Every straight piece of the curve, sorted by key, its gluing and its moves.
-
-    ``succ[a]`` is the index of the segment that follows segment a along the
-    canonical orientation, or -1 where a's end lies on the diagonal.
-    ``moves[a]`` is segment a's (turns_x, turns_y, change) from
-    :func:`_equal_value_pieces`.
-    """
-    rows = f._lap_table
-    pieces, succ = _glued_pieces(rows, rows, f.degree, f._grid)
-    return [CurveSegment(*p[:5]) for p in pieces], succ, [p[6:] for p in pieces]
-
-
 @dataclass(frozen=True)
 class DoublePointCurve:
     """All components of the double-point curve of one map, with structure.
@@ -364,26 +349,37 @@ def double_point_curve(f: PLCircleMap) -> DoublePointCurve:
 
 
 def _build_curve(f: PLCircleMap) -> DoublePointCurve:
-    """Glue the raw segments into components and read off their structure.
+    """Glue the clipper's pieces into components and read off their structure.
 
-    Everything but an arc's ends comes from the clipper's ints.  A closed
-    chain's windings are the sums of its pieces' ``turns_x`` and
+    Everything comes from the clipper's ints and the points it built.  A
+    closed chain's windings are the sums of its pieces' ``turns_x`` and
     ``turns_y``, the seam crossings counted with their signs.  A
     component's summed value ``change`` traces a lift of its image to the
     line; that lift sweeps one interval, and the image covers the circle
-    exactly when the interval is at least ``grid`` long.
+    exactly when the interval is at least ``grid`` long.  Each coordinate of
+    a piece lies in its lap's closed range inside [x_0, x_0 + 1], so an arc
+    end's fundamental representative is the coordinate itself, with x_0 + 1
+    folded to x_0.
     """
-    segs, succ, moves = _raw_segments(f)
-    grid = f._grid
+    rows = f._lap_table
+    pieces, succ = _glued_pieces(rows, rows, f.degree, f._grid)
+    grid, x0, x1 = f._grid, f._xs[0], f._xs[-1]
+    new = object.__new__
     # Components are numbered by the key of their first segment (an arc's
-    # diagonal start, a circle's least segment); segments are sorted by key,
+    # diagonal start, a circle's least segment); pieces are sorted by key,
     # so sorting the runs gives that order.
     components: list[CurveComponent] = []
-    for index, run in enumerate(sorted(_chains(range(len(segs)), succ))):
-        chain = tuple(segs[a] for a in run)
+    for index, run in enumerate(sorted(_chains(range(len(pieces)), succ))):
+        segs = []
         p1 = p2 = value = low = high = 0
         for a in run:
-            turns_x, turns_y, change = moves[a]
+            i, j, k, start, end, _, turns_x, turns_y, change = pieces[a]
+            # frozen: the fields go straight into the instance dict, in their order
+            seg = new(CurveSegment)
+            fields = seg.__dict__
+            fields["lap_x"], fields["lap_y"], fields["shift"] = i, j, k
+            fields["start"], fields["end"] = start, end
+            segs.append(seg)
             p1 += turns_x
             p2 += turns_y
             value += change
@@ -391,15 +387,15 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
                 low = value
             elif value > high:
                 high = value
+        chain = tuple(segs)
         if succ[run[-1]] >= 0:
             comp = CurveComponent(index, "circle", chain, p1, p2, None)
         else:
-            c_from = tuple(map(f.to_fundamental, chain[0].start))
-            c_to = tuple(map(f.to_fundamental, chain[-1].end))
-            if c_from[0] != c_from[1] or c_to[0] != c_to[1]:
-                raise AssertionError(f"open piece {c_from} -> {c_to} off the diagonal")
-            comp = CurveComponent(index, "arc", chain, 0, 0, (c_from[0], c_to[0]))
-        # frozen: the derived field goes straight into the instance dict
+            # x_0 + 1 is the point x_0 of the circle
+            ends = [x0 if c == x1 else c for c in (*chain[0].start, *chain[-1].end)]
+            if ends[0] != ends[1] or ends[2] != ends[3]:
+                raise AssertionError(f"open piece ends {ends} off the diagonal")
+            comp = CurveComponent(index, "arc", chain, 0, 0, (ends[0], ends[2]))
         comp.__dict__["_covers"] = high - low >= grid
         components.append(comp)
 

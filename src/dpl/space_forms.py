@@ -218,6 +218,13 @@ _EXCEPTIONAL = {
 }
 
 
+# The largest order build_group makes.  A group is built and checked as its
+# full order x order table, growing as the order squared: at this order
+# binary_dihedral(75) takes 0.07 s and cyclic(300) 0.05 s on 2 vCPU with
+# CPython 3.11.7, and about 1 s under a line tracer.
+_MAX_ORDER = 300
+
+
 def _is_order(n: object) -> bool:
     """Whether n is a positive int; a bool or a float is none, as in ``frac``."""
     return isinstance(n, int) and not isinstance(n, bool) and n >= 1
@@ -226,14 +233,19 @@ def _is_order(n: object) -> bool:
 def build_group(family: str, n: int | None = None) -> FiniteSubgroupS3:
     """A catalog group as a verified table.
 
-    ``cyclic`` and ``binary_dihedral`` take the parameter n (orders n and 4n);
-    the three exceptional families take none.
+    ``cyclic`` and ``binary_dihedral`` take the parameter n (orders n and 4n,
+    each at most 300); the three exceptional families take none.
     """
     if family not in CATALOG:
         raise BadParameter(f"unknown family {family!r}; choose from {CATALOG}")
     if family in ("cyclic", "binary_dihedral"):
         if not _is_order(n):
             raise BadParameter(f"{family} needs an int parameter n >= 1, not {n!r}")
+        order = n if family == "cyclic" else 4 * n
+        if order > _MAX_ORDER:
+            raise BadParameter(
+                f"{family}({n}) has order {order}, above the limit of {_MAX_ORDER}"
+            )
         if family == "cyclic":
             return from_table(_cyclic(n), name=f"cyclic({n})")
         return from_table(_binary_dihedral(n), name=f"binary_dihedral({n})")
@@ -337,10 +349,11 @@ def dcover_consistency(d: int) -> DcoverReport:
     the winding of every component equal to the model's unit degree.  So each
     component is read as the model row it should be (element, element of its
     swap image, swap-invariance, winding), and the sorted rows must equal the
-    model's, whose elements 1 .. d-1 occur once each.
+    model's, whose elements 1 .. d-1 occur once each.  The degree is at most
+    300, the largest cyclic group :func:`build_group` makes.
     """
-    if d < 1:
-        raise BadParameter("the covering degree must be positive")
+    if not 1 <= d <= _MAX_ORDER:
+        raise BadParameter(f"the covering degree must be 1 to {_MAX_ORDER}, not {d}")
     group = build_group("cyclic", d)
     model = cover_double_point_model(group)
     f = make_map([(0, 0)], d)

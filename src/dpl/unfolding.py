@@ -301,16 +301,18 @@ class UnfoldTrace:
     reflected: bool
 
     def __post_init__(self) -> None:
-        for prev, cur in zip(self.steps, self.steps[1:]):
+        # every arc's counterclockwise ends as ints over one common denominator
+        arcs = [(s.arc.ccw_start.value, s.arc.ccw_end.value) for s in self.steps]
+        grid = _grid_of(arcs)
+        starts, ends = _scaled(arcs, grid)
+        for t, (prev, cur) in enumerate(zip(self.steps, self.steps[1:])):
             if prev.negative_count > 0 and cur.negative_count >= prev.negative_count:
                 raise AssertionError("negative count failed to decrease")
-            if not _arc_contains_arc(cur.arc, prev.arc):
+            # from cur's start, prev's start and then prev's end come no later
+            # than cur's end, all counterclockwise
+            p0, c0 = starts[t], starts[t + 1]
+            if (p0 - c0) % grid + (ends[t] - p0) % grid > (ends[t + 1] - c0) % grid:
                 raise AssertionError("trace arcs are not nested")
-
-
-def _arc_contains_arc(big: TransverseArc, small: TransverseArc) -> bool:
-    off = big.ccw_start.ccw_to(small.ccw_start)
-    return off + small.width <= big.width
 
 
 Candidate = tuple[Fraction, str, Fraction]  # (width, side, new endpoint)

@@ -414,6 +414,11 @@ REFUSED = [
     ),
     ("group infinite with an order", ["group", "infinite", "3"], None),
     ("dcover degree and upto", ["dcover-check", "3", "--upto", "6"], None),
+    ("group cyclic past the order limit", ["group", "cyclic", "301"], None),
+    ("group binary_dihedral past the order limit", ["group", "binary_dihedral", "76"], None),
+    ("dcover degree past the limit", ["dcover-check", "301"], None),
+    ("dcover upto past the limit", ["dcover-check", "--upto", "51"], None),
+    ("selftest runs past the limit", ["selftest", "--runs", str(10**12)], None),
 ]
 
 
@@ -508,6 +513,11 @@ _MOVIE_TEXTS = st.one_of(
     _NESTED,
 )
 _ARGS = st.one_of(_SMALL.map(str), _FORTY_DIGITS, _MALFORMED)
+# a size argument: anything up to 10**12, or one next to a stated limit
+_SIZES = st.one_of(
+    st.integers(-2, 10**12), st.sampled_from([0, 1, 2, 25, 26, 50, 51, 75, 76, 300, 301])
+).map(str)
+_SIZED = ("group", "dcover-check", "selftest")
 # an input path: mostly the file, sometimes the empty path
 _PATHS = st.sampled_from(["FILE", "FILE", "FILE", ""])
 
@@ -515,8 +525,16 @@ _PATHS = st.sampled_from(["FILE", "FILE", "FILE", ""])
 @st.composite
 def _invocations(draw):
     """(argv with FILE standing for the input file, file text or None)."""
-    command = draw(st.sampled_from(["analyze", "hopf", "unfold", "sweep"]))
+    command = draw(st.sampled_from(["analyze", "hopf", "unfold", "sweep", *_SIZED]))
     argv = [] if draw(st.integers(0, 9)) else ["--out", ""]
+    if command == "group":
+        family = draw(st.sampled_from(["cyclic", "binary_dihedral"]))
+        return [command, family, draw(_SIZES), *argv], None
+    if command == "dcover-check":
+        size = ["--upto"] if draw(st.booleans()) else []
+        return [command, *size, draw(_SIZES), *argv], None
+    if command == "selftest":
+        return [command, "--runs", draw(_SIZES), *argv], None
     if command == "sweep":
         argv, text = ["sweep", *argv], None
         if draw(st.booleans()):
@@ -557,6 +575,9 @@ def test_generated_inputs_exit_with_a_valid_envelope(tmp_path_factory, invocatio
     # an empty path, like an empty number, is refused, never replaced
     if "" in argv:
         assert code == 2
+    # a size is run within its limit, or refused past it
+    if argv[0] in _SIZED:
+        assert code in (0, 2)
 
 
 def test_help_and_a_missing_or_unknown_command_are_left_to_argparse(capsys):

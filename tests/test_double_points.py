@@ -24,7 +24,7 @@ from dpl import (
     TransverseArc,
 )
 from dpl.circle_maps import _grid_of
-from dpl.double_points import DoublePointCurve
+from dpl.double_points import CurveSegment, DoublePointCurve
 
 from test_unfolding import corner_pairs
 
@@ -260,16 +260,16 @@ def _torus(p, x1):
     return tuple(c - 1 if c == x1 else c for c in p)
 
 
-def _point_glued(segs, x1):
-    """Glue by torus points: an end continues into the segment that starts
+def _point_glued(pieces, x1):
+    """Glue by torus points: an end continues into the piece that starts
     at the same point of the torus, unless that point is on the diagonal."""
     starts = {}
-    for index, seg in enumerate(segs):
-        p = _torus(seg.start, x1)
+    for index, piece in enumerate(pieces):
+        p = _torus(piece[3], x1)
         if p[0] != p[1]:
             assert p not in starts, p
             starts[p] = index
-    return [starts.get(_torus(seg.end, x1), -1) for seg in segs]
+    return [starts.get(_torus(piece[4], x1), -1) for piece in pieces]
 
 
 def test_lap_rectangle_gluing_matches_torus_point_gluing():
@@ -277,8 +277,9 @@ def test_lap_rectangle_gluing_matches_torus_point_gluing():
     for seed in range(300):
         f = random_map(seed, 12, 4)
         for g in (f, f.reflect()):
-            segs, succ, _ = dpl.double_points._raw_segments(g)
-            assert succ == _point_glued(segs, g.breakpoints[0][0] + 1), (seed, g)
+            rows = g._lap_table
+            pieces, succ = dpl.double_points._glued_pieces(rows, rows, g.degree, g._grid)
+            assert succ == _point_glued(pieces, g.breakpoints[0][0] + 1), (seed, g)
             loose += succ.count(-1)
             glued += len(succ) - succ.count(-1)
     assert loose > 3000 and glued > 30000, (loose, glued)
@@ -428,6 +429,61 @@ def test_curve_structure_matches_the_fraction_oracles():
     assert min(counts) > 100, counts
 
 
+def _to_fundamental_ends(f, comp):
+    """An arc's two diagonal points, each end's coordinates moved into
+    [x_0, x_0 + 1) by ``f.to_fundamental``."""
+    c_from = tuple(map(f.to_fundamental, comp.segments[0].start))
+    c_to = tuple(map(f.to_fundamental, comp.segments[-1].end))
+    assert c_from[0] == c_from[1] and c_to[0] == c_to[1], (c_from, c_to)
+    return c_from[0], c_to[0]
+
+
+def _build_mismatches(f):
+    """Where the curve's arc ends differ from ``to_fundamental``, or its
+    segments from ``CurveSegment`` records built by the dataclass from the
+    clipper's pieces."""
+    curve = double_point_curve(f)
+    found = [
+        (c.index, c.diagonal_ends)
+        for c in curve.components
+        if c.kind == "arc" and c.diagonal_ends != _to_fundamental_ends(f, c)
+    ]
+    rows = f._lap_table
+    pieces, _ = dpl.double_points._glued_pieces(rows, rows, f.degree, f._grid)
+    segments = [s for c in curve.components for s in c.segments]
+    built = sorted(segments, key=lambda s: s.key)
+    fields = [field.name for field in dataclasses.fields(CurveSegment)]
+    found += [s for s in built if list(vars(s)) != fields]
+    if built != [CurveSegment(*p[:5]) for p in pieces]:
+        found.append(("segments", len(built), len(pieces)))
+    return found
+
+
+def _from_zero(f):
+    """f with its domain turned so that its first vertex sits at x = 0."""
+    x0 = f.breakpoints[0][0]
+    return make_map([(x - x0, l) for x, l in f.breakpoints], f.degree)
+
+
+def test_arc_ends_and_segments_match_to_fundamental_and_the_dataclass():
+    maps = [random_map(seed, 12, 4) for seed in range(200)]
+    maps += [random_map(seed, 40, 5) for seed in range(4)]
+    maps += [make_map([(x, F(1, 7))], d) for x in (0, F(3, 5)) for d in (-3, 2, 5)]
+    arcs = seam = zero = fold_free = 0
+    for f in maps:
+        for g in (f, f.reflect(), _from_zero(f)):
+            assert _build_mismatches(g) == [], g
+            x0 = g.breakpoints[0][0]
+            zero += x0 == 0
+            fold_free += g.fold_free
+            for c in double_point_curve(g).components:
+                if c.kind == "arc":
+                    arcs += 1
+                    ends = (*c.segments[0].start, *c.segments[-1].end)
+                    seam += x0 + 1 in ends
+    assert min(arcs, seam, zero, fold_free) > 30, (arcs, seam, zero, fold_free)
+
+
 # ---------------------------------------------------------------- consistency
 
 
@@ -466,13 +522,13 @@ def test_verdicts_reuse_the_cached_curve(monkeypatch):
     f = random_map(11, 12, 4)
     curve = double_point_curve(f)
     builds = []
-    raw = dpl.double_points._raw_segments
+    raw = dpl.double_points._glued_pieces
 
-    def counted(g):
-        builds.append(g)
-        return raw(g)
+    def counted(*rows):
+        builds.append(rows)
+        return raw(*rows)
 
-    monkeypatch.setattr(dpl.double_points, "_raw_segments", counted)
+    monkeypatch.setattr(dpl.double_points, "_glued_pieces", counted)
     hopf_invariant(f)
     realizability_report(f)
     arc_lift_check(f)

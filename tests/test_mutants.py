@@ -28,6 +28,7 @@ import dpl.unfolding
 import test_api
 import test_circle_maps
 import test_double_points
+import test_space_forms
 import test_sweeps
 import test_unfolding
 from dpl import Angle, PLCircleMap, TransverseArc, make_map, random_map
@@ -156,6 +157,32 @@ def _curve_breaks_its_fraction_oracles():
     assert any(mismatches(g) for f in maps for g in (f, f.reflect()))
 
 
+def _curve_breaks_its_build_oracles():
+    """``test_double_points``' arc-end and segment oracles disagree with the
+    curve, or its build raises, on some map of seeds 0-39."""
+
+    def breaks(g):
+        try:
+            return test_double_points._build_mismatches(g) != []
+        except AssertionError:
+            return True
+
+    maps = [random_map(seed, 12, 4) for seed in range(40)]
+    assert any(breaks(g) for f in maps for g in (f, f.reflect()))
+
+
+def _arc_end_off_the_diagonal():
+    with pytest.raises(AssertionError, match="off the diagonal"):
+        for seed in range(40):
+            dpl.double_points.double_point_curve(random_map(seed, 12, 4))
+
+
+def _order_limit_test_fails():
+    # the limit itself is refused, so the test's first build raises
+    with pytest.raises(dpl.space_forms.BadParameter, match="order 300, above"):
+        test_space_forms.test_group_orders_stop_at_the_stated_limit()
+
+
 def _exports_fail_before_any_read():
     """``test_api``'s export test fails on a package that has read no name yet."""
     kept = dict(vars(dpl))
@@ -169,8 +196,8 @@ def _exports_fail_before_any_read():
 
 
 # fault name: (module or class, attribute, replacement, the check that catches it);
-# a fault checked by a test of test_sweeps or test_unfolding is bound there,
-# where that test reads the name it imported
+# a fault checked by a test of test_space_forms, test_sweeps or test_unfolding
+# is bound there, where that test reads the name it imported
 MUTANTS = {
     "growth always blocked": (
         dpl.properties,
@@ -406,6 +433,43 @@ MUTANTS = {
         "_build_curve",
         _rewritten(dpl.double_points._build_curve, "high - low >= grid", "high >= grid"),
         _curve_breaks_its_fraction_oracles,
+    ),
+    "arc end kept at x_0 + 1": (
+        dpl.double_points,
+        "_build_curve",
+        _rewritten(dpl.double_points._build_curve, "x0 if c == x1 else c for", "c for"),
+        _curve_breaks_its_build_oracles,
+    ),
+    "segment ends swapped": (
+        dpl.double_points,
+        "_build_curve",
+        _rewritten(dpl.double_points._build_curve, "= start, end", "= end, start"),
+        _curve_breaks_its_build_oracles,
+    ),
+    "y end built without the shift": (
+        dpl.double_points,
+        "_equal_value_pieces",
+        # an end on A's edge reads B at the value itself, not k below it
+        _rewritten(dpl.double_points._equal_value_pieces, "(vlo - shift) *", "vlo *"),
+        _arc_end_off_the_diagonal,
+    ),
+    "nesting comparison flipped": (
+        test_unfolding.UnfoldTrace,
+        "__post_init__",
+        _rewritten(dpl.unfolding.UnfoldTrace.__post_init__, "% grid > (", "% grid < ("),
+        _fails(test_unfolding.test_trace_nesting_check_matches_the_angle_oracle),
+    ),
+    "nesting strict at a shared end": (
+        test_unfolding.UnfoldTrace,
+        "__post_init__",
+        _rewritten(dpl.unfolding.UnfoldTrace.__post_init__, "% grid > (", "% grid >= ("),
+        _fails(test_unfolding.test_trace_nesting_check_matches_the_angle_oracle),
+    ),
+    "group order limit off by one": (
+        test_space_forms,
+        "build_group",
+        _rewritten(dpl.space_forms.build_group, "order > _MAX_ORDER", "order >= _MAX_ORDER"),
+        _order_limit_test_fails,
     ),
     "package loader without one module": (
         dpl,

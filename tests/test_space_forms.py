@@ -216,6 +216,16 @@ def test_nonrealizable_map_exists_dispatch():
 # ---------------------------------------------------------------- cross-check
 
 
+def test_group_orders_stop_at_the_stated_limit():
+    # the limit itself is built; one past it is refused, naming the limit
+    assert build_group("cyclic", 300).order == 300
+    for family, n in (("cyclic", 301), ("binary_dihedral", 76), ("cyclic", 10**12)):
+        with pytest.raises(BadParameter, match="above the limit of 300$"):
+            build_group(family, n)
+    with pytest.raises(BadParameter, match="must be 1 to 300, not 301$"):
+        dcover_consistency(301)
+
+
 def test_dcover_reports_are_consistent():
     for d in range(2, 8):
         report = dcover_consistency(d)

@@ -16,6 +16,8 @@ from dpl import (
     InfeasibleParameters,
     NonIncreasingDomain,
     TransverseArc,
+    UnfoldStep,
+    UnfoldTrace,
     build_euler_graph,
     classify_preimage,
     corner_connectivity,
@@ -230,6 +232,38 @@ def test_tent_unfold_trace_is_the_frozen_one():
     assert [s.negative_count for s in trace.steps] == [1, 0]
     assert trace.steps[0].extended_start == Angle(F(7, 8))
     assert trace.steps[0].path is not None
+
+
+def _arc_contains_arc(big, small):
+    """Whether ``small`` lies inside ``big``, measured with ``Angle.ccw_to``."""
+    off = big.ccw_start.ccw_to(small.ccw_start)
+    return off + small.width <= big.width
+
+
+def _trace_accepts(small, big):
+    """Whether a trace takes ``small`` and then ``big`` as consecutive arcs."""
+    steps = tuple(UnfoldStep(arc, 0, 0, None, None, None) for arc in (small, big))
+    try:
+        UnfoldTrace(steps, big, "plain", reflected=False)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_trace_nesting_check_matches_the_angle_oracle():
+    # every arc between points of mixed denominators, both ways round
+    points = [F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(2, 3), F(5, 6)]
+    arcs = [
+        TransverseArc(a, b, orientation)
+        for a, b in itertools.permutations(points, 2)
+        for orientation in (1, -1)
+    ]
+    nested = 0
+    for small, big in itertools.product(arcs, repeat=2):
+        want = _arc_contains_arc(big, small)
+        assert _trace_accepts(small, big) == want, (small, big)
+        nested += want
+    assert 500 < nested < len(arcs) ** 2 - 500, nested
 
 
 def test_unfold_default_arc_lands_in_a_quiet_gap():
