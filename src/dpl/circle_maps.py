@@ -28,7 +28,6 @@ diagonal, which the rest of the package relies on.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import re
 from bisect import bisect_left, bisect_right
@@ -92,6 +91,15 @@ class UnfoldingBlocked(RuntimeError):
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _is_int(x: object) -> bool:
+    """Whether x is an int and not a bool: the one integer test on input.
+
+    A bool is an int to Python, and a float or a string would be coerced by
+    ``int``; each is refused where this test runs.
+    """
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def frac(x: RationalLike) -> Fraction:
     """An exact rational from a Fraction, an int or a ``"p"``/``"p/q"`` string.
 
@@ -101,7 +109,7 @@ def frac(x: RationalLike) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
+    if _is_int(x):
         return Fraction(x)
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         _, _, den = x.partition("/")
@@ -146,9 +154,10 @@ class TransverseArc:
     """A proper open arc of the target circle, traversed start -> end.
 
     ``orientation`` +1 means the traversal runs counterclockwise from start
-    to end, -1 clockwise.  The arc is the open set of points strictly between
-    the endpoints in the traversal direction.  Endpoint regularity is a
-    property of an (arc, map) pair and is checked where the arc is used.
+    to end, -1 clockwise; it is the int 1 or -1, not a bool.  The arc is the
+    open set of points strictly between the endpoints in the traversal
+    direction.  Endpoint regularity is a property of an (arc, map) pair and
+    is checked where the arc is used.
     """
 
     start: Angle
@@ -157,7 +166,7 @@ class TransverseArc:
 
     def __init__(self, start, end, orientation: int = 1) -> None:
         start, end = _as_angle(start), _as_angle(end)
-        if orientation not in (1, -1):
+        if not _is_int(orientation) or orientation not in (1, -1):
             raise InfeasibleParameters("orientation must be +1 or -1")
         if start == end:
             raise InfeasibleParameters("an arc must be a proper subset: start == end")
@@ -295,16 +304,11 @@ class PLCircleMap:
         return tuple(xs)
 
     @cached_property
-    def _ls(self) -> tuple[Fraction, ...]:
-        ls = [l for _, l in self.breakpoints]
-        ls.append(ls[0] + self.degree)
-        return tuple(ls)
-
-    @cached_property
     def slopes(self) -> tuple[Fraction, ...]:
-        xs, ls = self._xs, self._ls
+        # the grid cancels from the vertex ints' differences
+        xs, ls = self._ints
         return tuple(
-            (ls[i + 1] - ls[i]) / (xs[i + 1] - xs[i]) for i in range(self.lap_count)
+            Fraction(l1 - l0, x1 - x0) for x0, x1, l0, l1 in zip(xs, xs[1:], ls, ls[1:])
         )
 
     @property
@@ -400,10 +404,6 @@ class PLCircleMap:
             met = bytes(down for c, down in zip(counts, falling) if c)
             sweeps.append(descending - (met + met[:1]).count(b"\1\0"))
         return tuple(sweeps)
-
-    def lap(self, j: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """(x_lo, x_hi, lift at x_lo, lift at x_hi) of lap j."""
-        return self._xs[j], self._xs[j + 1], self._ls[j], self._ls[j + 1]
 
     @cached_property
     def _grid(self) -> int:
@@ -533,14 +533,16 @@ def make_map(
     genericity on the raw list (so a presentation with both a duplicate value
     and a flat segment reports DuplicateVertexValue), then zero slopes, and
     finally same-sign runs are straightened so surviving vertices are folds.
+    The degree must be an int, not a bool.
     """
+    if not _is_int(degree):
+        raise ValueError(f"'degree' must be an integer, not {degree!r}")
     pts = [(frac(x), frac(l)) for x, l in breakpoints]
     if not pts:
         raise NonIncreasingDomain("need at least one breakpoint")
-    d = operator.index(degree)
     # every check runs in ints, on the grid D of all the points given
     m, grid = len(pts), _grid_of(pts)
-    xs, ls = _closed(pts, d, grid)
+    xs, ls = _closed(pts, degree, grid)
     if any(not (0 <= x < grid) for x in xs[:m]):
         raise NonIncreasingDomain("breakpoint x-coordinates must lie in [0, 1)")
     if any(b <= a for a, b in zip(xs, xs[1:m])):
@@ -555,7 +557,7 @@ def make_map(
             raise ZeroSlopeSegment(f"segment starting at x={pts[i][0]} has zero slope")
         rising.append(ls[i + 1] > ls[i])
     keep = [i for i in range(m) if rising[i - 1] != rising[i]] or [0]
-    f = PLCircleMap(breakpoints=tuple(pts[i] for i in keep), degree=d)
+    f = PLCircleMap(breakpoints=tuple(pts[i] for i in keep), degree=degree)
     if len(keep) == m:
         # the map keeps the grid and ints just checked; a straightened map,
         # whose grid may be coarser, builds its own

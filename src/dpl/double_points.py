@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .circle_maps import PLCircleMap, RationalLike, frac
 
@@ -51,13 +51,13 @@ class DegeneratePosition(ValueError):
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class CurveSegment:
+class CurveSegment(NamedTuple):
     """A maximal straight piece of the curve inside one lap-pair rectangle.
 
     ``lap_x``/``lap_y`` index the laps governing the two coordinates,
     ``shift`` is the integer separating the two lift levels.  Endpoints are
-    ordered along the canonical orientation.
+    ordered along the canonical orientation.  A named tuple: it equals the
+    plain tuple of its fields.
     """
 
     lap_x: int
@@ -82,8 +82,8 @@ class CurveComponent:
     # in traversal order.  None for circles.
     diagonal_ends: tuple[Fraction, Fraction] | None
     # whether the values f(x) along the component cover the whole circle;
-    # set by the curve's builder
-    _covers: bool = field(init=False, repr=False, compare=False)
+    # read off the segments, so equality and repr leave it out
+    covers: bool = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ class DoublePointCurve:
                     members=members,
                     compact=compact,
                     cover_trivial=len(members) == 2,
-                    lifts_through_arc=not self.components[members[0]]._covers,
+                    lifts_through_arc=not self.components[members[0]].covers,
                 )
             )
         return tuple(out)
@@ -364,7 +364,6 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
     rows = f._lap_table
     pieces, succ = _glued_pieces(rows, rows, f.degree, f._grid)
     grid, x0, x1 = f._grid, f._xs[0], f._xs[-1]
-    new = object.__new__
     # Components are numbered by the key of their first segment (an arc's
     # diagonal start, a circle's least segment); pieces are sorted by key,
     # so sorting the runs gives that order.
@@ -374,12 +373,7 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
         p1 = p2 = value = low = high = 0
         for a in run:
             i, j, k, start, end, _, turns_x, turns_y, change = pieces[a]
-            # frozen: the fields go straight into the instance dict, in their order
-            seg = new(CurveSegment)
-            fields = seg.__dict__
-            fields["lap_x"], fields["lap_y"], fields["shift"] = i, j, k
-            fields["start"], fields["end"] = start, end
-            segs.append(seg)
+            segs.append(CurveSegment(i, j, k, start, end))
             p1 += turns_x
             p2 += turns_y
             value += change
@@ -387,16 +381,16 @@ def _build_curve(f: PLCircleMap) -> DoublePointCurve:
                 low = value
             elif value > high:
                 high = value
-        chain = tuple(segs)
+        chain, covers = tuple(segs), high - low >= grid
         if succ[run[-1]] >= 0:
-            comp = CurveComponent(index, "circle", chain, p1, p2, None)
+            comp = CurveComponent(index, "circle", chain, p1, p2, None, covers)
         else:
             # x_0 + 1 is the point x_0 of the circle
             ends = [x0 if c == x1 else c for c in (*chain[0].start, *chain[-1].end)]
             if ends[0] != ends[1] or ends[2] != ends[3]:
                 raise AssertionError(f"open piece ends {ends} off the diagonal")
-            comp = CurveComponent(index, "arc", chain, 0, 0, (ends[0], ends[2]))
-        comp.__dict__["_covers"] = high - low >= grid
+            ends = (ends[0], ends[2])
+            comp = CurveComponent(index, "arc", chain, 0, 0, ends, covers)
         components.append(comp)
 
     return DoublePointCurve(map=f, components=tuple(components))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .circle_maps import (
@@ -193,11 +194,16 @@ def euler_circuits(seed: int) -> list[str]:
     return _failed(*claims)
 
 
+# Each catalog group's table is built and checked once per process; the
+# suite's seeds draw from a few dozen (family, n).
+_catalog_group = cache(build_group)
+
+
 def group_tables(seed: int) -> list[str]:
     rng = _rng(seed)
     family = rng.choice(CATALOG)
     top = {"cyclic": 24, "binary_dihedral": 5}.get(family)
-    g = build_group(family, rng.randint(1, top) if top else None)
+    g = _catalog_group(family, rng.randint(1, top) if top else None)
     odd = g.order % 2
     return _failed(
         (involution_count(g) == 1 - odd, f"{g.name}: one involution iff even order"),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .circle_maps import make_map, mod1
+from .circle_maps import _is_int, make_map, mod1
 from .double_points import double_point_curve, hopf_invariant
 
 __all__ = [
@@ -225,11 +225,6 @@ _EXCEPTIONAL = {
 _MAX_ORDER = 300
 
 
-def _is_order(n: object) -> bool:
-    """Whether n is a positive int; a bool or a float is none, as in ``frac``."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
-
-
 def build_group(family: str, n: int | None = None) -> FiniteSubgroupS3:
     """A catalog group as a verified table.
 
@@ -239,7 +234,7 @@ def build_group(family: str, n: int | None = None) -> FiniteSubgroupS3:
     if family not in CATALOG:
         raise BadParameter(f"unknown family {family!r}; choose from {CATALOG}")
     if family in ("cyclic", "binary_dihedral"):
-        if not _is_order(n):
+        if not (_is_int(n) and n >= 1):
             raise BadParameter(f"{family} needs an int parameter n >= 1, not {n!r}")
         order = n if family == "cyclic" else 4 * n
         if order > _MAX_ORDER:
@@ -322,7 +317,7 @@ def nonrealizable_map_exists(pi1: Union[FiniteSubgroupS3, int, str]) -> bool:
         raise BadParameter(f"expected a group, an order, or 'infinite': {pi1!r}")
     if isinstance(pi1, FiniteSubgroupS3):
         return pi1.order % 2 == 0
-    if not _is_order(pi1):
+    if not (_is_int(pi1) and pi1 >= 1):
         raise BadParameter(f"a group order must be a positive int, not {pi1!r}")
     return pi1 % 2 == 0
 

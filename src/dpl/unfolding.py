@@ -103,6 +103,7 @@ from .circle_maps import (
     ZeroSlopeSegment,
     _as_angle,
     _grid_of,
+    _is_int,
     _lap_rows,
     _scaled,
     _sweep_free_gap,
@@ -247,23 +248,17 @@ def _try_direction(
 
 
 def find_balanced_path(
-    f: PLCircleMap,
-    arc: TransverseArc,
-    start_index: int,
-    classification: PreimageClassification | None = None,
+    f: PLCircleMap, arc: TransverseArc, start_index: int
 ) -> BalancedPath:
     """First-occurrence balanced partner for the chosen arc component.
 
-    Scans counterclockwise first, then clockwise.  For a negative component
-    of a map with nonnegative degree the counterclockwise scan always
-    succeeds (Lemma B in the module docstring).  ``classification`` is used
-    only if it was made for the arc traversed counterclockwise; otherwise
-    the arc is classified again.
+    Component ``start_index`` is one of the arc's preimage components, the
+    arc traversed counterclockwise.  Scans counterclockwise first, then
+    clockwise.  For a negative component of a map with nonnegative degree
+    the counterclockwise scan always succeeds (Lemma B in the module
+    docstring).
     """
-    canonical = TransverseArc(arc.ccw_start, arc.ccw_end)
-    cls = classification
-    if cls is None or cls.arc != canonical:
-        cls = classify_preimage(f, canonical)
+    cls = classify_preimage(f, TransverseArc(arc.ccw_start, arc.ccw_end))
     comp = cls.components[start_index]
     if comp.kind not in ("positive", "negative"):
         raise PreconditionUnmet(f"component {start_index} is {comp.kind}, not an arc")
@@ -834,9 +829,15 @@ class EulerGraph:
 def build_euler_graph(
     edges: Iterable[tuple[int, int]], free_loops: int = 0
 ) -> EulerGraph:
-    edges = tuple([(int(a), int(b)) for a, b in edges])
-    if free_loops < 0:
-        raise InfeasibleParameters("free_loops must be nonnegative")
+    """The graph of ``edges``, each a pair of vertices, checked: vertices and
+    ``free_loops`` are ints (not bools), ``free_loops`` is at least 0, and
+    every vertex has in- and out-degree two."""
+    edges = tuple([(a, b) for a, b in edges])
+    for v in itertools.chain.from_iterable(edges):
+        if not _is_int(v):
+            raise InfeasibleParameters(f"an edge endpoint must be an int, not {v!r}")
+    if not _is_int(free_loops) or free_loops < 0:
+        raise InfeasibleParameters(f"free_loops must be an int >= 0, not {free_loops!r}")
     g = EulerGraph(edges=edges, free_loops=free_loops)
     ins, outs = g._in_out
     for v in g.vertices:

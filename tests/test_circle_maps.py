@@ -81,6 +81,10 @@ def test_arc_rejects_degenerate_input():
         TransverseArc(Angle(0), Angle(1))  # 1 == 0 on the circle
     with pytest.raises(InfeasibleParameters):
         TransverseArc(Angle(0), Angle(F(1, 2)), orientation=2)
+    # the orientation is the int 1 or -1, never a bool, float or string
+    for orientation in (True, 1.0, "1"):
+        with pytest.raises(InfeasibleParameters, match="must be"):
+            TransverseArc(Angle(0), Angle(F(1, 2)), orientation)
 
 
 # ---------------------------------------------------------------- make_map
@@ -96,6 +100,13 @@ def test_make_map_rejects_bad_vertex_data():
     with pytest.raises(DuplicateVertexValue):
         # both folds sit at level 0 mod 1
         make_map([(0, 0), (F(1, 2), 1)], 0)
+
+
+def test_make_map_takes_an_int_degree():
+    # a bool is an int to Python, and a float would need rounding
+    for degree in (True, 2.0, "1", F(1)):
+        with pytest.raises(ValueError, match=r"^'degree' must be an integer, not "):
+            make_map([(0, 0), (F(1, 2), F(3, 4))], degree)
 
 
 @pytest.mark.parametrize("x", [1, F(-1, 8)], ids=["one", "negative"])
@@ -130,6 +141,13 @@ def _fraction_make_map(breakpoints, degree):
     return tuple(pts[i] for i in keep), degree
 
 
+def _vertices(f):
+    """The map's vertices (x_i, l_i) for i = 0..n, from its breakpoints:
+    vertex n is vertex 0 one turn on."""
+    x0, l0 = f.breakpoints[0]
+    return (*f.breakpoints, (x0 + 1, l0 + f.degree))
+
+
 def _made(breakpoints, degree):
     """make_map's answer in the oracle's terms.  A map's grid and vertex
     ints are checked against its Fractions, and so are those of a copy
@@ -139,7 +157,7 @@ def _made(breakpoints, degree):
     except ValueError as refusal:
         return type(refusal), str(refusal)
     grid = math.lcm(*(v.denominator for point in f.breakpoints for v in point))
-    ints = tuple(tuple(v * grid for v in vs) for vs in (f._xs, f._ls))
+    ints = tuple(tuple(v * grid for v in vs) for vs in zip(*_vertices(f)))
     for g in (f, PLCircleMap(f.breakpoints, f.degree)):
         assert (g._grid, g._ints) == (grid, ints), f
     return f.breakpoints, f.degree
@@ -227,9 +245,9 @@ def _solved_fiber(f, y):
     """Each preimage of y as (x, lap), solved lap by lap from the lap's end
     points, in domain order; lap j holds [x_j, x_{j+1}), so a vertex on the
     level goes to the lap that starts there, x_0 to lap 0."""
-    found = []
+    found, vertices = [], _vertices(f)
     for j in range(f.lap_count):
-        xlo, xhi, llo, lhi = f.lap(j)
+        (xlo, llo), (xhi, lhi) = vertices[j : j + 2]
         lo, hi = sorted((llo, lhi))
         for k in range(math.floor(lo - y), math.ceil(hi - y) + 1):
             if lo <= y + k <= hi:
@@ -279,7 +297,7 @@ _FORTY_FOLD += [f.reflect() for f in _FORTY_FOLD]
 
 def _fraction_lift(f, x):
     """The lift at x, evaluated in Fractions as first written."""
-    xs, ls = f._xs, f._ls
+    xs, ls = zip(*_vertices(f))
     k = math.floor(x - xs[0])
     base = x - k
     j = bisect_right(xs, base) - 1
@@ -446,9 +464,9 @@ def test_neutral_components_are_at_most_the_folds():
 def _preimages(f, y: Angle) -> list[F]:
     """The preimages of y in [x_0, x_0 + 1), solved lap by lap."""
     x0 = f.breakpoints[0][0]
-    out = set()
+    out, vertices = set(), _vertices(f)
     for j in range(f.lap_count):
-        xa, xb, la, lb = f.lap(j)
+        (xa, la), (xb, lb) = vertices[j : j + 2]
         t = y.value + math.ceil(min(la, lb) - y.value)
         while t <= max(la, lb):
             x = xa + (t - la) * (xb - xa) / (lb - la)

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -164,6 +166,67 @@ def test_invalid_json_exits_two(capsys, tmp_path):
     path.write_text("{nope")
     code, doc = run_json(capsys, "analyze", path)
     assert code == 2
+
+
+def test_a_file_is_read_once_as_utf8(capsys, tmp_path):
+    # the digest is of the bytes the document was parsed from
+    path = tmp_path / "noted.json"
+    text = TENT.replace("{", '{"note": "café", ', 1)
+    for encoding, want in (("utf-8", 0), ("latin-1", 2)):
+        path.write_bytes(text.encode(encoding))
+        code, doc = run_json(capsys, "analyze", path)
+        assert code == want, encoding
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    path.write_bytes(text.encode())
+    assert run_json(capsys, "hopf", path)[1]["input_digest"] == digest
+
+
+def _on_file(text, *argv):
+    """``main``'s exit code and envelope with FILE in ``argv`` standing for a
+    file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([str(path) if a == "FILE" else a for a in argv])
+    return code, json.loads(out.getvalue())
+
+
+def _zigzag_text(n, turns):
+    """A map of n vertices, n even, alternating up and down, whose lift rises
+    and falls ``turns`` turns in all: each rise is turns / n, a drift of
+    1 / (8 n) per vertex keeps the values apart."""
+    drift = F(1, 8 * n)
+    values = [(i % 2) * (F(turns, n) - drift) + i * drift for i in range(n)]
+    pairs = [[str(F(i, n)), str(v)] for i, v in enumerate(values)]
+    return json.dumps({"breakpoints": pairs, "degree": 0})
+
+
+def _one_vertex_text(degree):
+    return json.dumps({"breakpoints": [["0", "1/3"]], "degree": degree})
+
+
+def test_map_files_at_their_limits_run():
+    for text in (_zigzag_text(100, 50), _one_vertex_text(50), _one_vertex_text(-50)):
+        code, doc = _on_file(text, "analyze", "FILE")
+        assert code == 0, doc["summary"]
+
+
+def test_map_files_past_their_limits_are_refused():
+    tall_tent = json.dumps({"breakpoints": [["0", "0"], ["1/2", "76/3"]], "degree": 0})
+    cases = {
+        _zigzag_text(102, 10): "at most 100 breakpoints, not 102",
+        _zigzag_text(100, 51): "more than 50 turns in all",
+        _one_vertex_text(-51): r"more than 50 turns .* \(here -51\)",
+        _one_vertex_text(10**12): r"\(here 1000000000000\)",
+        # net rise 0, but 25 1/3 turns up and as many down
+        tall_tent: r"more than 50 turns .* \(here 0\)",
+    }
+    for text, message in cases.items():
+        code, doc = _on_file(text, "hopf", "FILE")
+        assert code == 2
+        assert re.search(message, doc["result"]["error"]["message"]), doc["summary"]
 
 
 # ---------------------------------------------------------------- group/dcover
@@ -331,15 +394,7 @@ def test_selftest_counts_a_raising_check_as_failing_seeds(capsys, monkeypatch):
     assert f"first: cover_consistency seed {odd[0]} {raised}" in doc["summary"]
 
 
-def test_selftest_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("DPL_SEED", "77")
-    code, doc = run_json(capsys, "selftest", "--runs", "1")
-    assert code == 0
-    assert doc["result"]["seed"] == 77
-
-
-def test_selftest_default_seed(capsys, monkeypatch):
-    monkeypatch.delenv("DPL_SEED", raising=False)
+def test_selftest_default_seed(capsys):
     code, doc = run_json(capsys, "selftest", "--runs", "1")
     assert code == 0
     assert doc["result"]["seed"] == 2026
@@ -385,6 +440,9 @@ REFUSED = [
     ("bool value", ["analyze", "FILE"], _map_with(breakpoints=[["0", False], ["1/2", "3/4"]])),
     ("breakpoints scalar", ["analyze", "FILE"], _map_with(breakpoints=5)),
     ("breakpoint triple", ["analyze", "FILE"], _map_with(breakpoints=[["0", "0", "0"]])),
+    ("breakpoints past the limit", ["analyze", "FILE"], _zigzag_text(102, 10)),
+    ("turns past the limit", ["unfold", "FILE"], _zigzag_text(100, 51)),
+    ("degree past the turn limit", ["hopf", "FILE"], _one_vertex_text(10**12)),
     ("map not an object", ["analyze", "FILE"], "[1, 2]"),
     ("map nested too deeply", ["analyze", "FILE"], "[" * 100_000 + "]" * 100_000),
     ("arc exponent", ["unfold", "FILE", "--arc", "25e-2", "3/8"], TENT),
@@ -496,6 +554,12 @@ _MAP_TEXTS = st.one_of(
     ),
     st.sampled_from([DEEP, "[1, 2]", "{}", "not json"]),
     _NESTED,
+    # sizes: any degree up to 10**12, and degrees, breakpoint counts and
+    # turns next to their limits
+    st.one_of(
+        st.integers(-(10**12), 10**12), st.sampled_from([-51, -50, 50, 51])
+    ).map(_one_vertex_text),
+    st.builds(_zigzag_text, st.sampled_from([98, 100, 102]), st.sampled_from([49, 50, 51])),
 )
 _LABELS = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=4)
 _EVENTS = st.fixed_dictionaries(

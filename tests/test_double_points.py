@@ -440,7 +440,7 @@ def _to_fundamental_ends(f, comp):
 
 def _build_mismatches(f):
     """Where the curve's arc ends differ from ``to_fundamental``, or its
-    segments from ``CurveSegment`` records built by the dataclass from the
+    segments from ``CurveSegment`` records built by its constructor from the
     clipper's pieces."""
     curve = double_point_curve(f)
     found = [
@@ -452,8 +452,6 @@ def _build_mismatches(f):
     pieces, _ = dpl.double_points._glued_pieces(rows, rows, f.degree, f._grid)
     segments = [s for c in curve.components for s in c.segments]
     built = sorted(segments, key=lambda s: s.key)
-    fields = [field.name for field in dataclasses.fields(CurveSegment)]
-    found += [s for s in built if list(vars(s)) != fields]
     if built != [CurveSegment(*p[:5]) for p in pieces]:
         found.append(("segments", len(built), len(pieces)))
     return found
@@ -552,6 +550,28 @@ def test_closures_are_built_on_first_read_and_kept():
     closures = curve.closure_components
     assert closures and vars(curve)["closure_components"] is closures
     assert curve.closure_components is closures
+
+
+def test_a_curve_of_replaced_components_keeps_their_covers():
+    # the cover flag is a field, so a copy of a component carries it
+    flags = set()
+    for seed in (3, 5):
+        curve = double_point_curve(random_map(seed, 8, 2))
+        copies = tuple(dataclasses.replace(c) for c in curve.components)
+        rebuilt = DoublePointCurve(curve.map, copies)
+        assert rebuilt.quotient_components == curve.quotient_components
+        flags |= {q.lifts_through_arc for q in rebuilt.quotient_components}
+    assert flags == {True, False}
+
+
+def test_segments_are_named_tuples_of_their_fields():
+    segment = double_point_curve(random_map(3, 8, 2)).components[0].segments[0]
+    i, j, k, start, end = segment
+    assert segment == (i, j, k, start, end) and hash(segment) == hash(tuple(segment))
+    assert segment.key == (i, j, k)
+    assert repr(segment) == (
+        f"CurveSegment(lap_x={i}, lap_y={j}, shift={k}, start={start!r}, end={end!r})"
+    )
 
 
 def test_equal_maps_get_their_own_equal_curves():

@@ -20,6 +20,7 @@ from fractions import Fraction as F
 import pytest
 
 import dpl.circle_maps
+import dpl.cli
 import dpl.double_points
 import dpl.properties
 import dpl.space_forms
@@ -27,6 +28,7 @@ import dpl.sweeps
 import dpl.unfolding
 import test_api
 import test_circle_maps
+import test_cli
 import test_double_points
 import test_space_forms
 import test_sweeps
@@ -110,10 +112,11 @@ def _rewritten(function, old, new):
 
 
 def _fails(test):
-    """The check that ``test``, a test function of this suite, fails."""
+    """The check that ``test``, a test function of this suite, fails: an
+    assertion fails, or a ``pytest.raises`` block sees nothing raised."""
 
     def caught():
-        with pytest.raises(AssertionError):
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
             test()
 
     return caught
@@ -312,16 +315,6 @@ MUTANTS = {
         _rewritten(PLCircleMap._level_cuts, "bisect_left(", "bisect_right("),
         _fails(test_circle_maps.test_fiber_at_each_critical_value_keeps_its_fold_once),
     ),
-    "another arc's classification trusted": (
-        test_unfolding,
-        "find_balanced_path",
-        _rewritten(
-            dpl.unfolding.find_balanced_path,
-            "cls.arc != canonical",
-            "cls.arc.orientation != 1",
-        ),
-        _fails(test_unfolding.test_balanced_path_ignores_another_arcs_classification),
-    ),
     "or for and in the exemption": (
         test_sweeps,
         "embedding_certificate",
@@ -443,7 +436,11 @@ MUTANTS = {
     "segment ends swapped": (
         dpl.double_points,
         "_build_curve",
-        _rewritten(dpl.double_points._build_curve, "= start, end", "= end, start"),
+        _rewritten(
+            dpl.double_points._build_curve,
+            "CurveSegment(i, j, k, start, end)",
+            "CurveSegment(i, j, k, end, start)",
+        ),
         _curve_breaks_its_build_oracles,
     ),
     "y end built without the shift": (
@@ -470,6 +467,49 @@ MUTANTS = {
         "build_group",
         _rewritten(dpl.space_forms.build_group, "order > _MAX_ORDER", "order >= _MAX_ORDER"),
         _order_limit_test_fails,
+    ),
+    "degree test that takes a bool": (
+        test_circle_maps,
+        "make_map",
+        _rewritten(
+            dpl.circle_maps.make_map, "not _is_int(degree)", "not isinstance(degree, int)"
+        ),
+        _fails(test_circle_maps.test_make_map_takes_an_int_degree),
+    ),
+    "orientation test that takes a bool": (
+        TransverseArc,
+        "__init__",
+        _rewritten(TransverseArc.__init__, "not _is_int(orientation) or ", ""),
+        _fails(test_circle_maps.test_arc_rejects_degenerate_input),
+    ),
+    "edge endpoints coerced by int": (
+        test_unfolding,
+        "build_euler_graph",
+        _rewritten(
+            dpl.unfolding.build_euler_graph,
+            "(a, b) for a, b in edges",
+            "(int(a), int(b)) for a, b in edges",
+        ),
+        _fails(test_unfolding.test_build_euler_graph_takes_int_vertices_and_loop_counts),
+    ),
+    "free loop count that takes a bool": (
+        test_unfolding,
+        "build_euler_graph",
+        _rewritten(dpl.unfolding.build_euler_graph, "not _is_int(free_loops) or ", ""),
+        _fails(test_unfolding.test_build_euler_graph_takes_int_vertices_and_loop_counts),
+    ),
+    "map breakpoint limit off by one": (
+        dpl.cli,
+        "_load_map",
+        _rewritten(dpl.cli._load_map, "len(bps) > _MAX", "len(bps) >= _MAX"),
+        _fails(test_cli.test_map_files_at_their_limits_run),
+    ),
+    "map turns counted net": (
+        dpl.cli,
+        "_load_map",
+        # the rises less the falls: the degree, not the turns swept
+        _rewritten(dpl.cli._load_map, "abs(b - a)", "(b - a)"),
+        _fails(test_cli.test_map_files_past_their_limits_are_refused),
     ),
     "package loader without one module": (
         dpl,

@@ -54,7 +54,7 @@ from dpl.unfolding import (
 )
 
 from test_acceptance import _balanced_graphs
-from test_circle_maps import _off_grid
+from test_circle_maps import _off_grid, _vertices
 from test_golden import _random_interval_breakpoints
 
 
@@ -75,7 +75,7 @@ def test_tent_balanced_path_is_one_sided():
     arc = TransverseArc(Angle(F(1, 4)), Angle(F(3, 8)))
     cls = classify_preimage(f, arc)
     neg = next(i for i, c in enumerate(cls.components) if c.kind == "negative")
-    path = find_balanced_path(f, arc, neg, cls)
+    path = find_balanced_path(f, arc, neg)
     assert path.one_sided
     assert path.skipped == ()
     assert path.start_component == neg
@@ -95,15 +95,14 @@ def test_balanced_path_needs_an_arc_component():
     assert cls.neutral_count == 1
     neutral = next(i for i, c in enumerate(cls.components) if c.kind == "neutral")
     with pytest.raises(PreconditionUnmet):
-        find_balanced_path(f, arc, neutral, cls)
+        find_balanced_path(f, arc, neutral)
 
 
 def test_balanced_path_absent_partner():
     f = make_map([(0, 0)], 2)  # no folds: positive components only
     arc = TransverseArc(Angle(F(1, 8)), Angle(F(1, 4)))
-    cls = classify_preimage(f, arc)
     with pytest.raises(NoOppositeArc, match="no opposite-sign arcs exist"):
-        find_balanced_path(f, arc, 0, cls)
+        find_balanced_path(f, arc, 0)
     # Opposite arcs exist, but at negative degree Lemma B does not hold:
     # neither walk from component 2 meets the one positive arc at its level.
     f = make_map([(F(1, 8), F(1, 4)), (F(3, 4), F(67, 64))], -2)
@@ -111,7 +110,7 @@ def test_balanced_path_absent_partner():
     cls = classify_preimage(f, arc)
     assert [c.kind for c in cls.components] == ["positive"] + ["negative"] * 3
     with pytest.raises(NoOppositeArc, match="required lift level"):
-        find_balanced_path(f, arc, 2, cls)
+        find_balanced_path(f, arc, 2)
 
 
 def test_balanced_path_classifies_the_arc_when_not_given_a_classification():
@@ -124,20 +123,6 @@ def test_balanced_path_classifies_the_arc_when_not_given_a_classification():
     path = find_balanced_path(f, arc, 0)
     assert (path.direction, path.end_component, path.skipped) == (-1, 2, ())
     assert (path.start_point, path.end_point) == (F(563, 2736), F(-5, 48))
-    assert path == find_balanced_path(f, arc, 0, cls)
-    # a clockwise traversal's classification is replaced by the arc's own
-    reverse = classify_preimage(f, TransverseArc(arc.end, arc.start, -1))
-    assert find_balanced_path(f, arc, 0, reverse) == path
-
-
-def test_balanced_path_ignores_another_arcs_classification():
-    f = tent()
-    arc = TransverseArc(Angle(F(1, 4)), Angle(F(3, 8)))
-    foreign = classify_preimage(f, TransverseArc(Angle(F(1, 8)), Angle(F(5, 8))))
-    path = find_balanced_path(f, arc, 0)
-    assert find_balanced_path(f, arc, 0, foreign) == path
-    # the foreign arc's positive component would start at 5/12, on 5/8
-    assert (path.start_point, path.level) == (F(1, 4), F(3, 8))
 
 
 def test_clockwise_scan_lists_the_arcs_it_passes():
@@ -194,7 +179,7 @@ def test_lift_extrema_match_the_scan_over_every_breakpoint():
 
 def _fraction_extrema(f, lo, hi):
     """_lift_extrema as first written, walking the vertices in Fractions."""
-    xs, ls, n, d = f._xs, f._ls, f.lap_count, f.degree
+    (xs, ls), n, d = zip(*_vertices(f)), f.lap_count, f.degree
     values = [f.lift_evaluate(lo), f.lift_evaluate(hi)]
     turn = math.floor(lo - xs[0])
     i, top = bisect_right(xs, lo - turn), hi - turn
@@ -843,9 +828,19 @@ def test_build_euler_graph_checks_degrees():
         build_euler_graph([(0, 0), (0, 0), (2, 1), (2, 1), (1, 2)])
 
 
+def test_build_euler_graph_takes_int_vertices_and_loop_counts():
+    # int() would make each of these the vertex 0, or a bool a count
+    for bad in ((0.9, 0.2), ("0", "0"), (False, 0)):
+        with pytest.raises(InfeasibleParameters, match="edge endpoint must be an int"):
+            build_euler_graph([bad, (0, 0)])
+    for loops in (True, 1.0, "1"):
+        with pytest.raises(InfeasibleParameters, match="free_loops must be an int"):
+            build_euler_graph([], free_loops=loops)
+
+
 def test_euler_graph_equality_hash_repr_and_components():
     edges = [(3, 3), (3, 3), (0, 1), (0, 1), (1, 0), (1, 0)]
-    g = build_euler_graph([[str(a), b] for a, b in edges], free_loops=2)
+    g = build_euler_graph([[a, b] for a, b in edges], free_loops=2)
     assert g.edges == tuple(edges) and g.vertices == (0, 1, 3)
     assert g == EulerGraph(edges=tuple(edges), free_loops=2)
     assert g != EulerGraph(edges=tuple(edges), free_loops=1)
