@@ -14,9 +14,9 @@ a subcommand's parser refuses.
 
 Each command imports the modules it runs inside its handler, so a start
 loads only those: ``analyze`` and ``hopf`` load ``circle_maps`` and
-``double_points``, ``unfold`` adds ``unfolding``, ``group`` and
-``dcover-check`` add ``space_forms``, and ``sweep`` loads ``circle_maps``
-and ``sweeps``.
+``double_points``, ``unfold`` adds ``unfolding``, ``dcover-check`` adds
+``space_forms``, ``group`` loads ``circle_maps`` and ``space_forms``, and
+``sweep`` loads ``circle_maps`` and ``sweeps``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .circle_maps import (
     TransverseArc,
     UnfoldingBlocked,
     classify_preimage,
-    frac,
     make_map,
 )
 
@@ -126,10 +125,10 @@ def _load_movie(path: str) -> tuple[SweepMovie, str]:
     return SweepMovie(initial=tuple(initial), events=tuple(decoded)), digest
 
 
-def _echo(value, limit: int = 80) -> str:
-    """``repr(value)``, cut to at most ``limit`` characters for a message."""
+def _echo(value) -> str:
+    """``repr(value)``, cut to at most 80 characters for a message."""
     text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _is_str_list(x) -> bool:
@@ -285,14 +284,8 @@ def _step_payload(step) -> dict:
 def _cmd_unfold(args):
     from .unfolding import eliminate_negative_arcs, pair_count_check
 
-    if args.mode == "plain" and args.value is not None:
-        raise ValueError("--value needs --mode regular-value")
-    if args.mode == "regular-value" and args.arc is not None:
-        raise ValueError("--mode regular-value builds its own arc; drop --arc")
     f, digest = _load_map(args.map)
-    arc = _arc_from(args)
-    value = None if args.value is None else frac(args.value)
-    final, trace = eliminate_negative_arcs(f, arc, args.mode, value)
+    final, trace = eliminate_negative_arcs(f, _arc_from(args), args.value)
     base = f.reflect() if trace.reflected else f
     pairs = pair_count_check(base, final)
     cls = pairs.classification
@@ -573,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("map", help=_MAP_HELP)
     p.add_argument("--arc", nargs=2, metavar=("START", "END"))
-    p.add_argument("--mode", choices=("plain", "regular-value"), default="plain")
-    p.add_argument("--value", help="target point for regular-value mode")
+    p.add_argument("--value", help="grow around this regular value (not with --arc)")
     p.set_defaults(fn=_cmd_unfold)
 
     p = sub.add_parser(

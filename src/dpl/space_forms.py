@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .circle_maps import _is_int, make_map, mod1
-from .double_points import double_point_curve, hopf_invariant
 
 __all__ = [
     "BadParameter",
@@ -140,7 +139,10 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
 def from_table(
     table: Sequence[Sequence[int]], name: str = "custom"
 ) -> FiniteSubgroupS3:
-    tbl = tuple(tuple(int(v) for v in row) for row in table)
+    tbl = tuple(tuple(row) for row in table)
+    bad = [v for row in tbl for v in row if not _is_int(v)]
+    if bad:
+        raise BadParameter(f"table entries must be ints, not {bad[0]!r}")
     validate_table(tbl)
     return FiniteSubgroupS3(name=name, order=len(tbl), table=tbl)
 
@@ -349,6 +351,8 @@ def dcover_consistency(d: int) -> DcoverReport:
     """
     if not 1 <= d <= _MAX_ORDER:
         raise BadParameter(f"the covering degree must be 1 to {_MAX_ORDER}, not {d}")
+    from .double_points import double_point_curve, hopf_invariant
+
     group = build_group("cyclic", d)
     model = cover_double_point_model(group)
     f = make_map([(0, 0)], d)

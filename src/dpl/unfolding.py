@@ -127,7 +127,6 @@ __all__ = [
     "PairCountReport",
     "pair_count_check",
     "IntervalPLMap",
-    "IntervalMapPair",
     "make_interval_map",
     "CornerReport",
     "corner_connectivity",
@@ -448,7 +447,8 @@ def _plain_eliminate(
                 break
         else:
             # the module's first lemma: a stall means no sweep-free end is in reach
-            assert not _sweep_free_end_reachable(f, cur), "greedy growth stalled"
+            if _sweep_free_end_reachable(f, cur):
+                raise AssertionError("greedy growth stalled")
             raise UnfoldingBlocked(
                 "every reachable end position is crossed by a full downward sweep"
             )
@@ -506,36 +506,35 @@ def _blocking_neutrals(
 def eliminate_negative_arcs(
     f: PLCircleMap,
     arc: TransverseArc | None = None,
-    mode: str = "plain",
     value: Union[RationalLike, Angle, None] = None,
 ) -> tuple[TransverseArc, UnfoldTrace]:
     """Grow the arc until its preimage has no negative components.
 
     When no arc is given, a short one is placed inside a sweep-free fold
     gap, where growth is guaranteed to finish.  The grown arc always
-    contains the original one as an open subset.  Modes:
+    contains the original one as an open subset.  The trace's mode follows
+    from ``value``:
 
-    - ``plain`` grows ``arc``, or the default arc, until no component is
-      negative;
-    - ``regular-value`` ignores ``arc``, builds the initial arc around
-      ``value`` and keeps growing until every component meeting that
-      value's fiber is a positive arc or a circle.
+    - ``plain``, without a value, grows ``arc``, or the default arc, until
+      no component is negative;
+    - ``regular-value``, given a value, builds the initial arc around it and
+      keeps growing until every component meeting that value's fiber is a
+      positive arc or a circle.  An ``arc`` as well is refused with
+      InfeasibleParameters.
 
     Maps of negative degree are handled through the orientation-reversing
     change of domain coordinate x -> -x: the trace is computed for the
     reflected map (flag ``reflected``), path witnesses are reported back in
     the original coordinates, and target-side arcs need no translation.
     """
-    if mode not in ("plain", "regular-value"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if arc is not None and value is not None:
+        raise InfeasibleParameters("a regular value builds its own arc; drop the arc")
     if f.degree < 0:
-        final_arc, trace = eliminate_negative_arcs(f.reflect(), arc, mode, value)
+        final_arc, trace = eliminate_negative_arcs(f.reflect(), arc, value)
         steps = tuple(replace(s, path=_reflect_path(s.path)) for s in trace.steps)
-        return final_arc, UnfoldTrace(steps, final_arc, mode, reflected=True)
+        return final_arc, UnfoldTrace(steps, final_arc, trace.mode, reflected=True)
 
-    if mode == "regular-value":
-        if value is None:
-            raise InfeasibleParameters("regular-value mode needs a value")
+    if value is not None:
         z = _as_angle(value)
         cur, steps, cls = _plain_eliminate(f, _arc_around(f, z))
         # A neutral component enters and leaves the arc over one endpoint,
@@ -566,12 +565,12 @@ def eliminate_negative_arcs(
                 raise UnfoldingBlocked(
                     "no extension frees the regular value from neutral components"
                 )
-        return cur, UnfoldTrace(tuple(steps), cur, mode, reflected=False)
+        return cur, UnfoldTrace(tuple(steps), cur, "regular-value", reflected=False)
 
     if arc is None:
         arc = _default_arc(f)
     cur, steps, _ = _plain_eliminate(f, arc)
-    return cur, UnfoldTrace(tuple(steps), cur, mode, reflected=False)
+    return cur, UnfoldTrace(tuple(steps), cur, "plain", reflected=False)
 
 
 def _reflect_path(path: BalancedPath | None) -> BalancedPath | None:
@@ -701,12 +700,6 @@ def make_interval_map(
 
 
 @dataclass(frozen=True)
-class IntervalMapPair:
-    first: IntervalPLMap
-    second: IntervalPLMap
-
-
-@dataclass(frozen=True)
 class CornerReport:
     connected: bool
     witness: tuple[tuple[Fraction, Fraction], ...]
@@ -725,7 +718,7 @@ def _with_collar(m: IntervalPLMap) -> IntervalPLMap:
     return IntervalPLMap(collar[:1] + m.breakpoints[1:-1] + collar[1:])
 
 
-def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
+def corner_connectivity(first: IntervalPLMap, second: IntervalPLMap) -> CornerReport:
     """Whether the two corner solutions (0,0) and (1,1) share a component.
 
     The solution set {f(x) = g(y)} is a 1-manifold with boundary on the square
@@ -733,27 +726,24 @@ def corner_connectivity(pair: IntervalMapPair) -> CornerReport:
     is itself a fold value, both maps are extended by an identity collar so
     the corners become regular; the report records that.
     """
-    fa, fb = pair.first, pair.second
-    shared = fa.interior_fold_values & fb.interior_fold_values
+    shared = first.interior_fold_values & second.interior_fold_values
     if shared:
         raise DuplicateVertexValue(f"the two maps share the fold value {min(shared)}")
-    boundary_hit = {Fraction(0), Fraction(1)} & (
-        fa.interior_fold_values | fb.interior_fold_values
-    )
-    collar = bool(boundary_hit)
+    folds = first.interior_fold_values | second.interior_fold_values
+    collar = not folds.isdisjoint((0, 1))
     if collar:
-        fa, fb = _with_collar(fa), _with_collar(fb)
-    lo = fa.breakpoints[0][0]
-    hi = fa.breakpoints[-1][0]
+        first, second = _with_collar(first), _with_collar(second)
+    lo = first.breakpoints[0][0]
+    hi = first.breakpoints[-1][0]
 
     # one grid for both maps, so that their values compare as ints
-    grid = _grid_of(fa.breakpoints + fb.breakpoints)
-    pieces, succ = _glued_pieces(fa._rows(grid), fb._rows(grid), None, grid)
+    grid = _grid_of(first.breakpoints + second.breakpoints)
+    pieces, succ = _glued_pieces(first._rows(grid), second._rows(grid), None, grid)
     runs = _chains(range(len(pieces)), succ)
     # Both first laps rise from the corner (lo, lo), so the first piece
     # starts there, has no predecessor and begins the first run.
-    first = runs[0]
-    witness = [pieces[first[0]][3]] + [pieces[si][4] for si in first]
+    run = runs[0]
+    witness = [pieces[run[0]][3]] + [pieces[si][4] for si in run]
     if witness[0] != (lo, lo):
         raise AssertionError("corner solutions missing")
     return CornerReport(

@@ -1,6 +1,9 @@
-"""The package's public names are its modules' ``__all__`` lists, once each."""
+"""The package's public names are its modules' ``__all__`` lists, once each,
+and its source holds no ``assert`` statement."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import dpl
 from dpl import circle_maps, double_points, space_forms, sweeps, unfolding
@@ -29,3 +32,15 @@ def test_public_callables_take_no_private_parameters():
             continue
         private = [p for p in params if p.startswith("_")]
         assert not private, f"{name} takes {private}"
+
+
+def test_library_has_no_assert_statement():
+    # ``python -O`` strips assert statements; a consistency check raises
+    # AssertionError itself, so it runs under every flag
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(dpl.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

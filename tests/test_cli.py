@@ -135,9 +135,7 @@ def test_unfold_blocked_exits_one(capsys, tmp_path):
 
 
 def test_unfold_regular_value_mode(capsys, tent_file):
-    code, doc = run_json(
-        capsys, "unfold", tent_file, "--mode", "regular-value", "--value", "1/8"
-    )
+    code, doc = run_json(capsys, "unfold", tent_file, "--value", "1/8")
     assert code == 0
     assert doc["result"]["mode"] == "regular-value"
     assert doc["result"]["final_counts"]["negative"] == 0
@@ -463,11 +461,9 @@ REFUSED = [
     ("dcover upto not an int", ["dcover-check", "--upto", "x"], None),
     ("analyze without a map", ["analyze"], None),
     ("group extra argument", ["group", "cyclic", "4", "5"], None),
-    ("unfold value in plain mode", ["unfold", "FILE", "--value", "1/8"], TENT),
     (
         "unfold arc in regular-value mode",
-        ["unfold", "FILE", "--mode", "regular-value", "--value", "1/8"]
-        + ["--arc", "1/4", "3/8"],
+        ["unfold", "FILE", "--value", "1/8", "--arc", "1/4", "3/8"],
         TENT,
     ),
     ("group infinite with an order", ["group", "infinite", "3"], None),
@@ -610,11 +606,8 @@ def _invocations(draw):
     if command != "hopf" and draw(st.booleans()):
         arc = draw(st.one_of(st.tuples(_ARGS, _ARGS), st.just(("11/20", "1/20"))))
         argv += ["--arc", *arc]
-    if command == "unfold":
-        if draw(st.booleans()):
-            argv += ["--mode", "regular-value"]
-        if draw(st.booleans()):
-            argv += ["--value", draw(_ARGS)]
+    if command == "unfold" and draw(st.booleans()):
+        argv += ["--value", draw(_ARGS)]
     return argv, draw(_MAP_TEXTS)
 
 

@@ -36,7 +36,6 @@ import dpl.unfolding
 from dpl import (
     Angle,
     Event,
-    IntervalMapPair,
     SweepMovie,
     TransverseArc,
     assign_disks,
@@ -85,9 +84,7 @@ def _map_file(name: str) -> str:
 OTHER_RUNS = {
     "analyze-tent-arc": ["analyze", _map_file("tent"), "--arc", "1/4", "3/8"],
     "unfold-tent-arc": ["unfold", _map_file("tent"), "--arc", "1/4", "3/8"],
-    "unfold-tent-regular-value": [
-        "unfold", _map_file("tent"), "--mode", "regular-value", "--value", "1/8"
-    ],
+    "unfold-tent-regular-value": ["unfold", _map_file("tent"), "--value", "1/8"],
     "unfold-random-9-arc": ["unfold", _map_file("random-9"), "--arc", "1/16", "5/16"],
     "unfold-deep-blocked": ["unfold", _map_file("deep"), "--arc", "11/20", "1/20"],
     **{
@@ -214,7 +211,7 @@ def corner_report(seed: int):
     first = make_interval_map(_random_interval_breakpoints(rng, rng.choice((12, 20))))
     second = make_interval_map(_random_interval_breakpoints(rng, rng.choice((12, 21))))
     try:
-        r = corner_connectivity(IntervalMapPair(first, second))
+        r = corner_connectivity(first, second)
     except (ValueError, AssertionError) as exc:
         return ("raises", type(exc).__name__)
     return (r.connected, r.witness, r.collar_extended, r.component_count)
@@ -284,13 +281,13 @@ def classify_structure(seed: int):
 
 
 def unfold_structure(seed: int):
-    """Criterion 3's map unfolded from the default arc, and regular-value
-    mode at a drawn value on a smaller map."""
+    """Criterion 3's map unfolded from the default arc, and a smaller map
+    unfolded around a drawn regular value."""
     g = random_map(seed, 8, 3)
     z = _regular(g, random.Random(f"golden unfold {seed}"))
     return (
         _outcome(eliminate_negative_arcs, random_map(seed, 40, 5)),
-        _outcome(eliminate_negative_arcs, g, None, "regular-value", z),
+        _outcome(eliminate_negative_arcs, g, None, z),
     )
 
 

@@ -27,7 +27,7 @@ COMMANDS = {
     "analyze": (["analyze", MAP], CURVE),
     "unfold": (["unfold", MAP], [*CURVE, "dpl.unfolding"]),
     "hopf": (["hopf", MAP], CURVE),
-    "group": (["group", "binary_icosahedral"], [*CURVE, "dpl.space_forms"]),
+    "group": (["group", "binary_icosahedral"], [*CLI, "dpl.space_forms"]),
     "dcover-check": (["dcover-check", "4"], [*CURVE, "dpl.space_forms"]),
     "sweep movie": (["sweep", MOVIE], [*CLI, "dpl.sweeps"]),
     "sweep census": (["sweep", "--census"], [*CLI, "dpl.sweeps"]),

@@ -511,6 +511,26 @@ MUTANTS = {
         _rewritten(dpl.cli._load_map, "abs(b - a)", "(b - a)"),
         _fails(test_cli.test_map_files_past_their_limits_are_refused),
     ),
+    "table entry test that takes a bool": (
+        test_space_forms,
+        "from_table",
+        _rewritten(dpl.space_forms.from_table, "not _is_int(v)", "not isinstance(v, int)"),
+        _fails(
+            lambda: test_space_forms.test_from_table_takes_only_int_entries(
+                [[0, 1], [1, False]], "False"
+            )
+        ),
+    ),
+    "arc beside a value ignored": (
+        test_unfolding,
+        "eliminate_negative_arcs",
+        _rewritten(
+            dpl.unfolding.eliminate_negative_arcs,
+            "if arc is not None and value is not None:",
+            "if False:",
+        ),
+        _fails(test_unfolding.test_unfold_refuses_an_arc_with_a_value),
+    ),
     "package loader without one module": (
         dpl,
         "_MODULES",

@@ -159,6 +159,21 @@ def test_from_table_roundtrip():
     assert involution_count(z3) == 0
 
 
+# each table would pass ``validate_table`` were its entries coerced by int
+@pytest.mark.parametrize(
+    "table, entry",
+    [
+        pytest.param([[0.0, 1], [1, 0]], "0.0", id="float"),
+        pytest.param([[0, F(3, 2)], [1, 0]], "Fraction(3, 2)", id="truncating fraction"),
+        pytest.param([[0, "1"], [1, 0]], "'1'", id="string"),
+        pytest.param([[0, 1], [1, False]], "False", id="bool"),
+    ],
+)
+def test_from_table_takes_only_int_entries(table, entry):
+    with pytest.raises(BadParameter, match=re.escape(f"must be ints, not {entry}")):
+        from_table(table)
+
+
 # ---------------------------------------------------------------- involutions
 
 

@@ -39,7 +39,6 @@ from dpl.properties import _sweep_free_reach
 from dpl.sweeps import Infeasible
 from dpl.unfolding import (
     EulerGraph,
-    IntervalMapPair,
     NoOppositeArc,
     PreconditionUnmet,
     UnfoldingBlocked,
@@ -605,7 +604,7 @@ def test_unfold_negative_degree_goes_through_reflection():
 
 def test_unfold_regular_value_mode_clears_the_fiber():
     f = tent()
-    arc, trace = eliminate_negative_arcs(f, mode="regular-value", value=F(1, 8))
+    arc, trace = eliminate_negative_arcs(f, value=F(1, 8))
     assert trace.mode == "regular-value"
     cls = classify_preimage(f, arc)
     for x in f.fiber(F(1, 8)):
@@ -620,7 +619,7 @@ def test_regular_value_traces_list_each_arc_once():
         f = random_map(seed, 8, 3)
         lo, width = value_gaps(f)[0]
         try:
-            _, trace = eliminate_negative_arcs(f, None, "regular-value", lo + width / 2)
+            _, trace = eliminate_negative_arcs(f, value=lo + width / 2)
         except UnfoldingBlocked:
             continue
         arcs = [s.arc for s in trace.steps]
@@ -632,15 +631,16 @@ def test_regular_value_traces_list_each_arc_once():
 def test_unfold_regular_value_mode_refuses_a_critical_value():
     for value in (0, F(3, 4)):  # the tent's two fold values
         with pytest.raises(EndpointNotRegular, match="is a critical value"):
-            eliminate_negative_arcs(tent(), mode="regular-value", value=value)
-    with pytest.raises(InfeasibleParameters):
-        eliminate_negative_arcs(tent(), mode="regular-value")
+            eliminate_negative_arcs(tent(), value=value)
 
 
-def test_unfold_rejects_unknown_mode():
-    for mode in ("inside-out", "open-subset"):
-        with pytest.raises(ValueError):
-            eliminate_negative_arcs(tent(), mode=mode)
+def test_unfold_refuses_an_arc_with_a_value():
+    # a value builds its own arc, so an arc given beside it would be ignored
+    arc = TransverseArc(Angle(F(1, 4)), Angle(F(3, 8)))
+    neg = make_map([(0, 0), (F(1, 3), F(-5, 4)), (F(2, 3), F(-7, 4))], -2)
+    for f in (tent(), neg):
+        with pytest.raises(InfeasibleParameters, match="builds its own arc"):
+            eliminate_negative_arcs(f, arc, F(1, 8))
 
 
 # ---------------------------------------------------------------- pair counts
@@ -682,7 +682,7 @@ def test_pair_count_requires_unfolded_arc():
 def test_corner_connectivity_identity_pair():
     idn = make_interval_map([(0, 0), (1, 1)])
     zig = make_interval_map([(0, 0), (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)), (1, 1)])
-    report = corner_connectivity(IntervalMapPair(idn, zig))
+    report = corner_connectivity(idn, zig)
     assert report.connected
     assert not report.collar_extended
     assert report.component_count == 1
@@ -693,7 +693,7 @@ def test_corner_connectivity_identity_pair():
 def test_corner_connectivity_two_zigzags():
     zig = make_interval_map([(0, 0), (F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)), (1, 1)])
     zag = make_interval_map([(0, 0), (F(1, 4), F(3, 4)), (F(1, 2), F(1, 4)), (1, 1)])
-    report = corner_connectivity(IntervalMapPair(zig, zag))
+    report = corner_connectivity(zig, zag)
     assert report.connected
     assert report.component_count == 1
 
@@ -702,9 +702,9 @@ def test_corner_connectivity_collar_cases():
     idn = make_interval_map([(0, 0), (1, 1)])
     zag = make_interval_map([(0, 0), (F(1, 4), F(3, 4)), (F(1, 2), F(1, 4)), (1, 1)])
     touch = make_interval_map([(0, 0), (F(1, 2), 1), (F(3, 4), F(1, 2)), (1, 1)])
-    r1 = corner_connectivity(IntervalMapPair(idn, touch))
+    r1 = corner_connectivity(idn, touch)
     assert r1.connected and r1.collar_extended and r1.component_count == 1
-    r2 = corner_connectivity(IntervalMapPair(zag, touch))
+    r2 = corner_connectivity(zag, touch)
     assert r2.connected and r2.collar_extended and r2.component_count == 2
 
 
@@ -714,7 +714,7 @@ def test_corner_connectivity_rejects_shared_fold_values():
     from dpl import DuplicateVertexValue
 
     with pytest.raises(DuplicateVertexValue):
-        corner_connectivity(IntervalMapPair(a, b))
+        corner_connectivity(a, b)
 
 
 def corner_pairs():
