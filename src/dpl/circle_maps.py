@@ -721,8 +721,8 @@ def random_map(seed: int, max_folds: int, max_degree: int) -> PLCircleMap:
     is crossed by a full downward sweep (or upward, for negative degree) are
     rejected, so generated maps always admit arc unfolding.
     """
-    if max_folds < 0 or max_degree < 0:
-        raise InfeasibleParameters("bounds must be nonnegative")
+    if not all(_is_int(b) and b >= 0 for b in (max_folds, max_degree)):
+        raise InfeasibleParameters("bounds must be ints >= 0")
     if max_degree == 0 and max_folds < 2:
         raise InfeasibleParameters("a fold-free map has |degree| >= 1")
     rng = random.Random(seed)

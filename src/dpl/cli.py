@@ -365,8 +365,6 @@ def _cmd_group(args):
 def _cmd_dcover_check(args):
     from .space_forms import dcover_consistency
 
-    if args.degree is not None and args.upto is not None:
-        raise ValueError("dcover-check takes a degree or --upto, not both")
     upto = 12 if args.upto is None else args.upto
     payload = {"command": "dcover-check", "degree": args.degree, "upto": upto}
     if args.degree is None:
@@ -401,8 +399,6 @@ def _cmd_sweep(args):
         validate_movie,
     )
 
-    if args.census + (args.movie is not None) + (args.random is not None) > 1:
-        raise ValueError("sweep takes only one of --census, a movie file or --random")
     if args.census:
         report = surgery_census()
         result = {
@@ -591,8 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="match circle covers against the group model",
     )
-    p.add_argument("degree", nargs="?", type=int, default=None, help="at most 300")
-    p.add_argument("--upto", type=int, default=None, help="default 12, at most 50")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("degree", nargs="?", type=int, default=None, help="at most 300")
+    one.add_argument("--upto", type=int, default=None, help="default 12, at most 50")
     p.set_defaults(fn=_cmd_dcover_check)
 
     p = sub.add_parser(
@@ -600,9 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="validate and embed a circle movie",
     )
-    p.add_argument("movie", nargs="?", default=None, help="movie JSON file")
-    p.add_argument("--random", type=int, default=None, metavar="SEED")
-    p.add_argument("--census", action="store_true", help="check the bundled census")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("movie", nargs="?", default=None, help="movie JSON file")
+    one.add_argument("--random", type=int, default=None, metavar="SEED")
+    one.add_argument("--census", action="store_true", help="check the bundled census")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser(

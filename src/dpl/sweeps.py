@@ -35,7 +35,7 @@ from itertools import count
 from math import inf, lcm
 from typing import Mapping, Sequence
 
-from .circle_maps import InfeasibleParameters, RationalLike, frac
+from .circle_maps import InfeasibleParameters, RationalLike, _is_int, frac
 
 __all__ = [
     "DanglingLabel",
@@ -558,8 +558,8 @@ def embedding_certificate(
 
 def random_movie(seed: int, max_events: int = 20) -> SweepMovie:
     """A deterministic random movie that always validates."""
-    if max_events < 0:
-        raise InfeasibleParameters("max_events must be nonnegative")
+    if not _is_int(max_events) or max_events < 0:
+        raise InfeasibleParameters("max_events must be an int >= 0")
     rng = random.Random(seed)
     fresh = map("c{}".format, count(1))
     initial = tuple(next(fresh) for _ in range(rng.randint(1, 3)))
@@ -604,8 +604,8 @@ def surgery_parity(c_in: int, c_out: int, n: int) -> tuple[bool, int]:
     a parity mismatch forces at least one count-preserving, side-swapping
     move.  Returns (orientable_only_feasible, minimum_nonorientable_moves).
     """
-    if c_in < 1 or c_out < 1 or n < 0:
-        raise InfeasibleParameters("counts must be positive and n nonnegative")
+    if not all(map(_is_int, (c_in, c_out, n))) or c_in < 1 or c_out < 1 or n < 0:
+        raise InfeasibleParameters("counts must be positive ints and n an int >= 0")
     delta = abs(c_out - c_in)
     if n < delta:
         raise Infeasible(f"{n} surgeries cannot change the count by {delta}")

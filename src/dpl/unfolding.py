@@ -1,11 +1,14 @@
 """Arc unfolding, balanced paths, pair counting, and Eulerian resolutions.
 
 The centerpiece is :func:`eliminate_negative_arcs`: grow a transverse arc,
-one fold-gap at a time, until its preimage has no negative components.  Each
-growth step is witnessed by a balanced path - an embedded domain path from a
-negative arc to a level-matched positive one along which the lift of the map
-returns to its starting height.  Growth keeps the arcs nested, so the final
-arc contains the initial one as an open subset.
+one fold-gap at a time, until its preimage has no negative components.  One
+loop does all the growing, in two phases.  In the first, each step lowers
+the negative count and is witnessed by a balanced path - an embedded domain
+path from a negative arc to a level-matched positive one along which the
+lift of the map returns to its starting height.  The second runs only in
+regular-value mode: it grows the unfolded arc on until no neutral component
+meets the value's fiber, and its steps carry no path.  Growth keeps the arcs
+nested, so the final arc contains the initial one as an open subset.
 
 Greedy growth is complete.  A step takes the first candidate arc with fewer
 negative components that can still move its end onto a level with no full
@@ -97,6 +100,7 @@ from .circle_maps import (
     NonIncreasingDomain,
     PLCircleMap,
     PreimageClassification,
+    PreimageComponent,
     RationalLike,
     TransverseArc,
     UnfoldingBlocked,
@@ -255,9 +259,12 @@ def find_balanced_path(
     arc traversed counterclockwise.  Scans counterclockwise first, then
     clockwise.  For a negative component of a map with nonnegative degree
     the counterclockwise scan always succeeds (Lemma B in the module
-    docstring).
+    docstring).  An index that is not an int in ``0 <= start_index <
+    len(components)`` raises InfeasibleParameters.
     """
     cls = classify_preimage(f, TransverseArc(arc.ccw_start, arc.ccw_end))
+    if not _is_int(start_index) or not 0 <= start_index < len(cls.components):
+        raise InfeasibleParameters(f"no component {start_index!r}")
     comp = cls.components[start_index]
     if comp.kind not in ("positive", "negative"):
         raise PreconditionUnmet(f"component {start_index} is {comp.kind}, not an arc")
@@ -415,37 +422,58 @@ def _sweep_free_end_reachable(f: PLCircleMap, arc: TransverseArc) -> bool:
     return any(sweeps[(above + i) % len(sweeps)] == 0 for i in range(-1, passed))
 
 
-def _plain_eliminate(
-    f: PLCircleMap, arc: TransverseArc
-) -> tuple[TransverseArc, list[UnfoldStep], PreimageClassification]:
-    """The grown arc, the steps taken and the grown arc's classification.
+def _grow(
+    f: PLCircleMap, arc: TransverseArc, fiber: tuple[Fraction, ...] = ()
+) -> list[UnfoldStep]:
+    """The steps that grow the arc, the last one holding the grown arc.
 
-    Each step classifies candidates, made on demand in the order of
-    :func:`_candidate_order`, and takes the first with fewer negative
-    components that keeps a sweep-free end in reach.  ``need`` asks for a
-    start below the lowest value of the balanced path that witnesses the
-    first negative component; Lemma B says that path exists.  The reach
-    guard is needed: a first pick can lower the count and still leave no
-    sweep-free end in reach, and growth from there would stall.
+    Each round classifies candidates, made on demand, and takes the first
+    that does better.  While a component is negative, the candidates come
+    in the order of :func:`_candidate_order`, and the first with fewer
+    negative components that keeps a sweep-free end in reach is taken.
+    ``need`` asks for a start below the lowest value of the balanced path
+    that witnesses the first negative component; Lemma B says that path
+    exists.  The reach guard is needed: a first pick can lower the count
+    and still leave no sweep-free end in reach, and growth from there would
+    stall.
+
+    Once none is negative, growth goes on while a neutral component meets
+    ``fiber``: the round grows the side that the first such blocker enters
+    over and takes the first candidate with fewer blockers.  A blocker
+    enters and leaves the arc over one endpoint, so it holds a local
+    extremum of the lift, which is a fold: there are at most lap_count
+    blockers, and this phase ends within lap_count + 1 rounds.  Growing an
+    unfolded arc adds no negative component (the consequences of Lemma A),
+    so each candidate is unfolded as it stands.
     """
     cur = TransverseArc(arc.ccw_start, arc.ccw_end)
     cls = classify_preimage(f, cur)
+    blockers = _blocking_neutrals(cls, fiber)
     steps: list[UnfoldStep] = []
-    while cls.negative_count > 0:
-        start_index = next(
-            i for i, c in enumerate(cls.components) if c.kind == "negative"
-        )
-        path = _try_direction(f, cls, start_index, 1)
-        need = cur.width + (path.level - path.path_min)
-        for _, side, point in _candidate_order(f, cur, need):
+    while cls.negative_count > 0 or blockers:
+        path = None
+        if cls.negative_count > 0:
+            kinds = [c.kind for c in cls.components]
+            path = _try_direction(f, cls, kinds.index("negative"), 1)
+            need = cur.width + (path.level - path.path_min)
+            candidates = _candidate_order(f, cur, need)
+        else:
+            grow_start = blockers[0].endpoint_values[0] == cur.ccw_start
+            candidates = _growth_candidates(f, cur, "start" if grow_start else "end")
+        for _, side, point in candidates:
             cand = _candidate_arc(cur, side, point)
             new_cls = classify_preimage(f, cand)
-            if (
-                new_cls.negative_count < cls.negative_count
-                and _sweep_free_end_reachable(f, cand)
-            ):
-                break
+            if path is None:
+                if len(_blocking_neutrals(new_cls, fiber)) < len(blockers):
+                    break
+            elif new_cls.negative_count < cls.negative_count:
+                if _sweep_free_end_reachable(f, cand):
+                    break
         else:
+            if path is None:
+                raise UnfoldingBlocked(
+                    "no extension frees the regular value from neutral components"
+                )
             # the module's first lemma: a stall means no sweep-free end is in reach
             if _sweep_free_end_reachable(f, cur):
                 raise AssertionError("greedy growth stalled")
@@ -463,8 +491,9 @@ def _plain_eliminate(
             )
         )
         cur, cls = cand, new_cls
+        blockers = _blocking_neutrals(cls, fiber)
     steps.append(UnfoldStep(cur, 0, cls.positive_count, None, None, None))
-    return cur, steps, cls
+    return steps
 
 
 def _default_arc(f: PLCircleMap) -> TransverseArc:
@@ -491,15 +520,13 @@ def _arc_around(f: PLCircleMap, z: Angle) -> TransverseArc:
 
 def _blocking_neutrals(
     cls: PreimageClassification, fiber: tuple[Fraction, ...]
-) -> list[int]:
-    """Indices of the neutral components of ``cls`` that meet ``fiber``."""
+) -> list[PreimageComponent]:
+    """The neutral components of ``cls`` that meet ``fiber``, in fiber order."""
     out = []
     for x in fiber:
         comp = cls.component_containing(x)
-        if comp is not None and comp.kind == "neutral":
-            idx = cls.components.index(comp)
-            if idx not in out:
-                out.append(idx)
+        if comp is not None and comp.kind == "neutral" and comp not in out:
+            out.append(comp)
     return out
 
 
@@ -512,14 +539,17 @@ def eliminate_negative_arcs(
 
     When no arc is given, a short one is placed inside a sweep-free fold
     gap, where growth is guaranteed to finish.  The grown arc always
-    contains the original one as an open subset.  The trace's mode follows
-    from ``value``:
+    contains the original one as an open subset.  One growth loop makes
+    every trace, in two phases: the first grows until no component is
+    negative, and the second grows on while a neutral component meets a
+    given fiber.  The trace's mode follows from ``value``:
 
-    - ``plain``, without a value, grows ``arc``, or the default arc, until
-      no component is negative;
+    - ``plain``, without a value, grows ``arc``, or the default arc, through
+      the first phase only;
     - ``regular-value``, given a value, builds the initial arc around it and
-      keeps growing until every component meeting that value's fiber is a
-      positive arc or a circle.  An ``arc`` as well is refused with
+      runs both phases on that value's fiber, so every component meeting it
+      ends a positive arc or a circle.  Its trace starts with the plain
+      trace of that initial arc.  An ``arc`` as well is refused with
       InfeasibleParameters.
 
     Maps of negative degree are handled through the orientation-reversing
@@ -534,43 +564,14 @@ def eliminate_negative_arcs(
         steps = tuple(replace(s, path=_reflect_path(s.path)) for s in trace.steps)
         return final_arc, UnfoldTrace(steps, final_arc, trace.mode, reflected=True)
 
-    if value is not None:
+    if value is None:
+        steps = _grow(f, arc or _default_arc(f))
+    else:
         z = _as_angle(value)
-        cur, steps, cls = _plain_eliminate(f, _arc_around(f, z))
-        # A neutral component enters and leaves the arc over one endpoint,
-        # so it holds a local extremum of the lift, which is a fold: there
-        # are at most lap_count blockers.  Each round strictly lowers their
-        # number, so the loop ends within lap_count + 1 rounds.
-        fiber = f.fiber(z)
-        blockers = _blocking_neutrals(cls, fiber)
-        while blockers:
-            side_value = cls.components[blockers[0]].endpoint_values[0]
-            grow_start = side_value == cur.ccw_start
-            want = "start" if grow_start else "end"
-            for _, side, point in _growth_candidates(f, cur, want):
-                cand = _candidate_arc(cur, side, point)
-                # growing the unfolded cur adds no negative component (see the
-                # consequences of Lemma A), so the candidate is unfolded as is
-                cand_cls = classify_preimage(f, cand)
-                cand_blockers = _blocking_neutrals(cand_cls, fiber)
-                if len(cand_blockers) < len(blockers):
-                    grown = (cand.start, None) if grow_start else (None, cand.end)
-                    counts = (cand_cls.negative_count, cand_cls.positive_count)
-                    # cur ends the steps so far; its step now carries the extension
-                    steps[-1] = UnfoldStep(cur, 0, cls.positive_count, None, *grown)
-                    steps.append(UnfoldStep(cand, *counts, None, None, None))
-                    cur, cls, blockers = cand, cand_cls, cand_blockers
-                    break
-            else:
-                raise UnfoldingBlocked(
-                    "no extension frees the regular value from neutral components"
-                )
-        return cur, UnfoldTrace(tuple(steps), cur, "regular-value", reflected=False)
-
-    if arc is None:
-        arc = _default_arc(f)
-    cur, steps, _ = _plain_eliminate(f, arc)
-    return cur, UnfoldTrace(tuple(steps), cur, "plain", reflected=False)
+        steps = _grow(f, _arc_around(f, z), f.fiber(z))
+    final_arc = steps[-1].arc
+    mode = "plain" if value is None else "regular-value"
+    return final_arc, UnfoldTrace(tuple(steps), final_arc, mode, reflected=False)
 
 
 def _reflect_path(path: BalancedPath | None) -> BalancedPath | None:
@@ -807,12 +808,13 @@ class EulerGraph:
     def component_edges(self, component: int) -> tuple[int, ...]:
         """The component's edge indices; empty exactly for a free loop.
 
-        Every call that takes a component index checks it here: one outside
-        ``0 <= component < component_count`` raises InfeasibleParameters.
+        Every call that takes a component index checks it here: one that is
+        not an int in ``0 <= component < component_count`` raises
+        InfeasibleParameters.
         """
         by_component = self._edges_by_component
-        if not 0 <= component < len(by_component):
-            raise InfeasibleParameters(f"no component {component}")
+        if not _is_int(component) or not 0 <= component < len(by_component):
+            raise InfeasibleParameters(f"no component {component!r}")
         return by_component[component]
 
 
@@ -934,8 +936,8 @@ def trace_circuits(
 
 def random_admissible_graph(seed: int, n_vertices: int) -> EulerGraph:
     """Union of two uniformly random permutations: in/out degree two everywhere."""
-    if n_vertices < 0:
-        raise InfeasibleParameters("vertex count must be nonnegative")
+    if not _is_int(n_vertices) or n_vertices < 0:
+        raise InfeasibleParameters("vertex count must be an int >= 0")
     if n_vertices == 0:
         return EulerGraph(edges=(), free_loops=1)
     rng = random.Random(seed)

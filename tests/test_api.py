@@ -44,3 +44,36 @@ def test_library_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_private_definition_is_used_in_the_library():
+    # a private function, method, class or module constant that only the
+    # tests read is a fork kept for their sake; a reference inside the
+    # definition itself (recursion) does not count
+    defined, used = [], []
+    for path in sorted(Path(dpl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, path.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.append((node.attr, path.name, node.lineno))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in ast.walk(ast.Tuple(targets)):
+                    if isinstance(name, ast.Name):
+                        span = (path.name, node.lineno, node.end_lineno)
+                        defined.append((name.id, *span))
+    unused = [
+        f"{file}:{first} {name}"
+        for name, file, first, last in defined
+        if name.startswith("_") and not name.startswith("__")
+        if not any(
+            n == name and not (f == file and first <= line <= last)
+            for n, f, line in used
+        )
+    ]
+    assert unused == []

@@ -666,6 +666,11 @@ def test_random_map_validates_bounds():
         random_map(0, -1, 2)
     with pytest.raises(InfeasibleParameters):
         random_map(0, 0, 0)  # no folds and degree 0 is impossible
+    # a bool would read as 0 or 1, and a float or a string would fail
+    # inside random
+    for bounds in ((8, True), (False, 3), (8.0, 3), (8, 1.5), ("8", 3)):
+        with pytest.raises(InfeasibleParameters, match="bounds must be ints >= 0"):
+            random_map(5, *bounds)
 
 
 def test_random_map_redraws_a_degree_that_leaves_no_fold_count():

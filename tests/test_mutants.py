@@ -531,6 +531,81 @@ MUTANTS = {
         ),
         _fails(test_unfolding.test_unfold_refuses_an_arc_with_a_value),
     ),
+    "blocker count need not fall": (
+        dpl.unfolding,
+        "_grow",
+        _rewritten(dpl.unfolding._grow, "< len(blockers)", "<= len(blockers)"),
+        _fails(test_unfolding.test_regular_value_traces_start_with_the_plain_trace),
+    ),
+    "blocker grown on the other side": (
+        dpl.unfolding,
+        "_grow",
+        _rewritten(
+            dpl.unfolding._grow,
+            '"start" if grow_start else "end"',
+            '"end" if grow_start else "start"',
+        ),
+        _fails(test_unfolding.test_regular_value_traces_start_with_the_plain_trace),
+    ),
+    "balanced path index read from the end": (
+        test_unfolding,
+        "find_balanced_path",
+        # -1 reads the last component, as a list index does
+        _rewritten(
+            dpl.unfolding.find_balanced_path,
+            "not 0 <= start_index <",
+            "not start_index <",
+        ),
+        _fails(lambda: test_unfolding.test_balanced_path_index_must_name_a_component(-1)),
+    ),
+    "map bounds that take a bool": (
+        test_circle_maps,
+        "random_map",
+        _rewritten(dpl.circle_maps.random_map, "_is_int(b) and ", ""),
+        _fails(test_circle_maps.test_random_map_validates_bounds),
+    ),
+    "vertex count that takes a bool": (
+        test_unfolding,
+        "random_admissible_graph",
+        _rewritten(
+            dpl.unfolding.random_admissible_graph, "not _is_int(n_vertices) or ", ""
+        ),
+        _fails(
+            lambda: test_unfolding.test_unfolding_refuses_malformed_input(
+                lambda: test_unfolding.random_admissible_graph(0, True),
+                dpl.circle_maps.InfeasibleParameters,
+                "vertex count must be an int",
+            )
+        ),
+    ),
+    "component index that takes a bool": (
+        test_unfolding.EulerGraph,
+        "component_edges",
+        _rewritten(
+            dpl.unfolding.EulerGraph.component_edges, "not _is_int(component) or ", ""
+        ),
+        _fails(test_unfolding.test_component_out_of_range),
+    ),
+    "event bound that takes a bool": (
+        test_sweeps,
+        "random_movie",
+        _rewritten(dpl.sweeps.random_movie, "not _is_int(max_events) or ", ""),
+        _fails(
+            lambda: test_sweeps.test_sweeps_refuse_malformed_input(
+                lambda: test_sweeps.random_movie(0, max_events=True),
+                dpl.circle_maps.InfeasibleParameters,
+                "max_events must be an int",
+            )
+        ),
+    ),
+    "surgery counts that take a fraction": (
+        test_unfolding,
+        "surgery_parity",
+        _rewritten(
+            dpl.sweeps.surgery_parity, "not all(map(_is_int, (c_in, c_out, n))) or ", ""
+        ),
+        _fails(test_unfolding.test_surgery_parity_infeasible),
+    ),
     "package loader without one module": (
         dpl,
         "_MODULES",

@@ -124,8 +124,20 @@ def test_movie_rejects_label_abuse():
         pytest.param(
             lambda: random_movie(0, max_events=-1),
             InfeasibleParameters,
-            "max_events must be nonnegative",
+            "max_events must be an int >= 0",
             id="negative max_events",
+        ),
+        pytest.param(
+            lambda: random_movie(0, max_events=True),
+            InfeasibleParameters,
+            "max_events must be an int >= 0",
+            id="bool max_events",
+        ),
+        pytest.param(
+            lambda: random_movie(0, max_events=2.5),
+            InfeasibleParameters,
+            "max_events must be an int >= 0",
+            id="float max_events",
         ),
     ],
 )
@@ -745,7 +757,8 @@ def test_census_rejects_unknown_moves():
         ),
         pytest.param(
             {"initial": [], "moves": []},
-            "parity check impossible: counts must be positive and n nonnegative",
+            "parity check impossible: "
+            "counts must be positive ints and n an int >= 0",
             id="parity check impossible",
         ),
     ],

@@ -42,11 +42,12 @@ from dpl.unfolding import (
     NoOppositeArc,
     PreconditionUnmet,
     UnfoldingBlocked,
+    _arc_around,
     _candidate_arc,
     _candidate_order,
     _growth_candidates,
+    _grow,
     _lift_extrema,
-    _plain_eliminate,
     _sweep_free_end_reachable,
     _try_direction,
     _with_collar,
@@ -95,6 +96,17 @@ def test_balanced_path_needs_an_arc_component():
     neutral = next(i for i, c in enumerate(cls.components) if c.kind == "neutral")
     with pytest.raises(PreconditionUnmet):
         find_balanced_path(f, arc, neutral)
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5, True, 1.0, "1"])
+def test_balanced_path_index_must_name_a_component(index):
+    # the arc has two components; -1 would read the last one and walk from
+    # its end past the start, True and 1.0 would read component 1
+    f = tent()
+    arc = TransverseArc(Angle(F(1, 8)), Angle(F(5, 8)))
+    assert len(classify_preimage(f, arc).components) == 2
+    with pytest.raises(InfeasibleParameters, match="no component"):
+        find_balanced_path(f, arc, index)
 
 
 def test_balanced_path_absent_partner():
@@ -531,8 +543,8 @@ def test_growth_candidates_of_an_unfolded_arc_are_unfolded():
         for side in ("start", "end"):
             for _, _, point in _growth_candidates(f, final, side):
                 cand = _candidate_arc(final, side, point)
-                grown, steps, cls = _plain_eliminate(f, cand)
-                assert (grown, len(steps), cls.negative_count) == (cand, 1, 0)
+                # one step, that of the candidate itself: growth never starts
+                assert [s.arc for s in _grow(f, cand)] == [cand]
                 assert _sweep_free_end_reachable(f, cand)
                 candidates += 1
     assert candidates > 200
@@ -626,6 +638,43 @@ def test_regular_value_traces_list_each_arc_once():
         assert all(a != b for a, b in zip(arcs, arcs[1:])), seed
         extended += sum(s.path is None for s in trace.steps[:-1])
     assert extended > 10, extended
+
+
+def test_regular_value_traces_start_with_the_plain_trace():
+    # the plain steps from the arc around the value come first; each later
+    # step has no path and no negative component, grows the side that the
+    # first neutral component meeting the fiber enters over, and lowers the
+    # number of those components, down to none
+    grown = 0
+    for seed in range(60):
+        f = random_map(seed, 8, 3)
+        lo, width = value_gaps(f)[0]
+        z = Angle(lo + width / 2)
+        try:
+            _, trace = eliminate_negative_arcs(f, value=z)
+        except UnfoldingBlocked:
+            continue
+        _, plain = eliminate_negative_arcs(f, _arc_around(f, z))
+        k = len(plain.steps) - 1
+        assert trace.steps[:k] == plain.steps[:k], seed
+        assert trace.steps[k].arc == plain.steps[k].arc, seed
+        base = f.reflect() if trace.reflected else f
+        fiber = base.fiber(z)
+        counts = []
+        for step in trace.steps[k:]:
+            assert (step.path, step.negative_count) == (None, 0), seed
+            comps = classify_preimage(base, step.arc).components
+            meets = [
+                c for x in fiber for c in comps if c.contains(x) and c.kind == "neutral"
+            ]
+            counts.append(len(set(meets)))
+            if step is not trace.steps[-1]:
+                grow_start = meets[0].endpoint_values[0] == step.arc.ccw_start
+                assert (step.extended_start is not None) == grow_start, seed
+                assert (step.extended_end is not None) != grow_start, seed
+                grown += 1
+        assert counts == sorted(set(counts), reverse=True) and counts[-1] == 0, seed
+    assert grown > 10, grown
 
 
 def test_unfold_regular_value_mode_refuses_a_critical_value():
@@ -803,8 +852,21 @@ def test_interval_map_validation():
         pytest.param(
             lambda: random_admissible_graph(0, -1),
             InfeasibleParameters,
-            "vertex count must be nonnegative",
+            "vertex count must be an int >= 0",
             id="vertex count",
+        ),
+        # True would build a one-vertex graph; a float fails inside random
+        pytest.param(
+            lambda: random_admissible_graph(0, True),
+            InfeasibleParameters,
+            "vertex count must be an int >= 0",
+            id="bool vertex count",
+        ),
+        pytest.param(
+            lambda: random_admissible_graph(0, 1.5),
+            InfeasibleParameters,
+            "vertex count must be an int >= 0",
+            id="float vertex count",
         ),
     ],
 )
@@ -983,7 +1045,9 @@ def test_single_circuit_pairings_match_the_best_count():
 
 
 def test_component_out_of_range():
-    g = build_euler_graph([(0, 0), (0, 0)])
+    # two components, so True and 1.0 would each read component 1
+    g = build_euler_graph([(0, 0), (0, 0), (1, 1), (1, 1)])
+    assert g.component_count == 2
     pairing = eulerian_resolution(g).pairing
     calls = (
         lambda c: eulerian_resolution(g, c),
@@ -992,8 +1056,8 @@ def test_component_out_of_range():
         g.component_edges,
     )
     for call in calls:
-        for component in (5, -1):
-            with pytest.raises(InfeasibleParameters):
+        for component in (5, 2, -1, True, 1.0, "1"):
+            with pytest.raises(InfeasibleParameters, match="no component"):
                 call(component)
 
 
@@ -1015,6 +1079,11 @@ def test_surgery_parity_infeasible():
         surgery_parity(4, 12, 7)
     with pytest.raises(InfeasibleParameters):
         surgery_parity(0, 3, 3)
+    # 1.5 circles would read as (False, 1), and a bool as 0 or 1
+    bad = ((F(3, 2), 2, 1), (1.5, 2, 1), (True, 2, 1), (1, 2, 1.0), (2, 2, False))
+    for counts in bad:
+        with pytest.raises(InfeasibleParameters, match="counts must be positive ints"):
+            surgery_parity(*counts)
 
 
 @settings(max_examples=80, deadline=None)
